@@ -22,17 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual_solver, oracle
-from .assembly import FemOperators, l1h_norm, l1_norm_exact, norms
+from .assembly import FemOperators, assemble, l1h_norm, l1_norm_exact, norms
 from .dual_solver import DualIterate, ProblemInstance, RunRecord, SolverConfig
-from .mesh import Mesh, build_unit_square_mesh, prolongate_nodal
-from .presets import PRESETS, make_instance
+from .mesh import build_unit_square_mesh, prolongate_nodal
+from .presets import make_instance
 from .sparse_linalg import power_iteration_extremes
 
 ORACLE_CAP = 4000
 
 
 def apply_g_inverse(prob: ProblemInstance, b: np.ndarray) -> np.ndarray:
-    """Solve ``(M + alpha K M^{-1} K) x = b`` via the cached saddle solver."""
+    """Solve ``(M + alpha K M^{-1} K) x = b`` with the operators' saddle solver."""
     return prob.ops.augmented(prob.alpha).solve(
         np.asarray(b, dtype=float) / prob.alpha)
 
@@ -109,51 +109,23 @@ def prolongated_start(coarse_inst: ProblemInstance,
     run = dual_solver.solve(
         coarse_inst,
         SolverConfig(max_iters=1, tol=0.0, log_every=0, check_every=1))
-    zc = run.final
-    coarse = coarse_inst.ops.mesh
-    fine = prob.ops.mesh
-    lam0 = prolongate_nodal(coarse, fine, zc.lam)
-    p_full = coarse_inst.ops.pad(zc.p)
-    p0 = prob.ops.restrict(prolongate_nodal(coarse, fine, p_full))
-    mu0 = prolongate_nodal(coarse, fine, zc.mu)
-    z0 = DualIterate.from_blocks(lam0, p0, mu0)
-    np.clip(z0.lam, -prob.beta, prob.beta, out=z0.lam)
-    np.clip(z0.lam_t, -prob.beta, prob.beta, out=z0.lam_t)
-    return z0
+    return prolongate_iterate(coarse_inst.ops, run.final, prob)
 
 
-def prolongate_iterate(src_mesh: Mesh, src_ops: FemOperators,
-                       dst: ProblemInstance,
-                       z: DualIterate) -> DualIterate:
-    """Carry a dual iterate to a finer mesh by blockwise interpolation."""
-    lam = prolongate_nodal(src_mesh, dst.ops.mesh, z.lam)
-    p = dst.ops.restrict(
-        prolongate_nodal(src_mesh, dst.ops.mesh, src_ops.pad(z.p)))
-    mu = prolongate_nodal(src_mesh, dst.ops.mesh, z.mu)
+def prolongate_iterate(src_ops: FemOperators, z: DualIterate,
+                       dst: ProblemInstance) -> DualIterate:
+    """Carry a dual iterate to a finer nested mesh by nodal interpolation.
+
+    The p block is interpolated with its zero boundary values and restricted
+    back to the interior; lam is clipped to the destination's beta bound.
+    """
+    src, fine = src_ops.mesh, dst.ops.mesh
+    lam = prolongate_nodal(src, fine, z.lam)
+    p = dst.ops.restrict(prolongate_nodal(src, fine, src_ops.pad(z.p)))
+    mu = prolongate_nodal(src, fine, z.mu)
     out = DualIterate.from_blocks(lam, p, mu)
     np.clip(out.lam, -dst.beta, dst.beta, out=out.lam)
     np.clip(out.lam_t, -dst.beta, dst.beta, out=out.lam_t)
-    return out
-
-
-def _warm_iterate(warm: tuple | None,
-                  inst: ProblemInstance) -> DualIterate | None:
-    """Rebuild a warm start from ``(source_level, full nodal blocks)``.
-
-    The stored blocks are all full-size; the p block is restricted back to
-    the interior after interpolation.
-    """
-    if warm is None:
-        return None
-    src_level, blocks = warm
-    if src_level > inst.ops.mesh.level:
-        return None
-    src_mesh = build_unit_square_mesh(src_level)
-    lam, p_full, mu = (prolongate_nodal(src_mesh, inst.ops.mesh,
-                                        np.asarray(v)) for v in blocks)
-    out = DualIterate.from_blocks(lam, inst.ops.restrict(p_full), mu)
-    np.clip(out.lam, -inst.beta, inst.beta, out=out.lam)
-    np.clip(out.lam_t, -inst.beta, inst.beta, out=out.lam_t)
     return out
 
 
@@ -168,24 +140,26 @@ def reference_solution(prob: ProblemInstance, kkt_tol: float = 1e-8,
     return run.final, phi, float(run.kkt[-1])
 
 
-_CERT_MEMO: dict = {}
+def reference_optimum(prob: ProblemInstance, z0: DualIterate | None = None,
+                      *, max_iters: int = 200_000) -> tuple[DualIterate, float]:
+    """Optimal dual iterate and value ``(z_star, phi_star)`` of one instance.
+
+    Up to ``ORACLE_CAP`` interior unknowns the optimum is certified by the
+    primal oracle; above it, it is a :func:`reference_solution` capped at
+    ``max_iters`` iterations.  ``z0`` warm starts the dual run of either
+    route.
+    """
+    if prob.n <= ORACLE_CAP:
+        cert = oracle.certified_optimum(prob, z0=z0)
+        return cert.z_star, cert.phi_star
+    z_star, phi_star, _ = reference_solution(prob, max_iters=max_iters, z0=z0)
+    return z_star, phi_star
 
 
-def certified_preset_optimum(preset: str, level: int, *, alpha=None,
-                             beta=None, box=None,
-                             z0: DualIterate | None = None,
-                             inst: ProblemInstance | None = None):
-    """Memoized certified optimum for a named preset at one level."""
-    key = (preset, level, alpha, beta, box)
-    hit = _CERT_MEMO.get(key)
-    if hit is None:
-        if inst is None:
-            inst = make_instance(preset, level, alpha=alpha, beta=beta,
-                                 box=box)
-        cert = oracle.certified_optimum(inst, z0=z0)
-        hit = (inst, cert)
-        _CERT_MEMO[key] = hit
-    return hit
+def certified_preset_optimum(preset: str, level: int):
+    """A preset's default instance at one level and its certified optimum."""
+    inst = make_instance(preset, level)
+    return inst, oracle.certified_optimum(inst)
 
 
 @dataclass
@@ -252,39 +226,30 @@ class MeshIndependenceReport:
         }
 
 
-def _level_result(preset: str, level: int, epsilon: float, coarse_level: int,
-                  *, oracle_cap: int = ORACLE_CAP, run_max_iters: int = 50_000,
-                  ref_kkt: float = 1e-8, timing: bool = False,
+def _instance_at(preset: str, level: int, coarse_inst: ProblemInstance,
+                 **params) -> ProblemInstance:
+    """The preset at ``level``; the coarse instance itself at its own level."""
+    if level == coarse_inst.ops.mesh.level:
+        return coarse_inst
+    return make_instance(preset, level, **params)
+
+
+def _level_result(preset: str, level: int, epsilon: float,
+                  coarse_inst: ProblemInstance, *,
+                  run_max_iters: int = 50_000, timing: bool = False,
                   warm: tuple | None = None,
                   alpha=None, beta=None, box=None) -> tuple[LevelResult, tuple]:
-    """Compute one report row; ``warm`` optionally seeds the reference run."""
+    """Compute one report row and the ``(ops, z_star)`` warm start it leaves.
+
+    ``warm`` optionally seeds the reference solve from a coarser level.
+    """
     t0 = time.perf_counter()
-    use_memo = alpha is None and beta is None and box is None
-    inst = None
-    if use_memo:
-        hit = _CERT_MEMO.get((preset, level, None, None, None))
-        if hit is not None:
-            inst = hit[0]
-    if inst is None:
-        inst = make_instance(preset, level, alpha=alpha, beta=beta, box=box)
-    coarse_inst = make_instance(preset, coarse_level, alpha=alpha, beta=beta,
-                                box=box)
+    inst = _instance_at(preset, level, coarse_inst, alpha=alpha, beta=beta,
+                        box=box)
     z0 = prolongated_start(coarse_inst, inst)
-
-    warm_start = _warm_iterate(warm, inst)
-
-    if inst.n <= oracle_cap:
-        if use_memo:
-            inst, cert = certified_preset_optimum(preset, level,
-                                                  z0=warm_start, inst=inst)
-        else:
-            cert = oracle.certified_optimum(inst, z0=warm_start)
-        phi_star = cert.phi_star
-        z_star = cert.z_star
-    else:
-        z_star, phi_star, _ = reference_solution(
-            inst, kkt_tol=ref_kkt, max_iters=10 * run_max_iters,
-            z0=warm_start)
+    warm_start = None if warm is None else prolongate_iterate(*warm, inst)
+    z_star, phi_star = reference_optimum(inst, warm_start,
+                                         max_iters=10 * run_max_iters)
 
     tau_h = compute_tau_h(inst, z0, z_star)
     lam_max_sh = lam_max_majorizer(inst)
@@ -307,20 +272,18 @@ def _level_result(preset: str, level: int, epsilon: float, coarse_level: int,
         phi_star=phi_star,
         seconds=seconds,
     )
-    warm_out = (level, (z_star.lam, inst.ops.pad(z_star.p), z_star.mu))
-    return row, warm_out
+    return row, (inst.ops, z_star)
 
 
 def _level_result_args(args: tuple) -> LevelResult:
-    preset, level, epsilon, coarse_level, kwargs = args
-    row, _ = _level_result(preset, level, epsilon, coarse_level, **kwargs)
+    preset, level, epsilon, coarse_inst, kwargs = args
+    row, _ = _level_result(preset, level, epsilon, coarse_inst, **kwargs)
     return row
 
 
 def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
                                  *, jobs: int = 1,
                                  run_max_iters: int = 50_000,
-                                 oracle_cap: int = ORACLE_CAP,
                                  timing: bool = False,
                                  tau_proxy_level: int | None = None,
                                  alpha=None, beta=None,
@@ -330,29 +293,32 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
     Every level starts from the same prolongated point; a level passes when
     the dual objective reaches ``Phi* + epsilon (1 + |Phi*|)``.  The report
     passes when no level saturates and all counts lie within 20 percent of
-    their median.  With ``jobs > 1`` levels run in separate processes
-    (independent, no warm-start chaining); results are ordered by level
-    either way.
+    their median.  The coarsest level's instance is built once and serves
+    every row and the tau proxy.  With ``jobs > 1`` levels run in separate
+    processes (independent, no warm-start chaining); results are ordered by
+    level either way.
     """
     levels = sorted(int(l) for l in levels)
     if len(levels) < 2:
         raise ValueError("need at least two levels to compare")
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    coarse_level = levels[0]
-    kwargs = dict(oracle_cap=oracle_cap, run_max_iters=run_max_iters,
-                  timing=timing, alpha=alpha, beta=beta, box=box)
+    # built before any factorization, so it still pickles for the workers
+    coarse_inst = make_instance(preset, levels[0], alpha=alpha, beta=beta,
+                                box=box)
+    kwargs = dict(run_max_iters=run_max_iters, timing=timing, alpha=alpha,
+                  beta=beta, box=box)
 
     rows: list[LevelResult] = []
+    warm = None
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = [(preset, lvl, epsilon, coarse_level, kwargs)
+            args = [(preset, lvl, epsilon, coarse_inst, kwargs)
                     for lvl in levels]
             rows = list(pool.map(_level_result_args, args))
     else:
-        warm = None
         for lvl in levels:
-            row, warm = _level_result(preset, lvl, epsilon, coarse_level,
+            row, warm = _level_result(preset, lvl, epsilon, coarse_inst,
                                       warm=warm, **kwargs)
             rows.append(row)
 
@@ -366,9 +332,10 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
         median_iters=median, passed=passed,
     )
     if tau_proxy_level is not None:
-        proxy = tau_h_at_level(preset, tau_proxy_level, coarse_level,
-                               alpha=alpha, beta=beta, box=box,
-                               warm=warm if jobs == 1 else None)
+        if tau_proxy_level < levels[-1]:
+            warm = None
+        proxy = tau_h_at_level(preset, tau_proxy_level, coarse_inst,
+                               alpha=alpha, beta=beta, box=box, warm=warm)
         c, ok = fit_tau_constant(rows, proxy)
         report.fitted_c = c
         report.tau_proxy = proxy
@@ -376,37 +343,20 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
     return report
 
 
-def tau_h_at_level(preset: str, level: int, coarse_level: int, *,
-                   alpha=None, beta=None, box=None,
-                   warm: tuple | None = None,
-                   kkt_tol: float = 1e-8) -> float:
+def tau_h_at_level(preset: str, level: int, coarse_inst: ProblemInstance,
+                   *, alpha=None, beta=None, box=None,
+                   warm: tuple | None = None) -> float:
     """tau_h for the standard prolongated start at one level.
 
-    ``warm`` is an optional ``(source_level, full nodal blocks)`` seed for
-    the reference solve, carried over from a coarser level.
+    ``coarse_inst`` is the preset's instance at the coarsest level of the
+    hierarchy.  ``warm`` is an optional ``(ops, z_star)`` pair from a level
+    no finer than ``level`` that seeds the reference solve.
     """
-    use_memo = alpha is None and beta is None and box is None
-    inst = None
-    if use_memo:
-        hit = _CERT_MEMO.get((preset, level, None, None, None))
-        if hit is not None:
-            inst = hit[0]
-    if inst is None:
-        inst = make_instance(preset, level, alpha=alpha, beta=beta, box=box)
-    coarse_inst = make_instance(preset, coarse_level, alpha=alpha, beta=beta,
-                                box=box)
+    inst = _instance_at(preset, level, coarse_inst, alpha=alpha, beta=beta,
+                        box=box)
     z0 = prolongated_start(coarse_inst, inst)
-    warm_start = _warm_iterate(warm, inst)
-    if inst.n <= ORACLE_CAP:
-        if use_memo:
-            inst, cert = certified_preset_optimum(preset, level,
-                                                  z0=warm_start, inst=inst)
-        else:
-            cert = oracle.certified_optimum(inst, z0=warm_start)
-        z_star = cert.z_star
-    else:
-        z_star, _, _ = reference_solution(inst, kkt_tol=kkt_tol,
-                                          z0=warm_start)
+    warm_start = None if warm is None else prolongate_iterate(*warm, inst)
+    z_star, _ = reference_optimum(inst, warm_start)
     return compute_tau_h(inst, z0, z_star)
 
 
@@ -420,49 +370,6 @@ def fit_tau_constant(rows: list[LevelResult],
     ok = all(r.tau_h <= tau_proxy + c * r.h + 1e-12 * (1.0 + abs(tau_proxy))
              for r in rows)
     return c, ok
-
-
-def approximate_continuous_tau(preset: str, fine_level: int, *,
-                               coarse_start_level: int = 3,
-                               kkt_tol: float = 1e-8,
-                               warm: tuple | None = None,
-                               alpha=None, beta=None, box=None) -> float:
-    """Continuum limit of the distance constant, sampled on a fine mesh.
-
-    Approximates 1/(2 alpha) [ <d, (alpha A*A + I)^{-1} d> + ||e||^2 ] by its
-    mass-matrix discretization: the inverse is applied through the same
-    coupled solve as G^{-1}, and the mu term carries a plain mass norm.
-    """
-    use_memo = alpha is None and beta is None and box is None
-    inst = None
-    if use_memo:
-        hit = _CERT_MEMO.get((preset, fine_level, None, None, None))
-        if hit is not None:
-            inst = hit[0]
-    if inst is None:
-        inst = make_instance(preset, fine_level, alpha=alpha, beta=beta,
-                             box=box)
-    coarse_inst = make_instance(preset, coarse_start_level, alpha=alpha,
-                                beta=beta, box=box)
-    z0 = prolongated_start(coarse_inst, inst)
-    warm_start = _warm_iterate(warm, inst)
-    if inst.n <= ORACLE_CAP:
-        if use_memo:
-            inst, cert = certified_preset_optimum(preset, fine_level,
-                                                  z0=warm_start, inst=inst)
-        else:
-            cert = oracle.certified_optimum(inst, z0=warm_start)
-        z_star = cert.z_star
-    else:
-        z_star, _, _ = reference_solution(inst, kkt_tol=kkt_tol,
-                                          z0=warm_start)
-    d = z0.lam - z_star.lam
-    e = z0.mu - z_star.mu
-    ops = inst.ops
-    md_int = ops.restrict(ops.M_full @ d)
-    term = float(md_int @ apply_g_inverse(inst, md_int))
-    term += float(e @ (ops.M_full @ e))
-    return max(term, 0.0) / (2.0 * inst.alpha)
 
 
 @dataclass
@@ -548,7 +455,7 @@ def lumped_mass_comparison_check(levels, samples: int = 1000,
     rng = np.random.default_rng(seed)
     out = {"gamma": gamma, "levels": {}, "violations": 0}
     for level in levels:
-        ops = _plain_operators(level)
+        ops = assemble(build_unit_square_mesh(level))
         nviol = 0
         for _ in range(samples):
             z = rng.standard_normal(ops.mesh.n_nodes)
@@ -577,7 +484,7 @@ def l1_gap_check(levels, samples: int = 1000, seed: int = 0,
     c_fit = 0.0
     passed = True
     for idx, level in enumerate(levels):
-        ops = _plain_operators(level)
+        ops = assemble(build_unit_square_mesh(level))
         h = ops.mesh.h
         worst_ratio = 0.0
         nviol_lower = 0
@@ -606,19 +513,6 @@ def l1_gap_check(levels, samples: int = 1000, seed: int = 0,
     return out
 
 
-_PLAIN_OPS: dict[int, FemOperators] = {}
-
-
-def _plain_operators(level: int) -> FemOperators:
-    ops = _PLAIN_OPS.get(level)
-    if ops is None:
-        from .assembly import assemble
-
-        ops = assemble(build_unit_square_mesh(level))
-        _PLAIN_OPS[level] = ops
-    return ops
-
-
 def operator_bound_check(levels, alpha: float = 1e-2) -> dict:
     """Scaling windows for ``G = M + alpha K M^{-1} K``.
 
@@ -629,7 +523,7 @@ def operator_bound_check(levels, alpha: float = 1e-2) -> dict:
     levels = sorted(int(l) for l in levels)
     rows = []
     for level in levels:
-        ops = _plain_operators(level)
+        ops = assemble(build_unit_square_mesh(level))
         n = ops.n_interior
         aug = ops.augmented(alpha)
 

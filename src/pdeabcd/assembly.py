@@ -21,9 +21,9 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from . import sparse_linalg
 from .mesh import Mesh, triangle_areas
-from .sparse_linalg import FactorizationCache, canonicalize
+from .sparse_linalg import (AugmentedSolver, Factorization, canonicalize,
+                            factorize_spd)
 
 # edge midpoints of the reference triangle; this rule integrates quadratics
 # exactly, which covers products of P1 basis functions
@@ -159,8 +159,9 @@ class FemOperators:
     ``K``/``M``/``W`` are restricted to interior nodes (Dirichlet
     elimination); the ``*_full`` variants cover the whole node set.
     ``Kbar_full`` is the pure-Laplacian stiffness used by the H1 norm,
-    independent of the problem coefficients.  Factorizations are created
-    lazily and cached by matrix identity.
+    independent of the problem coefficients.  The operators own their
+    factorizations: each is built on first use and kept on the instance, so
+    every problem instance sharing these operators shares the factors.
     """
 
     mesh: Mesh
@@ -170,28 +171,41 @@ class FemOperators:
     M_full: sp.csr_matrix
     W_full: np.ndarray
     interior: np.ndarray
-    interior_index_map: np.ndarray
     K: sp.csr_matrix
     M: sp.csr_matrix
     W: np.ndarray
-    cache: FactorizationCache = field(default_factory=FactorizationCache,
-                                      repr=False)
+    _spd: dict[str, Factorization] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _augmented: dict[float, AugmentedSolver] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_interior(self) -> int:
         return self.interior.size
 
-    def mass_factor(self):
-        return self.cache.spd(self.M)
+    def _spd_factor(self, name: str) -> Factorization:
+        fact = self._spd.get(name)
+        if fact is None:
+            fact = self._spd[name] = factorize_spd(getattr(self, name))
+        return fact
 
-    def mass_full_factor(self):
-        return self.cache.spd(self.M_full)
+    def mass_factor(self) -> Factorization:
+        return self._spd_factor("M")
 
-    def stiffness_factor(self):
-        return self.cache.spd(self.K)
+    def mass_full_factor(self) -> Factorization:
+        return self._spd_factor("M_full")
 
-    def augmented(self, alpha: float):
-        return self.cache.augmented(self.K, self.M, alpha)
+    def stiffness_factor(self) -> Factorization:
+        return self._spd_factor("K")
+
+    def augmented(self, alpha: float) -> AugmentedSolver:
+        """Saddle solver for ``(K M^{-1} K + (1/alpha) M) p = b``, one per alpha."""
+        key = float(alpha)
+        solver = self._augmented.get(key)
+        if solver is None:
+            solver = self._augmented[key] = AugmentedSolver(self.K, self.M,
+                                                            alpha)
+        return solver
 
     def pad(self, u_int: np.ndarray) -> np.ndarray:
         """Embed an interior vector into the full node set with zero boundary."""
@@ -250,9 +264,6 @@ def assemble(mesh: Mesh, coeffs: EllipticCoefficients | None = None) -> FemOpera
               np.repeat(area / 3.0, 3))
 
     interior = mesh.interior
-    index_map = np.full(n, -1, dtype=np.int64)
-    index_map[interior] = np.arange(interior.size)
-
     K = canonicalize(K_full[np.ix_(interior, interior)])
     M = canonicalize(M_full[np.ix_(interior, interior)])
     W = W_full[interior].copy()
@@ -265,7 +276,6 @@ def assemble(mesh: Mesh, coeffs: EllipticCoefficients | None = None) -> FemOpera
         M_full=M_full,
         W_full=W_full,
         interior=interior,
-        interior_index_map=index_map,
         K=K,
         M=M,
         W=W,

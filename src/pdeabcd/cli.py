@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, dual_solver, oracle
+from . import analysis, dual_solver
 from .assembly import dump_operators
 from .dual_solver import DivergenceError, SolverConfig
 from .mesh import MeshSizeError, dump_mesh
@@ -248,17 +248,7 @@ def run_solve(args) -> int:
 
     bound_ok = True
     if args.check_bound:
-        if inst.n <= analysis.ORACLE_CAP:
-            if (args.alpha, args.beta, args.box) == (None, None, None) \
-                    and gamma == 4.0:
-                _, cert = analysis.certified_preset_optimum(
-                    args.preset, args.level)
-            else:
-                cert = oracle.certified_optimum(inst)
-            phi_star = cert.phi_star
-            z_star = cert.z_star
-        else:
-            z_star, phi_star, _ = analysis.reference_solution(inst)
+        z_star, phi_star = analysis.reference_optimum(inst)
         z0 = dual_solver.DualIterate.for_instance(inst)
         tau_h = analysis.compute_tau_h(inst, z0, z_star)
         record.tau_h = tau_h
@@ -419,7 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, MeshSizeError, KeyError) as err:
+    except (UsageError, MeshSizeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -152,7 +152,6 @@ class SolverConfig:
     check_every: int = 1
     timing: bool = False
     phi_target: float | None = None
-    solver_tol: float = 1e-12
 
     def __post_init__(self):
         if self.max_iters < 1:

@@ -293,6 +293,8 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
                 z2 = z2 * 2.0
                 changed = True
             if changed:
+                # drop the old factors first so two never coexist
+                fact = None
                 fact = _splitting_factorization(prob, rho1, rho2)
 
     if residual > tol:

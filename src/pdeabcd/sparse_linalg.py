@@ -4,21 +4,19 @@ estimates.
 Storage and factorizations are backed by scipy.sparse (CSR matrices, SuperLU
 factorizations); this module pins down the contracts the solver relies on:
 definiteness checking for symmetric positive definite factorizations, a
-cached solver for systems of the form ``(K M^{-1} K + (1/alpha) M) p = b``
-that never forms ``M^{-1}`` explicitly, and deterministic power iteration
-for extreme eigenvalues.
+solver for systems of the form ``(K M^{-1} K + (1/alpha) M) p = b`` that
+never forms ``M^{-1}`` explicitly, and deterministic power iteration for
+extreme eigenvalues.  The factorizations themselves are held by the
+operators that use them (see ``assembly.FemOperators``).
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-SOLVER_TOL = 1e-12
 
 
 class DefinitenessError(ValueError):
@@ -78,7 +76,7 @@ def factorize_indefinite(matrix) -> Factorization:
 
 
 class AugmentedSolver:
-    """Cached direct solver for ``(K M^{-1} K + (1/alpha) M) p = b``.
+    """Direct solver for ``(K M^{-1} K + (1/alpha) M) p = b``.
 
     The normal-equation operator is never formed.  Instead the equivalent
     symmetric saddle system
@@ -110,46 +108,6 @@ class AugmentedSolver:
         rhs = np.concatenate([b, np.zeros(self.n)])
         x = self._fact.solve(rhs)
         return x[: self.n], x[self.n :]
-
-
-class FactorizationCache:
-    """Cache of factorizations keyed by matrix identity (and alpha).
-
-    Entries are evicted when the keyed matrices are garbage collected, so a
-    recycled ``id()`` can never alias a dead key.  Repeated lookups return
-    the same handle.
-    """
-
-    def __init__(self):
-        self._spd: dict[int, Factorization] = {}
-        self._aug: dict[tuple[int, int, float], AugmentedSolver] = {}
-
-    def spd(self, matrix) -> Factorization:
-        key = id(matrix)
-        hit = self._spd.get(key)
-        if hit is None:
-            hit = factorize_spd(matrix)
-            self._spd[key] = hit
-            weakref.finalize(matrix, self._spd.pop, key, None)
-        return hit
-
-    def augmented(self, K, M, alpha: float) -> AugmentedSolver:
-        key = (id(K), id(M), float(alpha))
-        hit = self._aug.get(key)
-        if hit is None:
-            hit = AugmentedSolver(K, M, alpha)
-            self._aug[key] = hit
-            weakref.finalize(K, self._aug.pop, key, None)
-        return hit
-
-
-DEFAULT_CACHE = FactorizationCache()
-
-
-def solve_augmented(K, M, alpha: float, b: np.ndarray,
-                    cache: FactorizationCache = DEFAULT_CACHE) -> np.ndarray:
-    """Solve ``(K M^{-1} K + (1/alpha) M) p = b`` via the cached saddle solver."""
-    return cache.augmented(K, M, alpha).solve(b)
 
 
 def power_iteration_extremes(apply, n: int, iters: int = 2000,

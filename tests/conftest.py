@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from pdeabcd import analysis
+from pdeabcd import analysis, oracle
 from pdeabcd.presets import make_instance
 
 SEED = int(os.environ.get("PDEABCD_SEED", "0"))
@@ -50,14 +50,12 @@ def zero2():
 
 @pytest.fixture(scope="session")
 def certified_sine2(sine2):
-    inst, cert = analysis.certified_preset_optimum("sine", 2, inst=sine2)
-    return inst, cert
+    return sine2, oracle.certified_optimum(sine2)
 
 
 @pytest.fixture(scope="session")
 def certified_shifted2(shifted2):
-    inst, cert = analysis.certified_preset_optimum("shifted", 2, inst=shifted2)
-    return inst, cert
+    return shifted2, oracle.certified_optimum(shifted2)
 
 
 @pytest.fixture(scope="session")

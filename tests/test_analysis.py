@@ -10,7 +10,6 @@ from pdeabcd import analysis
 from pdeabcd.analysis import (
     LevelResult,
     apply_g_inverse,
-    approximate_continuous_tau,
     compute_tau_h,
     fit_tau_constant,
     l1_gap_check,
@@ -147,7 +146,7 @@ def test_prolongate_iterate_nested_consistency(rng):
                   -src.beta, src.beta)
     z = DualIterate.from_blocks(lam, rng.standard_normal(src.n),
                                 rng.standard_normal(src.n_full))
-    out = prolongate_iterate(src.ops.mesh, src.ops, dst, z)
+    out = prolongate_iterate(src.ops, z, dst)
     # coarse nodes are a subset of fine nodes: values carry over
     coarse_in_fine = []
     fine_nodes = {tuple(x): i for i, x in enumerate(map(tuple, dst.ops.mesh.nodes))}
@@ -255,14 +254,18 @@ def test_operator_bound_check():
 
 
 def test_tau_h_at_level_positive():
-    tau = analysis.tau_h_at_level("sine", 3, 2)
+    tau = analysis.tau_h_at_level("sine", 3, make_instance("sine", 2))
     assert tau > 0.0
     assert np.isfinite(tau)
 
 
-def test_approximate_continuous_tau_stable():
-    a5 = approximate_continuous_tau("sine", 5)
-    a6 = approximate_continuous_tau("sine", 6)
-    assert a5 > 0.0 and a6 > 0.0
-    # successive fine levels agree to well within a factor of two
-    assert max(a5, a6) / min(a5, a6) < 2.0
+def test_mesh_independence_builds_each_level_once(monkeypatch):
+    built = []
+
+    def counting(preset, level, **kwargs):
+        built.append(level)
+        return make_instance(preset, level, **kwargs)
+
+    monkeypatch.setattr(analysis, "make_instance", counting)
+    mesh_independence_experiment("sine", [2, 3, 4], tau_proxy_level=5)
+    assert sorted(built) == [2, 3, 4, 5]

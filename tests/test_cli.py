@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from pdeabcd import cli, presets
 from pdeabcd.cli import main
 
 # in-process invocations keep the suite fast; two subprocess smoke tests
@@ -42,6 +43,20 @@ def test_solve_check_bound(tmp_path, capsys):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["bound_ok"] is True
     assert summary["tau_h"] > 0.0
+
+
+def test_solve_check_bound_assembles_once(monkeypatch, capsys):
+    calls = []
+    real = presets.assemble
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(presets, "assemble", counting)
+    assert main(["solve", "--preset", "sine", "--level", "2",
+                 "--check-bound"]) == 0
+    assert len(calls) == 1
 
 
 def test_solve_dump_artifacts(tmp_path):
@@ -100,6 +115,15 @@ def test_usage_errors(capsys):
                  "--eps", "0"]) == 2
     assert main(["mesh-indep", "--preset", "zero", "--levels", "3,4"]) == 2
     assert main(["checks", "--levels", "2"]) == 2
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "run_solve", broken)
+    with pytest.raises(KeyError):
+        main(["solve", "--preset", "zero"])
 
 
 def test_config_file_flags_win(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Primal oracle tests: objective values, the two reference routes, and the
 cross-certification logic."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from pdeabcd import analysis
+from pdeabcd import oracle
 from pdeabcd.dual_solver import dual_objective
 from pdeabcd.oracle import (
     CertifiedOptimum,
@@ -169,8 +171,19 @@ def test_certified_zero_preset(zero2):
     assert cert.phi_star == 0.0
 
 
-def test_memoized_certification_is_shared(certified_sine2):
-    inst, cert = certified_sine2
-    inst2, cert2 = analysis.certified_preset_optimum("sine", 2)
-    assert inst2 is inst
-    assert cert2 is cert
+def test_admm_releases_old_factorization_before_refactoring(sine2,
+                                                            monkeypatch):
+    real = oracle._splitting_factorization
+    built = []
+
+    def tracked(*args):
+        # every earlier factorization must be unreferenced by now
+        assert all(ref() is None for ref in built), \
+            "previous splitting factorization still alive"
+        fact = real(*args)
+        built.append(weakref.ref(fact))
+        return fact
+
+    monkeypatch.setattr(oracle, "_splitting_factorization", tracked)
+    admm_reference(sine2)
+    assert len(built) >= 3  # residual balancing did refactorize

@@ -6,15 +6,14 @@ import scipy.sparse as sp
 
 from pdeabcd.assembly import assemble
 from pdeabcd.mesh import build_unit_square_mesh
+from pdeabcd.presets import make_instance
 from pdeabcd.sparse_linalg import (
     AugmentedSolver,
     DefinitenessError,
-    FactorizationCache,
     canonicalize,
     factorize_indefinite,
     factorize_spd,
     power_iteration_extremes,
-    solve_augmented,
 )
 
 
@@ -103,29 +102,19 @@ def test_augmented_solver_with_multiplier(rng):
     assert np.allclose(x, aug.solve(b), atol=1e-12)
 
 
-def test_solve_augmented_helper(rng):
+def test_operators_own_their_factorizations():
     ops = assemble(build_unit_square_mesh(2))
-    b = rng.standard_normal(ops.n_interior)
-    x = solve_augmented(ops.K, ops.M, 1e-2, b)
-    aug = AugmentedSolver(ops.K, ops.M, 1e-2)
-    assert np.array_equal(x, aug.solve(b))
-
-
-def test_factorization_cache_reuses_by_identity(rng):
-    cache = FactorizationCache()
-    A = _random_spd(rng)
-    f1 = cache.spd(A)
-    f2 = cache.spd(A)
-    assert f1 is f2
-    # a structurally identical copy is a different key
-    f3 = cache.spd(A.copy())
-    assert f3 is not f1
-    ops = assemble(build_unit_square_mesh(2))
-    g1 = cache.augmented(ops.K, ops.M, 1e-2)
-    g2 = cache.augmented(ops.K, ops.M, 1e-2)
-    assert g1 is g2
-    g3 = cache.augmented(ops.K, ops.M, 2e-2)
-    assert g3 is not g1
+    assert ops.mass_factor() is ops.mass_factor()
+    assert ops.mass_full_factor() is ops.mass_full_factor()
+    assert ops.stiffness_factor() is ops.stiffness_factor()
+    alpha = 1e-2
+    assert ops.augmented(alpha) is ops.augmented(alpha)
+    assert ops.augmented(2 * alpha) is not ops.augmented(alpha)
+    # instances built on shared operators share their factors
+    a = make_instance("sine", 2, ops=ops)
+    b = make_instance("shifted", 2, ops=ops)
+    assert a.ops.stiffness_factor() is b.ops.stiffness_factor()
+    assert a.ops.augmented(alpha) is b.ops.augmented(alpha)
 
 
 def test_power_iteration_diagonal():
