@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual_solver, oracle
-from .assembly import FemOperators, assemble, l1h_norm, l1_norm_exact, norms
+from .assembly import assemble, l1h_norm, l1_norm_exact, norms
 from .dual_solver import DualIterate, ProblemInstance, RunRecord, SolverConfig
-from .mesh import build_unit_square_mesh, prolongate_nodal
+from .mesh import Mesh, build_unit_square_mesh, prolongate_nodal
 from .presets import make_instance
 from .sparse_linalg import power_iteration_extremes
 
@@ -37,19 +37,17 @@ def apply_g_inverse(prob: ProblemInstance, b: np.ndarray) -> np.ndarray:
         np.asarray(b, dtype=float) / prob.alpha)
 
 
-def compute_tau_h(prob: ProblemInstance, z0, z_star) -> float:
+def compute_tau_h(prob: ProblemInstance, z0: DualIterate,
+                  z_star: DualIterate) -> float:
     """Weighted squared distance between a start and an optimum.
 
-    ``z0`` and ``z_star`` are :class:`DualIterate` objects or (lam, p, mu)
-    triples; the p block does not enter.  The lam part is measured in
-    (M E G^{-1} E' M + W - M)/alpha with E the zero-boundary embedding of
-    the adjoint block, the mu part in gamma M W^{-1} M / alpha.
+    Only the lam and mu blocks of the two iterates enter.  The lam part is
+    measured in (M E G^{-1} E' M + W - M)/alpha with E the zero-boundary
+    embedding of the adjoint block, the mu part in gamma M W^{-1} M / alpha.
     """
-    lam0, _, mu0 = z0.blocks() if hasattr(z0, "blocks") else z0
-    lam_s, _, mu_s = z_star.blocks() if hasattr(z_star, "blocks") else z_star
     ops = prob.ops
-    d = np.asarray(lam0, float) - np.asarray(lam_s, float)
-    e = np.asarray(mu0, float) - np.asarray(mu_s, float)
+    d = z0.lam - z_star.lam
+    e = z0.mu - z_star.mu
     md = ops.M_full @ d
     md_int = ops.restrict(md)
     term = float(md_int @ apply_g_inverse(prob, md_int))
@@ -109,24 +107,26 @@ def prolongated_start(coarse_inst: ProblemInstance,
     run = dual_solver.solve(
         coarse_inst,
         SolverConfig(max_iters=1, tol=0.0, log_every=0, check_every=1))
-    return prolongate_iterate(coarse_inst.ops, run.final, prob)
+    return prolongate_iterate(coarse_inst.ops.mesh, run.final, prob)
 
 
-def prolongate_iterate(src_ops: FemOperators, z: DualIterate,
+def prolongate_iterate(src_mesh: Mesh, z: DualIterate,
                        dst: ProblemInstance) -> DualIterate:
-    """Carry a dual iterate to a finer nested mesh by nodal interpolation.
+    """Carry a dual iterate from ``src_mesh`` to the finer nested mesh of
+    ``dst`` by nodal interpolation.
 
-    The p block is interpolated with its zero boundary values and restricted
-    back to the interior; lam is clipped to the destination's beta bound.
+    Needs only the source mesh, so a finished level's operators and
+    factorizations need not outlive it.  The p block is interpolated with
+    its zero boundary values and restricted back to the interior; lam is
+    clipped to the destination's beta bound.
     """
-    src, fine = src_ops.mesh, dst.ops.mesh
-    lam = prolongate_nodal(src, fine, z.lam)
-    p = dst.ops.restrict(prolongate_nodal(src, fine, src_ops.pad(z.p)))
-    mu = prolongate_nodal(src, fine, z.mu)
-    out = DualIterate.from_blocks(lam, p, mu)
-    np.clip(out.lam, -dst.beta, dst.beta, out=out.lam)
-    np.clip(out.lam_t, -dst.beta, dst.beta, out=out.lam_t)
-    return out
+    fine = dst.ops.mesh
+    lam = np.clip(prolongate_nodal(src_mesh, fine, z.lam), -dst.beta, dst.beta)
+    p_full = np.zeros(src_mesh.n_nodes)
+    p_full[src_mesh.interior] = z.p
+    p = dst.ops.restrict(prolongate_nodal(src_mesh, fine, p_full))
+    mu = prolongate_nodal(src_mesh, fine, z.mu)
+    return DualIterate(lam, p, mu)
 
 
 def reference_solution(prob: ProblemInstance, kkt_tol: float = 1e-8,
@@ -226,12 +226,24 @@ class MeshIndependenceReport:
         }
 
 
-def _instance_at(preset: str, level: int, coarse_inst: ProblemInstance,
-                 **params) -> ProblemInstance:
-    """The preset at ``level``; the coarse instance itself at its own level."""
+def _optimum_at(preset: str, level: int, coarse_inst: ProblemInstance,
+                warm: tuple | None, max_iters: int, **params) -> tuple:
+    """The preset at ``level`` with its prolongated start, optimum and tau_h.
+
+    Returns ``(inst, z0, z_star, phi_star, tau_h)``; at its own level the
+    coarse instance is reused.  ``warm`` is an optional ``(mesh, z_star)``
+    pair from a coarser level that seeds the reference solve, which is
+    capped at ``max_iters`` iterations above the oracle's size limit.
+    """
     if level == coarse_inst.ops.mesh.level:
-        return coarse_inst
-    return make_instance(preset, level, **params)
+        inst = coarse_inst
+    else:
+        inst = make_instance(preset, level, **params)
+    z0 = prolongated_start(coarse_inst, inst)
+    warm_start = None if warm is None else prolongate_iterate(*warm, inst)
+    z_star, phi_star = reference_optimum(inst, warm_start,
+                                         max_iters=max_iters)
+    return inst, z0, z_star, phi_star, compute_tau_h(inst, z0, z_star)
 
 
 def _level_result(preset: str, level: int, epsilon: float,
@@ -239,19 +251,14 @@ def _level_result(preset: str, level: int, epsilon: float,
                   run_max_iters: int = 50_000, timing: bool = False,
                   warm: tuple | None = None,
                   alpha=None, beta=None, box=None) -> tuple[LevelResult, tuple]:
-    """Compute one report row and the ``(ops, z_star)`` warm start it leaves.
+    """Compute one report row and the ``(mesh, z_star)`` warm start it leaves.
 
     ``warm`` optionally seeds the reference solve from a coarser level.
     """
     t0 = time.perf_counter()
-    inst = _instance_at(preset, level, coarse_inst, alpha=alpha, beta=beta,
-                        box=box)
-    z0 = prolongated_start(coarse_inst, inst)
-    warm_start = None if warm is None else prolongate_iterate(*warm, inst)
-    z_star, phi_star = reference_optimum(inst, warm_start,
-                                         max_iters=10 * run_max_iters)
-
-    tau_h = compute_tau_h(inst, z0, z_star)
+    inst, z0, z_star, phi_star, tau_h = _optimum_at(
+        preset, level, coarse_inst, warm, 10 * run_max_iters, alpha=alpha,
+        beta=beta, box=box)
     lam_max_sh = lam_max_majorizer(inst)
 
     target = phi_star + epsilon * (1.0 + abs(phi_star))
@@ -272,7 +279,7 @@ def _level_result(preset: str, level: int, epsilon: float,
         phi_star=phi_star,
         seconds=seconds,
     )
-    return row, (inst.ops, z_star)
+    return row, (inst.ops.mesh, z_star)
 
 
 def _level_result_args(args: tuple) -> LevelResult:
@@ -349,15 +356,12 @@ def tau_h_at_level(preset: str, level: int, coarse_inst: ProblemInstance,
     """tau_h for the standard prolongated start at one level.
 
     ``coarse_inst`` is the preset's instance at the coarsest level of the
-    hierarchy.  ``warm`` is an optional ``(ops, z_star)`` pair from a level
+    hierarchy.  ``warm`` is an optional ``(mesh, z_star)`` pair from a level
     no finer than ``level`` that seeds the reference solve.
     """
-    inst = _instance_at(preset, level, coarse_inst, alpha=alpha, beta=beta,
-                        box=box)
-    z0 = prolongated_start(coarse_inst, inst)
-    warm_start = None if warm is None else prolongate_iterate(*warm, inst)
-    z_star, _ = reference_optimum(inst, warm_start)
-    return compute_tau_h(inst, z0, z_star)
+    *_, tau_h = _optimum_at(preset, level, coarse_inst, warm, 200_000,
+                            alpha=alpha, beta=beta, box=box)
+    return tau_h
 
 
 def fit_tau_constant(rows: list[LevelResult],
@@ -390,10 +394,6 @@ class SpectralScalingReport:
     alpha: float
     gamma: float
     rows: list[SpectralRow]
-
-    def window(self, values) -> tuple[float, float]:
-        arr = np.asarray(values, dtype=float)
-        return float(arr.min()), float(arr.max())
 
     def checks(self) -> dict[str, bool]:
         rows = self.rows

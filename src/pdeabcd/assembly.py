@@ -75,11 +75,6 @@ class EllipticCoefficients:
             return np.asarray(self.reaction(x1, x2), dtype=float)
         return np.full(x1.size, float(self.reaction))
 
-    @property
-    def is_default(self) -> bool:
-        return self.diffusion is None and not callable(self.reaction) \
-            and float(self.reaction) == 0.0
-
 
 def _validate_coefficients(coeffs: EllipticCoefficients, a: np.ndarray,
                            c0: np.ndarray) -> None:

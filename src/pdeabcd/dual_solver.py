@@ -101,7 +101,7 @@ class ProblemInstance:
 
 @dataclass
 class DualIterate:
-    """Dual variables plus the extrapolation state of the accelerated loop.
+    """The dual triple (lam, p, mu) after ``k`` sweeps.
 
     ``lam`` and ``mu`` are full nodal vectors, ``p`` is interior.
     """
@@ -109,27 +109,18 @@ class DualIterate:
     lam: np.ndarray
     p: np.ndarray
     mu: np.ndarray
-    lam_t: np.ndarray
-    p_t: np.ndarray
-    mu_t: np.ndarray
-    t: float = 1.0
     k: int = 0
 
     @classmethod
-    def zeros(cls, n_full: int, n_interior: int) -> "DualIterate":
-        return cls(np.zeros(n_full), np.zeros(n_interior), np.zeros(n_full),
-                   np.zeros(n_full), np.zeros(n_interior), np.zeros(n_full))
-
-    @classmethod
     def for_instance(cls, prob: "ProblemInstance") -> "DualIterate":
-        return cls.zeros(prob.n_full, prob.n)
+        """The origin of the dual space of ``prob``."""
+        return cls(np.zeros(prob.n_full), np.zeros(prob.n),
+                   np.zeros(prob.n_full))
 
     @classmethod
     def from_blocks(cls, lam, p, mu) -> "DualIterate":
-        lam = np.asarray(lam, dtype=float).copy()
-        p = np.asarray(p, dtype=float).copy()
-        mu = np.asarray(mu, dtype=float).copy()
-        return cls(lam, p, mu, lam.copy(), p.copy(), mu.copy())
+        """An iterate holding float copies of the given blocks."""
+        return cls(*(np.array(b, dtype=float) for b in (lam, p, mu)))
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.lam, self.p, self.mu
@@ -360,19 +351,20 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
           z0: DualIterate | None = None) -> RunRecord:
     """Run the accelerated dual scheme from ``z0`` (zeros by default).
 
-    Logs the dual objective, the KKT residual, and the duality gap at the
-    configured cadence; stops on the KKT tolerance, on ``phi_target`` when
-    set, or at ``max_iters``.  Raises :class:`DivergenceError` when iterates
-    become non-finite.
+    Each sweep begins with a p-solve, so the p block of ``z0`` is only
+    checked for its size.  Logs the dual objective, the KKT residual, and
+    the duality gap at the configured cadence and at the last iteration;
+    stops on the KKT tolerance, on ``phi_target`` when set, or at
+    ``max_iters``.  Raises :class:`DivergenceError` when iterates become
+    non-finite.
     """
     config = config or SolverConfig()
     if z0 is None:
         z0 = DualIterate.for_instance(prob)
-    lam_prev = np.asarray(z0.lam, dtype=float).copy()
-    p_prev = np.asarray(z0.p, dtype=float).copy()
-    mu_prev = np.asarray(z0.mu, dtype=float).copy()
+    lam_prev = np.array(z0.lam, dtype=float)
+    mu_prev = np.array(z0.mu, dtype=float)
     if lam_prev.shape != (prob.n_full,) or mu_prev.shape != (prob.n_full,) \
-            or p_prev.shape != (prob.n,):
+            or np.shape(z0.p) != (prob.n,):
         raise ValueError("start has wrong block sizes: expected "
                          f"lam/mu ({prob.n_full},), p ({prob.n},)")
     viol = np.abs(lam_prev).max(initial=0.0) - prob.beta
@@ -380,7 +372,7 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
         raise ValueError(f"initial lam violates the box by {viol:.3e}")
     np.clip(lam_prev, -prob.beta, prob.beta, out=lam_prev)
 
-    lam_t, p_t, mu_t = lam_prev.copy(), p_prev.copy(), mu_prev.copy()
+    lam_t, mu_t = lam_prev, mu_prev
     t = 1.0
     t0 = time.perf_counter()
 
@@ -391,13 +383,9 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     times: list[float] = []
 
     a, b = prob.box
+    target = config.phi_target
     converged = False
     stop_reason = "max_iters"
-    lam = lam_prev
-    p = p_prev
-    mu = mu_prev
-    res = float("inf")
-    k = 0
 
     for k in range(1, config.max_iters + 1):
         p_hat = step_phat(prob, lam_t, mu_t)
@@ -407,63 +395,50 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
 
         if not (np.isfinite(lam).all() and np.isfinite(p).all()
                 and np.isfinite(mu).all()):
-            state = DualIterate(lam, p, mu, lam_t, p_t, mu_t, t, k)
-            raise DivergenceError(f"non-finite iterate at k={k}", k, state)
+            raise DivergenceError(f"non-finite iterate at k={k}", k,
+                                  DualIterate(lam, p, mu, k))
 
         check_now = (k % config.check_every == 0) or (k == config.max_iters)
         log_now = config.log_every > 0 and (k % config.log_every == 0)
-        want_phi = log_now or config.phi_target is not None
 
-        u = y = None
-        if check_now or log_now:
+        phi = None
+        if log_now or target is not None:
+            phi = dual_objective(prob, lam, p, mu)
+        hit_target = target is not None and phi <= target
+        if check_now or log_now or hit_target:
             u, y = recover_primal(prob, lam, p, mu)
             res = kkt_residual(prob, lam, p, mu, u, y)
-        phi = None
-        if want_phi:
-            phi = dual_objective(prob, lam, p, mu)
-        if log_now:
+
+        if check_now and res <= config.tol:
+            converged, stop_reason = True, "kkt"
+        elif hit_target:
+            converged, stop_reason = True, "phi_target"
+        last = converged or k == config.max_iters
+        # the last iteration is always logged; max_iters forces a check there
+        if log_now or last:
+            if phi is None:
+                phi = dual_objective(prob, lam, p, mu)
             ks.append(k)
             phis.append(phi)
             kkts.append(res)
             gaps.append(phi + primal_value(prob, np.clip(u, a, b)))
             times.append(time.perf_counter() - t0 if config.timing else 0.0)
-
-        if check_now and res <= config.tol:
-            converged = True
-            stop_reason = "kkt"
-            break
-        if config.phi_target is not None and phi is not None \
-                and phi <= config.phi_target:
-            converged = True
-            stop_reason = "phi_target"
+        if last:
             break
 
         t_next, beta_k = momentum(t)
         lam_t = lam + beta_k * (lam - lam_prev)
-        p_t = p + beta_k * (p - p_prev)
         mu_t = mu + beta_k * (mu - mu_prev)
-        lam_prev, p_prev, mu_prev = lam, p, mu
+        lam_prev, mu_prev = lam, mu
         t = t_next
 
-    if u is None:
-        u, y = recover_primal(prob, lam, p, mu)
-        res = kkt_residual(prob, lam, p, mu, u, y)
-    if not ks or ks[-1] != k:
-        phi = dual_objective(prob, lam, p, mu)
-        ks.append(k)
-        phis.append(phi)
-        kkts.append(res)
-        gaps.append(phi + primal_value(prob, np.clip(u, a, b)))
-        times.append(time.perf_counter() - t0 if config.timing else 0.0)
-
-    final = DualIterate(lam, p, mu, lam_t, p_t, mu_t, t, k)
     return RunRecord(
         ks=np.asarray(ks, dtype=np.int64),
         phi=np.asarray(phis, dtype=float),
         kkt=np.asarray(kkts, dtype=float),
         gap=np.asarray(gaps, dtype=float),
         time_s=np.asarray(times, dtype=float),
-        final=final,
+        final=DualIterate(lam, p, mu, k),
         u=u,
         y=y,
         converged=converged,

@@ -2,6 +2,8 @@
 mesh-independence harness."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -146,7 +148,7 @@ def test_prolongate_iterate_nested_consistency(rng):
                   -src.beta, src.beta)
     z = DualIterate.from_blocks(lam, rng.standard_normal(src.n),
                                 rng.standard_normal(src.n_full))
-    out = prolongate_iterate(src.ops, z, dst)
+    out = prolongate_iterate(src.ops.mesh, z, dst)
     # coarse nodes are a subset of fine nodes: values carry over
     coarse_in_fine = []
     fine_nodes = {tuple(x): i for i, x in enumerate(map(tuple, dst.ops.mesh.nodes))}
@@ -155,6 +157,8 @@ def test_prolongate_iterate_nested_consistency(rng):
     idx = np.array(coarse_in_fine)
     assert np.allclose(out.lam[idx], z.lam, atol=1e-13)
     assert np.allclose(out.mu[idx], z.mu, atol=1e-13)
+    assert out.p.shape == (dst.n,)
+    assert np.allclose(dst.ops.pad(out.p)[idx], src.ops.pad(z.p), atol=1e-13)
 
 
 def test_reference_solution(sine2):
@@ -269,3 +273,21 @@ def test_mesh_independence_builds_each_level_once(monkeypatch):
     monkeypatch.setattr(analysis, "make_instance", counting)
     mesh_independence_experiment("sine", [2, 3, 4], tau_proxy_level=5)
     assert sorted(built) == [2, 3, 4, 5]
+
+
+def test_mesh_independence_releases_finished_levels(monkeypatch):
+    # warm starts carry a mesh, not operators: a finished level's factors
+    # must be freed before the next level factorizes
+    seen = []
+    reference_optimum = analysis.reference_optimum
+
+    def tracking(prob, *args, **kwargs):
+        gc.collect()
+        for level, ref in seen[1:]:
+            assert ref() is None, f"level {level} operators still alive"
+        seen.append((prob.ops.mesh.level, weakref.ref(prob.ops)))
+        return reference_optimum(prob, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "reference_optimum", tracking)
+    mesh_independence_experiment("sine", [2, 3, 4], tau_proxy_level=5)
+    assert [level for level, _ in seen] == [2, 3, 4, 5]

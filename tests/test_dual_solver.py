@@ -171,13 +171,33 @@ def test_momentum_recurrence():
 
 
 def test_start_validation(sine2):
-    bad = DualIterate.zeros(sine2.n_full, sine2.n)
-    bad.lam[:] = 2.0 * sine2.beta
+    n_full, n = sine2.n_full, sine2.n
+    bad = DualIterate(np.full(n_full, 2.0 * sine2.beta), np.zeros(n),
+                      np.zeros(n_full))
     with pytest.raises(ValueError, match="lam violates"):
         solve(sine2, SolverConfig(max_iters=1), z0=bad)
-    with pytest.raises(ValueError, match="block sizes"):
-        solve(sine2, SolverConfig(max_iters=1),
-              z0=DualIterate.zeros(sine2.n_full - 1, sine2.n))
+    for lam, p, mu in [(n_full - 1, n, n_full), (n_full, n - 1, n_full),
+                       (n_full, n, n_full - 1)]:
+        short = DualIterate(np.zeros(lam), np.zeros(p), np.zeros(mu))
+        with pytest.raises(ValueError, match="block sizes"):
+            solve(sine2, SolverConfig(max_iters=1), z0=short)
+
+
+def test_start_p_block_does_not_enter(sine2, rng):
+    # every sweep begins with a p-solve, so the start's p block is unread
+    lam = np.clip(rng.standard_normal(sine2.n_full), -sine2.beta, sine2.beta)
+    mu = rng.standard_normal(sine2.n_full)
+    cfg = SolverConfig(max_iters=40, tol=0.0, log_every=3, check_every=4)
+    r1 = solve(sine2, cfg, z0=DualIterate.from_blocks(
+        lam, rng.standard_normal(sine2.n), mu))
+    r2 = solve(sine2, cfg, z0=DualIterate.from_blocks(
+        lam, np.zeros(sine2.n), mu))
+    for field in ("ks", "phi", "kkt", "gap", "time_s", "u", "y"):
+        assert np.array_equal(getattr(r1, field), getattr(r2, field)), field
+    for b1, b2 in zip(r1.final.blocks(), r2.final.blocks()):
+        assert np.array_equal(b1, b2)
+    assert (r1.final.k, r1.converged, r1.iterations, r1.stop_reason) == \
+        (r2.final.k, r2.converged, r2.iterations, r2.stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +206,13 @@ def test_start_validation(sine2):
 
 def test_sweep_steps_shapes(sine2):
     z = DualIterate.for_instance(sine2)
-    p_hat = step_phat(sine2, z.lam_t, z.mu_t)
+    p_hat = step_phat(sine2, z.lam, z.mu)
     assert p_hat.shape == (sine2.n,)
-    lam = step_lambda(sine2, z.lam_t, z.mu_t, p_hat)
+    lam = step_lambda(sine2, z.lam, z.mu, p_hat)
     assert lam.shape == (sine2.n_full,)
     assert np.abs(lam).max() <= sine2.beta
-    p = step_p(sine2, lam, z.mu_t)
-    mu = step_mu(sine2, lam, p, z.mu_t)
+    p = step_p(sine2, lam, z.mu)
+    mu = step_mu(sine2, lam, p, z.mu)
     assert mu.shape == (sine2.n_full,)
 
 
