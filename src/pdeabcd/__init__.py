@@ -40,7 +40,6 @@ from .oracle import (
     CertifiedOptimum,
     admm_reference,
     certified_optimum,
-    fista_reference,
 )
 from .presets import Preset, make_instance, preset_names
 from .sparse_linalg import AugmentedSolver, DefinitenessError, \
@@ -69,7 +68,6 @@ __all__ = [
     "certified_optimum",
     "dual_objective",
     "factorize_spd",
-    "fista_reference",
     "interpolate_function",
     "kkt_residual",
     "l1_norm_exact",

@@ -160,7 +160,6 @@ class FemOperators:
     """
 
     mesh: Mesh
-    coefficients: EllipticCoefficients
     K_full: sp.csr_matrix
     Kbar_full: sp.csr_matrix
     M_full: sp.csr_matrix
@@ -265,7 +264,6 @@ def assemble(mesh: Mesh, coeffs: EllipticCoefficients | None = None) -> FemOpera
 
     return FemOperators(
         mesh=mesh,
-        coefficients=coeffs,
         K_full=K_full,
         Kbar_full=Kbar_full,
         M_full=M_full,

@@ -162,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write mesh.json next to the run outputs")
     sv.add_argument("--dump-matrices", action="store_true",
                     help="write K.mtx, M.mtx, W.txt next to the run outputs")
-    sv.add_argument("--gamma-override", type=float, default=None,
-                    help=argparse.SUPPRESS)
     _add_common(sv)
     sv.set_defaults(func=run_solve)
 
@@ -194,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     ck.add_argument("--samples", type=int, default=1000,
                     help="random vectors per level (default 1000)")
     ck.add_argument("--alpha", type=float, default=1e-2)
-    ck.add_argument("--gamma-override", type=float, default=None,
-                    help=argparse.SUPPRESS)
     _add_common(ck)
     ck.set_defaults(func=run_checks)
 
@@ -228,25 +224,23 @@ def _dump_divergence(err: DivergenceError, outdir: str | None) -> str:
 
 
 def run_solve(args) -> int:
-    gamma = 4.0 if args.gamma_override is None else args.gamma_override
-    inst = make_instance(args.preset, args.level, alpha=args.alpha,
-                         beta=args.beta, box=args.box, gamma=gamma)
-    config = SolverConfig(max_iters=args.max_iters, tol=args.tol,
-                          timing=args.timing)
+    # bad flag values fail the library's own checks here; a ValueError
+    # raised later in the run is an internal error and propagates
     try:
-        record = dual_solver.solve(inst, config)
-    except DivergenceError as err:
-        path = _dump_divergence(err, args.out)
-        print(f"divergence at iteration {err.k}: {err}", file=sys.stderr)
-        print(f"wrote {path}", file=sys.stderr)
-        return 3
+        inst = make_instance(args.preset, args.level, alpha=args.alpha,
+                             beta=args.beta, box=args.box)
+        config = SolverConfig(max_iters=args.max_iters, tol=args.tol,
+                              timing=args.timing)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
+    record = dual_solver.solve(inst, config)
 
     print(f"preset={inst.name} level={args.level} n={inst.n} "
           f"alpha={inst.alpha!r} beta={inst.beta!r} "
           f"box=[{inst.box[0]!r},{inst.box[1]!r}] gamma={inst.gamma!r}")
-    summary = record.summary(inst)
 
     bound_ok = True
+    bound_fields = {}
     if args.check_bound:
         z_star, phi_star = analysis.reference_optimum(inst)
         z0 = dual_solver.DualIterate.for_instance(inst)
@@ -254,13 +248,13 @@ def run_solve(args) -> int:
         record.tau_h = tau_h
         bound_ok, margin = analysis.verify_complexity_bound(
             record, tau_h, phi_star)
-        summary = record.summary(inst)
-        summary["phi_star"] = phi_star
-        summary["bound_ok"] = bool(bound_ok)
-        summary["bound_min_margin"] = margin
+        bound_fields = {"phi_star": phi_star, "bound_ok": bool(bound_ok),
+                        "bound_min_margin": margin}
         verdict = "PASS" if bound_ok else "FAIL"
         print(f"bound check: {verdict} tau_h={tau_h!r} "
               f"min_margin={margin!r}")
+    summary = record.summary(inst)
+    summary.update(bound_fields)
 
     print(f"converged={summary['converged']} "
           f"iterations={summary['iterations']} "
@@ -301,20 +295,21 @@ def run_mesh_independence(args) -> int:
         raise UsageError(f"--eps must be positive, got {args.eps}")
     if len(args.levels) < 3:
         raise UsageError("--levels needs at least three levels")
+    if min(args.levels) < 0:
+        raise UsageError(f"--levels must be nonnegative, got {args.levels}")
+    if args.tau_proxy_level is not None and args.tau_proxy_level < 0:
+        raise UsageError("--tau-proxy-level must be nonnegative, got "
+                         f"{args.tau_proxy_level}")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.max_iters < 1:
+        raise UsageError(f"--max-iters must be >= 1, got {args.max_iters}")
 
-    try:
-        report = analysis.mesh_independence_experiment(
-            args.preset, args.levels, args.eps, jobs=args.jobs,
-            run_max_iters=args.max_iters, timing=args.timing,
-            tau_proxy_level=args.tau_proxy_level, alpha=args.alpha,
-            beta=args.beta, box=args.box)
-    except DivergenceError as err:
-        path = _dump_divergence(err, args.out)
-        print(f"divergence at iteration {err.k}: {err}", file=sys.stderr)
-        print(f"wrote {path}", file=sys.stderr)
-        return 3
+    report = analysis.mesh_independence_experiment(
+        args.preset, args.levels, args.eps, jobs=args.jobs,
+        run_max_iters=args.max_iters, timing=args.timing,
+        tau_proxy_level=args.tau_proxy_level, alpha=args.alpha,
+        beta=args.beta, box=args.box)
 
     print("level,h,n_interior,iters_to_eps,tau_h,lam_max_Sh,"
           "phi_star,seconds")
@@ -340,11 +335,12 @@ def run_mesh_independence(args) -> int:
 def run_checks(args) -> int:
     if len(args.levels) < 2:
         raise UsageError("--levels needs at least two levels")
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     seed = _env_seed()
-    gamma = 4.0 if args.gamma_override is None else args.gamma_override
 
     sandwich = analysis.lumped_mass_comparison_check(
-        args.levels, samples=args.samples, gamma=gamma, seed=seed)
+        args.levels, samples=args.samples, seed=seed)
     l1 = analysis.l1_gap_check(args.levels, samples=args.samples, seed=seed)
     spectral = analysis.spectral_scaling_report(args.levels, alpha=args.alpha)
     spect = spectral.checks()
@@ -352,7 +348,8 @@ def run_checks(args) -> int:
 
     rows = [
         ("norm-sandwich", sandwich["passed"],
-         f"violations={sandwich['violations']} gamma={gamma!r}"),
+         f"violations={sandwich['violations']} "
+         f"gamma={sandwich['gamma']!r}"),
         ("l1-overshoot", l1["passed"],
          f"fitted_C={l1['fitted_C']!r}"),
         ("mass-spectrum", spect["mass_max_window2"]
@@ -380,7 +377,7 @@ def run_checks(args) -> int:
             "levels": list(args.levels),
             "samples": int(args.samples),
             "seed": int(seed),
-            "gamma": gamma,
+            "gamma": sandwich["gamma"],
             "alpha": args.alpha,
             "norm_sandwich": sandwich,
             "l1_overshoot": l1,
@@ -412,6 +409,11 @@ def main(argv=None) -> int:
     except (UsageError, MeshSizeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except DivergenceError as err:
+        path = _dump_divergence(err, args.out)
+        print(f"divergence at iteration {err.k}: {err}", file=sys.stderr)
+        print(f"wrote {path}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

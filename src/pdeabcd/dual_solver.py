@@ -117,11 +117,6 @@ class DualIterate:
         return cls(np.zeros(prob.n_full), np.zeros(prob.n),
                    np.zeros(prob.n_full))
 
-    @classmethod
-    def from_blocks(cls, lam, p, mu) -> "DualIterate":
-        """An iterate holding float copies of the given blocks."""
-        return cls(*(np.array(b, dtype=float) for b in (lam, p, mu)))
-
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.lam, self.p, self.mu
 

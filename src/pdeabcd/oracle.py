@@ -1,31 +1,21 @@
-"""Independent reference solvers for the discretized primal problem.
+"""Independent reference solver for the discretized primal problem.
 
-Two primal routes validate the dual scheme, and neither shares algorithmic
-structure with it (no majorized sweep, no momentum, no dual blocks):
+:func:`admm_reference` validates the dual scheme without sharing any of its
+algorithmic structure (no majorized sweep, no momentum, no dual blocks).
+It minimizes the same functional the dual targets,
 
-* :func:`admm_reference` is the certifying oracle.  It minimizes the same
-  functional the dual targets,
+    min_{a<=u<=b}  1/2 ||S u + s0 - y_d||_M^2 + alpha/2 ||u||_M^2
+                   + beta sum_i |(M_full u)_i|,
 
-      min_{a<=u<=b}  1/2 ||S u + s0 - y_d||_M^2 + alpha/2 ||u||_M^2
-                     + beta sum_i |(M_full u)_i|,
+by consensus operator splitting: copies s = M_full u and w = u decouple the
+L1 term from the box, so every subproblem is exact -- one sparse symmetric
+indefinite solve, a componentwise soft threshold, a clip.  The
+consistent-mass L1 term keeps this primal an exact conjugate of the dual
+function, which is what makes machine-accuracy cross-checks of the optimal
+values possible.
 
-  by consensus operator splitting: copies s = M_full u and w = u decouple
-  the L1 term from the box, so every subproblem is exact -- one sparse
-  symmetric indefinite solve, a componentwise soft threshold, a clip.
-  The consistent-mass L1 term keeps this primal an exact conjugate of the
-  dual function, which is what makes machine-accuracy cross-checks of the
-  optimal values possible.
-
-* :func:`fista_reference` is accelerated proximal gradient on the variant
-  with the lumped penalty beta ||W u||_1, taken in the W-weighted inner
-  product where that penalty's proximal map separates into soft
-  thresholding followed by clipping.  Lumped and consistent-mass costs
-  agree on sign-separated controls and differ by an O(h) boundary layer
-  otherwise, so this route serves as a cheap approximate reference and a
-  testbed for the scalar prox formulas, not as the certifying oracle.
-
-:func:`certified_optimum` runs the certifying oracle and a long dual solve
-and accepts only when the two optimal values agree to 1e-7 relative.
+:func:`certified_optimum` runs this oracle and a long dual solve and accepts
+only when the two optimal values agree to 1e-7 relative.
 """
 
 from __future__ import annotations
@@ -38,6 +28,11 @@ import scipy.sparse as sp
 from . import dual_solver
 from .dual_solver import DualIterate, ProblemInstance, SolverConfig
 from .sparse_linalg import factorize_indefinite
+
+# over-relaxation of the splitting updates, and the iteration after which
+# the residual-balanced penalty weights are frozen
+RELAXATION = 1.7
+BALANCE_ITERS = 3000
 
 
 class OracleError(RuntimeError):
@@ -56,7 +51,6 @@ class PrimalSolution:
     y: np.ndarray
     J: float
     iterations: int
-    residual: float
 
 
 @dataclass
@@ -90,92 +84,6 @@ def primal_objective(prob: ProblemInstance, u: np.ndarray) -> float:
     return dual_solver.primal_value(prob, np.clip(u, a, b))
 
 
-def _prox(g: np.ndarray, thresh: float, a: float, b: float) -> np.ndarray:
-    """Soft threshold then clip; exact prox of beta||W u||_1 + box indicator
-    in the W-weighted metric."""
-    return np.clip(np.sign(g) * np.maximum(np.abs(g) - thresh, 0.0), a, b)
-
-
-def fista_reference(prob: ProblemInstance, tol: float = 1e-10,
-                    max_iters: int = 500_000,
-                    u0: np.ndarray | None = None) -> PrimalSolution:
-    """Solve the lumped-penalty primal by accelerated proximal gradient.
-
-    Minimizes the variant with control cost alpha/2 ||u||_M^2
-    + beta ||W u||_1.  The step size is half the inverse of a
-    power-iteration estimate of the W-metric Lipschitz constant of the
-    smooth part.  Runs until the fixed-point residual ||u - T(u)||_2 / step
-    falls below ``tol``; raises :class:`OracleError` when the cap is hit
-    first.  The reported ``J`` is this variant's own objective, not the
-    consistent-mass one.
-    """
-    from .sparse_linalg import power_iteration_extremes
-
-    ops = prob.ops
-    K_fact = ops.stiffness_factor()
-    M = ops.M
-    W = ops.W_full
-    alpha, beta = prob.alpha, prob.beta
-    a, b = prob.box
-    n = prob.n_full
-    s0 = K_fact.solve(ops.mass_interior_rows(prob.y_r))
-
-    def grad(u):
-        y = K_fact.solve(ops.mass_interior_rows(u)) + s0
-        adj = K_fact.solve(M @ (y - prob.y_d))
-        return ops.M_full @ (ops.pad(adj) + alpha * u)
-
-    sqrt_w = np.sqrt(W)
-
-    def sym_hessian(v):
-        x = v / sqrt_w
-        sx = K_fact.solve(ops.mass_interior_rows(x))
-        hx = ops.M_full @ (ops.pad(K_fact.solve(M @ sx)) + alpha * x)
-        return hx / sqrt_w
-
-    lip, _ = power_iteration_extremes(sym_hessian, n, iters=5000)
-    step = 0.5 / max(lip, np.finfo(float).tiny)
-    thresh = beta * step
-
-    def forward(u, gu=None):
-        gu = grad(u) if gu is None else gu
-        return _prox(u - step * (gu / W), thresh, a, b)
-
-    u = np.zeros(n) if u0 is None else np.clip(np.asarray(u0, float), a, b)
-    v = u.copy()
-    u_prev = u.copy()
-    t = 1.0
-    residual = float("inf")
-    iterations = 0
-    check_every = 5
-
-    for it in range(1, max_iters + 1):
-        u = forward(v)
-        if it % check_every == 0 or it == max_iters:
-            residual = float(np.linalg.norm(u - forward(u)) / step)
-            if residual <= tol:
-                iterations = it
-                break
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        v = u + ((t - 1.0) / t_next) * (u - u_prev)
-        u_prev = u
-        t = t_next
-        iterations = it
-
-    if residual > tol:
-        raise OracleError(
-            f"reference solve stalled at residual {residual:.3e} "
-            f"after {iterations} iterations (tol {tol:.1e})"
-        )
-    y = K_fact.solve(ops.mass_interior_rows(u + prob.y_r))
-    diff = y - prob.y_d
-    J = 0.5 * float(diff @ (M @ diff))
-    J += 0.5 * alpha * float(u @ (ops.M_full @ u))
-    J += beta * float(np.abs(W * u).sum())
-    return PrimalSolution(u=u, y=y, J=J, iterations=iterations,
-                          residual=residual)
-
-
 def _splitting_factorization(prob: ProblemInstance, rho1: float,
                              rho2: float):
     """Factorize the coupled stationarity system of the u-subproblem.
@@ -201,19 +109,17 @@ def _splitting_factorization(prob: ProblemInstance, rho1: float,
 
 def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
                    max_iters: int = 200_000,
-                   u0: np.ndarray | None = None,
-                   relax: float = 1.7,
-                   freeze_at: int = 3000) -> PrimalSolution:
+                   u0: np.ndarray | None = None) -> PrimalSolution:
     """Solve the consistent-mass primal by consensus operator splitting.
 
     Copies s = M_full u and w = u carry the L1 term and the box indicator;
     the u-subproblem is a single sparse factorized solve, s and w have
-    closed-form proximal updates.  Penalty weights adapt by residual
-    balancing for the first ``freeze_at`` iterations and are then frozen so
-    the tail contracts linearly.  Runs until the worst relative primal or
-    dual residual falls below ``tol``; raises :class:`OracleError` when the
-    cap is hit first.  The returned control is the box copy ``w``, feasible
-    to the letter.
+    closed-form proximal updates, over-relaxed by ``RELAXATION``.  Penalty
+    weights adapt by residual balancing for the first ``BALANCE_ITERS``
+    iterations and are then frozen so the tail contracts linearly.  Runs
+    until the worst relative primal or dual residual falls below ``tol``;
+    raises :class:`OracleError` when the cap is hit first.  The returned
+    control is the box copy ``w``, feasible to the letter.
     """
     ops = prob.ops
     Mf = ops.M_full
@@ -251,8 +157,8 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
         u = fact.solve(rhs)[:n]
         mu_u = Mf @ u
 
-        h1 = relax * mu_u + (1.0 - relax) * s
-        h2 = relax * u + (1.0 - relax) * w
+        h1 = RELAXATION * mu_u + (1.0 - RELAXATION) * s
+        h2 = RELAXATION * u + (1.0 - RELAXATION) * w
         s_old = s
         w_old = w
         g1 = h1 + z1
@@ -274,7 +180,7 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
         if residual <= tol:
             break
 
-        if it < freeze_at and it % 25 == 0:
+        if it < BALANCE_ITERS and it % 25 == 0:
             changed = False
             if pri1 > 10.0 * dua1 and rho1 < 1e12:
                 rho1 *= 2.0
@@ -304,7 +210,7 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
         )
     y = K_fact.solve(ops.mass_interior_rows(w + prob.y_r))
     return PrimalSolution(u=w, y=y, J=primal_objective(prob, w),
-                          iterations=iterations, residual=residual)
+                          iterations=iterations)
 
 
 def certified_optimum(prob: ProblemInstance, tol: float = 1e-10,

@@ -37,7 +37,6 @@ class Factorization:
     """Direct factorization handle with a triangular-solve entry point."""
 
     kind: str
-    n: int
     fill_nnz: int
     _lu: object
 
@@ -65,14 +64,14 @@ def factorize_spd(matrix) -> Factorization:
         raise DefinitenessError(
             f"matrix is not positive definite (smallest pivot {pivots.min():.3e})"
         )
-    return Factorization("spd", csc.shape[0], lu.L.nnz + lu.U.nnz, lu)
+    return Factorization("spd", lu.L.nnz + lu.U.nnz, lu)
 
 
 def factorize_indefinite(matrix) -> Factorization:
     """Factor a general sparse matrix with partial pivoting."""
     csc = sp.csc_matrix(matrix)
     lu = spla.splu(csc)
-    return Factorization("indefinite", csc.shape[0], lu.L.nnz + lu.U.nnz, lu)
+    return Factorization("indefinite", lu.L.nnz + lu.U.nnz, lu)
 
 
 class AugmentedSolver:
@@ -93,7 +92,6 @@ class AugmentedSolver:
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         self.n = K.shape[0]
-        self.alpha = float(alpha)
         aug = sp.bmat([[M / alpha, K], [K, -M]], format="csc")
         self._fact = factorize_indefinite(aug)
 

@@ -65,7 +65,7 @@ def test_tau_ignores_p_block(certified_sine2, rng):
     inst, cert = certified_sine2
     z0 = DualIterate.for_instance(inst)
     tau = compute_tau_h(inst, z0, cert.z_star)
-    z0_shift = DualIterate.from_blocks(
+    z0_shift = DualIterate(
         z0.lam, rng.standard_normal(inst.n), z0.mu)
     assert compute_tau_h(inst, z0_shift, cert.z_star) == tau
     assert tau > 0.0
@@ -75,8 +75,7 @@ def test_tau_matches_dense(certified_sine2, rng):
     inst, cert = certified_sine2
     lam = np.clip(rng.standard_normal(inst.n_full) * inst.beta,
                   -inst.beta, inst.beta)
-    z0 = DualIterate.from_blocks(lam, np.zeros(inst.n),
-                                 rng.standard_normal(inst.n_full))
+    z0 = DualIterate(lam, np.zeros(inst.n), rng.standard_normal(inst.n_full))
     tau = compute_tau_h(inst, z0, cert.z_star)
     dense = _dense_tau(inst, z0, cert.z_star)
     assert tau == pytest.approx(dense, rel=1e-9)
@@ -146,8 +145,8 @@ def test_prolongate_iterate_nested_consistency(rng):
     dst = make_instance("sine", 3)
     lam = np.clip(rng.standard_normal(src.n_full) * src.beta,
                   -src.beta, src.beta)
-    z = DualIterate.from_blocks(lam, rng.standard_normal(src.n),
-                                rng.standard_normal(src.n_full))
+    z = DualIterate(lam, rng.standard_normal(src.n),
+                    rng.standard_normal(src.n_full))
     out = prolongate_iterate(src.ops.mesh, z, dst)
     # coarse nodes are a subset of fine nodes: values carry over
     coarse_in_fine = []

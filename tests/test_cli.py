@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from pdeabcd import cli, presets
+from pdeabcd import analysis, cli, dual_solver, presets
 from pdeabcd.cli import main
 
 # in-process invocations keep the suite fast; two subprocess smoke tests
@@ -67,10 +67,14 @@ def test_solve_dump_artifacts(tmp_path):
         assert (tmp_path / name).exists(), name
 
 
-def test_solve_divergence_exit_code(tmp_path, capsys):
+def test_solve_divergence_exit_code(tmp_path, capsys, monkeypatch):
+    # gamma = 1.5 undercuts the lumped-mass constant 4 and the sweep diverges
+    real = cli.make_instance
+    monkeypatch.setattr(cli, "make_instance",
+                        lambda *args, **kw: real(*args, gamma=1.5, **kw))
     with np.errstate(all="ignore"):
         rc = main(["solve", "--preset", "sine", "--level", "2",
-                   "--gamma-override", "1.5", "--out", str(tmp_path)])
+                   "--out", str(tmp_path)])
     assert rc == 3
     err = capsys.readouterr().err
     assert "divergence at iteration" in err
@@ -115,6 +119,36 @@ def test_usage_errors(capsys):
                  "--eps", "0"]) == 2
     assert main(["mesh-indep", "--preset", "zero", "--levels", "3,4"]) == 2
     assert main(["checks", "--levels", "2"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--preset", "sine", "--level", "2", "--max-iters", "0"],
+    ["solve", "--preset", "sine", "--level", "-1"],
+    ["solve", "--preset", "sine", "--level", "2", "--alpha", "0"],
+    ["solve", "--preset", "sine", "--level", "2", "--box", "1,2"],
+    ["solve", "--preset", "sine", "--level", "2", "--tol", "-1"],
+    ["mesh-indep", "--preset", "sine", "--levels", "2,3,4",
+     "--max-iters", "0"],
+    ["mesh-indep", "--preset", "sine", "--levels=-1,3,4"],
+    ["mesh-indep", "--preset", "sine", "--levels", "2,3,4",
+     "--tau-proxy-level=-1"],
+    ["checks", "--levels", "2,3,4", "--samples", "0"],
+])
+def test_bad_flag_values_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_value_error_during_run_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(dual_solver, "solve", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["solve", "--preset", "zero", "--level", "2"])
 
 
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):
@@ -194,13 +228,17 @@ def test_checks_pass(tmp_path, capsys):
     assert payload["passed"] is True
 
 
-def test_checks_gamma_override_fails(capsys):
-    rc = main(["checks", "--levels", "2,3", "--samples", "50",
-               "--gamma-override", "2.0"])
+def test_checks_bad_gamma_fails(capsys, monkeypatch):
+    # gamma = 2 undercuts the lumped-mass constant, so the sandwich fails
+    real = analysis.lumped_mass_comparison_check
+    monkeypatch.setattr(analysis, "lumped_mass_comparison_check",
+                        lambda *args, **kw: real(*args, **kw, gamma=2.0))
+    rc = main(["checks", "--levels", "2,3", "--samples", "50"])
     assert rc == 4
     out = capsys.readouterr().out
     assert "checks=FAIL" in out
     assert "norm-sandwich" in out
+    assert "gamma=2.0" in out
 
 
 def test_checks_seed_env_deterministic(tmp_path, monkeypatch):
@@ -219,13 +257,6 @@ def test_checks_seed_env_deterministic(tmp_path, monkeypatch):
     assert json.loads((d3 / "checks.json").read_text())["passed"] is True
     monkeypatch.setenv("PDEABCD_SEED", "not-an-int")
     assert main(["checks", "--levels", "2,3", "--samples", "10"]) == 2
-
-
-def test_help_hides_gamma_override(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--help"])
-    assert exc.value.code == 0
-    assert "--gamma-override" not in capsys.readouterr().out
 
 
 def test_module_entrypoint_subprocess(tmp_path):

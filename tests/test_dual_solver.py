@@ -188,9 +188,9 @@ def test_start_p_block_does_not_enter(sine2, rng):
     lam = np.clip(rng.standard_normal(sine2.n_full), -sine2.beta, sine2.beta)
     mu = rng.standard_normal(sine2.n_full)
     cfg = SolverConfig(max_iters=40, tol=0.0, log_every=3, check_every=4)
-    r1 = solve(sine2, cfg, z0=DualIterate.from_blocks(
+    r1 = solve(sine2, cfg, z0=DualIterate(
         lam, rng.standard_normal(sine2.n), mu))
-    r2 = solve(sine2, cfg, z0=DualIterate.from_blocks(
+    r2 = solve(sine2, cfg, z0=DualIterate(
         lam, np.zeros(sine2.n), mu))
     for field in ("ks", "phi", "kkt", "gap", "time_s", "u", "y"):
         assert np.array_equal(getattr(r1, field), getattr(r2, field)), field
