@@ -304,6 +304,12 @@ def run_mesh_independence(args) -> int:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     if args.max_iters < 1:
         raise UsageError(f"--max-iters must be >= 1, got {args.max_iters}")
+    # the coarsest instance runs the library's checks on alpha, beta and box
+    try:
+        make_instance(args.preset, min(args.levels), alpha=args.alpha,
+                      beta=args.beta, box=args.box)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
 
     report = analysis.mesh_independence_experiment(
         args.preset, args.levels, args.eps, jobs=args.jobs,

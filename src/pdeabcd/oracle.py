@@ -29,10 +29,8 @@ from . import dual_solver
 from .dual_solver import DualIterate, ProblemInstance, SolverConfig
 from .sparse_linalg import factorize_indefinite
 
-# over-relaxation of the splitting updates, and the iteration after which
-# the residual-balanced penalty weights are frozen
+# over-relaxation of the splitting updates
 RELAXATION = 1.7
-BALANCE_ITERS = 3000
 
 
 class OracleError(RuntimeError):
@@ -113,13 +111,13 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
     """Solve the consistent-mass primal by consensus operator splitting.
 
     Copies s = M_full u and w = u carry the L1 term and the box indicator;
-    the u-subproblem is a single sparse factorized solve, s and w have
-    closed-form proximal updates, over-relaxed by ``RELAXATION``.  Penalty
-    weights adapt by residual balancing for the first ``BALANCE_ITERS``
-    iterations and are then frozen so the tail contracts linearly.  Runs
-    until the worst relative primal or dual residual falls below ``tol``;
-    raises :class:`OracleError` when the cap is hit first.  The returned
-    control is the box copy ``w``, feasible to the letter.
+    the u-subproblem is a sparse factorized solve, s and w have closed-form
+    proximal updates, over-relaxed by ``RELAXATION``.  The two penalty
+    weights are fixed multiples of alpha and the mean mass diagonal, so the
+    3-block system is factorized once per call.  Runs until the worst
+    relative primal or dual residual falls below ``tol``; raises
+    :class:`OracleError` when the cap is hit first.  The returned control
+    is the box copy ``w``, feasible to the letter.
     """
     ops = prob.ops
     Mf = ops.M_full
@@ -135,9 +133,11 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
     q = (Mf @ ops.pad(p0))
 
     mbar = float(Mf.diagonal().mean())
-    rho1 = alpha / mbar
-    rho2 = alpha * mbar
+    # factor 4: at small alpha, 1 stalls, 2 is 3-8x slower and 16 up to 2x
+    rho1 = 4 * alpha / mbar
+    rho2 = 4 * alpha * mbar
     fact = _splitting_factorization(prob, rho1, rho2)
+    thresh = beta / rho1
 
     if u0 is None:
         u = np.zeros(n)
@@ -162,7 +162,6 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
         s_old = s
         w_old = w
         g1 = h1 + z1
-        thresh = beta / rho1
         s = np.sign(g1) * np.maximum(np.abs(g1) - thresh, 0.0)
         w = np.clip(h2 + z2, a, b)
         z1 = z1 + h1 - s
@@ -179,29 +178,6 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
         iterations = it
         if residual <= tol:
             break
-
-        if it < BALANCE_ITERS and it % 25 == 0:
-            changed = False
-            if pri1 > 10.0 * dua1 and rho1 < 1e12:
-                rho1 *= 2.0
-                z1 = z1 / 2.0
-                changed = True
-            elif dua1 > 10.0 * pri1 and rho1 > 1e-12:
-                rho1 /= 2.0
-                z1 = z1 * 2.0
-                changed = True
-            if pri2 > 10.0 * dua2 and rho2 < 1e12:
-                rho2 *= 2.0
-                z2 = z2 / 2.0
-                changed = True
-            elif dua2 > 10.0 * pri2 and rho2 > 1e-12:
-                rho2 /= 2.0
-                z2 = z2 * 2.0
-                changed = True
-            if changed:
-                # drop the old factors first so two never coexist
-                fact = None
-                fact = _splitting_factorization(prob, rho1, rho2)
 
     if residual > tol:
         raise OracleError(

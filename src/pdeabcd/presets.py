@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import EllipticCoefficients, assemble, interpolate_function
+from .assembly import assemble, interpolate_function
 from .dual_solver import ProblemInstance
 from .mesh import Mesh, build_unit_square_mesh
 
@@ -54,9 +54,7 @@ def preset_names() -> list[str]:
 def make_instance(preset: str | Preset, level: int | Mesh, *,
                   alpha: float | None = None, beta: float | None = None,
                   box: tuple[float, float] | None = None,
-                  gamma: float = 4.0,
-                  coefficients: EllipticCoefficients | None = None,
-                  ops=None) -> ProblemInstance:
+                  gamma: float = 4.0, ops=None) -> ProblemInstance:
     """Build a :class:`ProblemInstance` for a preset at one mesh level.
 
     ``alpha``, ``beta``, and ``box`` override the preset defaults.  Pass
@@ -72,7 +70,7 @@ def make_instance(preset: str | Preset, level: int | Mesh, *,
             ) from None
     if ops is None:
         mesh = level if isinstance(level, Mesh) else build_unit_square_mesh(level)
-        ops = assemble(mesh, coefficients)
+        ops = assemble(mesh)
     y_d = ops.restrict(interpolate_function(ops.mesh, preset.y_d))
     y_r = interpolate_function(ops.mesh, preset.y_r)
     return ProblemInstance(

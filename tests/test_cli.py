@@ -133,6 +133,9 @@ def test_usage_errors(capsys):
     ["mesh-indep", "--preset", "sine", "--levels", "2,3,4",
      "--tau-proxy-level=-1"],
     ["checks", "--levels", "2,3,4", "--samples", "0"],
+    ["mesh-indep", "--preset", "sine", "--levels", "2,3,4", "--alpha", "0"],
+    ["mesh-indep", "--preset", "sine", "--levels", "2,3,4", "--beta", "-1"],
+    ["mesh-indep", "--preset", "sine", "--levels", "2,3,4", "--box", "1,2"],
 ])
 def test_bad_flag_values_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -149,6 +152,15 @@ def test_value_error_during_run_propagates(monkeypatch):
     monkeypatch.setattr(dual_solver, "solve", broken)
     with pytest.raises(ValueError, match="internal"):
         main(["solve", "--preset", "zero", "--level", "2"])
+
+
+def test_value_error_during_mesh_indep_run_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(analysis, "mesh_independence_experiment", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["mesh-indep", "--preset", "zero", "--levels", "2,3,4"])
 
 
 def test_internal_key_error_is_not_a_usage_error(monkeypatch):
