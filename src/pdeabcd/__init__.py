@@ -3,7 +3,7 @@
 The package discretizes the control problem
 
     min 1/2 ||y - y_d||^2 + alpha/2 ||u||^2 + beta ||u||_L1
-    s.t. -div(A grad y) + c0 y = u + y_r,  y = 0 on the boundary,
+    s.t. -Δy = u + y_r,  y = 0 on the boundary,
          a <= u <= b pointwise, with a <= 0 <= b,
 
 by P1 finite elements on dyadic triangulations of the unit square and
@@ -15,8 +15,6 @@ the bound constant and its behavior under mesh refinement.
 """
 
 from .assembly import (
-    EllipticCoefficients,
-    EllipticityError,
     FemOperators,
     assemble,
     interpolate_function,
@@ -53,8 +51,6 @@ __all__ = [
     "DefinitenessError",
     "DivergenceError",
     "DualIterate",
-    "EllipticCoefficients",
-    "EllipticityError",
     "FemOperators",
     "Mesh",
     "MeshSizeError",

@@ -43,17 +43,14 @@ class Mesh:
         Vertex indices of each triangle, counterclockwise.
     boundary_mask : ndarray of bool, shape (n_nodes,)
         True at nodes lying on the boundary of the square.
-    cell_size : float
-        Side length of one square cell, ``1 / 2**level``.
     h : float
-        Mesh size, the largest triangle diameter (``sqrt(2) * cell_size``).
+        Mesh size, the largest triangle diameter (``sqrt(2) / 2**level``).
     """
 
     level: int
     nodes: np.ndarray
     triangles: np.ndarray
     boundary_mask: np.ndarray
-    cell_size: float
     h: float
 
     @property
@@ -111,7 +108,6 @@ def build_unit_square_mesh(level: int) -> Mesh:
         nodes=nodes,
         triangles=triangles,
         boundary_mask=boundary.ravel(),
-        cell_size=cell,
         h=float(np.sqrt(2.0) * cell),
     )
 
@@ -122,28 +118,6 @@ def triangle_areas(mesh: Mesh) -> np.ndarray:
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-
-
-def quasi_uniformity_report(mesh: Mesh) -> tuple[float, float]:
-    """Shape constants of the triangulation, computed geometrically.
-
-    Returns ``(kappa, tau_bar)`` where ``kappa`` is the largest ratio of
-    triangle diameter to inscribed-circle diameter and ``tau_bar`` the
-    largest ratio of mesh size to triangle diameter.  Both are level
-    independent for this mesh family.
-    """
-    p = mesh.nodes[mesh.triangles]
-    edges = np.stack(
-        [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1
-    )
-    lengths = np.linalg.norm(edges, axis=2)
-    diam = lengths.max(axis=1)
-    perim = lengths.sum(axis=1)
-    area = np.abs(triangle_areas(mesh))
-    incircle_diam = 4.0 * area / perim
-    kappa = float((diam / incircle_diam).max())
-    tau_bar = float((mesh.h / diam).max())
-    return kappa, tau_bar
 
 
 def prolongate_nodal(coarse: Mesh, fine: Mesh, values: np.ndarray) -> np.ndarray:

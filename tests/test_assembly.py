@@ -1,4 +1,4 @@
-"""P1 operators: element matrices, global assembly, norms, exact L1.
+"""P1 operators: global assembly, norms, exact L1.
 
 The exact-L1 routine is checked against an independent oracle implemented
 here: each triangle is clipped against the half plane where the linear
@@ -15,12 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pdeabcd.assembly import (
-    EllipticCoefficients,
-    EllipticityError,
     assemble,
     dump_operators,
-    element_mass,
-    element_stiffness,
     interpolate_function,
     l1_norm_exact,
     l1h_norm,
@@ -81,70 +77,31 @@ def l1_clipping_oracle(mesh, u):
 
 
 # ---------------------------------------------------------------------------
-# element matrices
-
-
-def test_element_stiffness_reference_triangle():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    expected = 0.5 * np.array([[2.0, -1.0, -1.0],
-                               [-1.0, 1.0, 0.0],
-                               [-1.0, 0.0, 1.0]])
-    got = element_stiffness(verts)
-    assert np.allclose(got, expected, atol=1e-14)
-
-
-def test_element_stiffness_translation_invariant(rng):
-    verts = np.array([[0.2, 0.1], [0.9, 0.3], [0.4, 0.8]])
-    shift = rng.standard_normal(2)
-    a = element_stiffness(verts)
-    b = element_stiffness(verts + shift)
-    assert np.allclose(a, b, atol=1e-13)
-    # rows sum to zero for pure diffusion
-    assert np.allclose(a.sum(axis=1), 0.0, atol=1e-13)
-
-
-def test_element_mass_reference_triangle():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    expected = (1.0 / 24.0) * np.array([[2.0, 1.0, 1.0],
-                                        [1.0, 2.0, 1.0],
-                                        [1.0, 1.0, 2.0]])
-    assert np.allclose(element_mass(verts), expected, atol=1e-15)
-
-
-def test_element_stiffness_scaled_diffusion():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    coeffs = EllipticCoefficients(diffusion=3.0 * np.eye(2))
-    assert np.allclose(element_stiffness(verts, coeffs),
-                       3.0 * element_stiffness(verts), atol=1e-13)
-
-
-def test_element_stiffness_reaction_adds_mass():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    coeffs = EllipticCoefficients(reaction=2.0)
-    got = element_stiffness(verts, coeffs)
-    # constant reaction integrates exactly through the midpoint rule
-    assert np.allclose(got, element_stiffness(verts) + 2.0 * element_mass(verts),
-                       atol=1e-13)
-
-
-def test_ellipticity_validation():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(EllipticityError):
-        element_stiffness(verts, EllipticCoefficients(diffusion=-np.eye(2)))
-    with pytest.raises(EllipticityError):
-        element_stiffness(verts, EllipticCoefficients(
-            diffusion=np.array([[1.0, 0.5], [0.0, 1.0]])))
-    with pytest.raises(EllipticityError):
-        element_stiffness(verts, EllipticCoefficients(reaction=-0.5))
-
-
-# ---------------------------------------------------------------------------
 # global operators
 
 
 @pytest.fixture(scope="module")
 def ops3():
     return assemble(build_unit_square_mesh(3))
+
+
+def test_level0_operators():
+    # two right triangles (0, 1, 3) and (0, 3, 2) of area 1/2 on the nodes
+    # (0,0), (1,0), (0,1), (1,1); every entry follows by hand
+    ops = assemble(build_unit_square_mesh(0))
+    assert np.array_equal(ops.K_full.toarray(), [[1.0, -0.5, -0.5, 0.0],
+                                                 [-0.5, 1.0, 0.0, -0.5],
+                                                 [-0.5, 0.0, 1.0, -0.5],
+                                                 [0.0, -0.5, -0.5, 1.0]])
+    assert np.allclose(24.0 * ops.M_full.toarray(), [[4.0, 1.0, 1.0, 2.0],
+                                                     [1.0, 2.0, 0.0, 1.0],
+                                                     [1.0, 0.0, 2.0, 1.0],
+                                                     [2.0, 1.0, 1.0, 4.0]],
+                       rtol=0.0, atol=1e-14)
+    assert np.allclose(6.0 * ops.W_full, [2.0, 1.0, 1.0, 2.0],
+                       rtol=0.0, atol=1e-14)
+    # all four nodes lie on the boundary
+    assert ops.n_interior == 0
 
 
 def test_lumped_weights_are_row_sums(ops3):
@@ -157,8 +114,7 @@ def test_lumped_weights_are_row_sums(ops3):
 
 def test_stiffness_annihilates_constants(ops3):
     ones = np.ones(ops3.mesh.n_nodes)
-    assert np.abs(ops3.Kbar_full @ ones).max() < 1e-13
-    assert np.abs(ops3.K_full @ ones).max() < 1e-13  # default has no reaction
+    assert np.abs(ops3.K_full @ ones).max() < 1e-13
 
 
 def test_interior_blocks_match_full(ops3):
@@ -182,27 +138,7 @@ def test_mass_integrates_linears_exactly(ops3):
     ones = np.ones(ops3.mesh.n_nodes)
     assert ones @ (ops3.M_full @ u) == pytest.approx(0.5, abs=1e-14)
     # u' K u = integral of |grad x1|^2 = 1
-    assert u @ (ops3.Kbar_full @ u) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_variable_coefficients_change_operator():
-    mesh = build_unit_square_mesh(2)
-    plain = assemble(mesh)
-
-    def var_diffusion(x1, x2):
-        out = np.zeros((x1.size, 2, 2))
-        out[:, 0, 0] = 1.0 + x1
-        out[:, 1, 1] = 1.0 + x1
-        return out
-
-    varied = assemble(mesh, EllipticCoefficients(
-        diffusion=var_diffusion, reaction=lambda x1, x2: x2))
-    assert not np.allclose(varied.K_full.toarray(), plain.K_full.toarray())
-    # Kbar stays the pure Laplacian
-    assert np.allclose(varied.Kbar_full.toarray(), plain.Kbar_full.toarray())
-    ones = np.ones(mesh.n_nodes)
-    # reaction breaks the constant null vector
-    assert np.abs(varied.K_full @ ones).max() > 1e-3
+    assert u @ (ops3.K_full @ u) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_pad_restrict_roundtrip(ops3, rng):
@@ -216,13 +152,6 @@ def test_mass_interior_rows(ops3, rng):
     u = rng.standard_normal(ops3.mesh.n_nodes)
     expected = (ops3.M_full @ u)[ops3.interior]
     assert np.allclose(ops3.mass_interior_rows(u), expected, atol=1e-15)
-
-
-def test_interpolate_scalar_only_callable():
-    mesh = build_unit_square_mesh(1)
-    vals = interpolate_function(mesh, lambda a, b: float(a > 0.4) + b)
-    expected = (mesh.nodes[:, 0] > 0.4).astype(float) + mesh.nodes[:, 1]
-    assert np.allclose(vals, expected)
 
 
 def test_factors_solve(ops3, rng):
@@ -246,7 +175,7 @@ def test_dump_operators(tmp_path, ops3):
     assert (sp.csr_matrix(K) - ops3.K).nnz == 0
     assert (sp.csr_matrix(M) - ops3.M).nnz == 0
     W = np.loadtxt(tmp_path / "W.txt")
-    assert np.allclose(W, ops3.W)
+    assert np.allclose(W, ops3.restrict(ops3.W_full))
 
 
 # ---------------------------------------------------------------------------

@@ -105,14 +105,16 @@ def test_admm_optimum_not_improved_by_perturbation(shifted2, rng):
 
 
 def test_control_shrinks_with_alpha():
+    # a box wide enough never to bind (the largest |u| is about 15), so
+    # alpha alone sets the size of the control
     js = []
     norms = []
     for alpha in (1e-3, 1e-2, 1e-1):
-        inst = make_instance("sine", 2, alpha=alpha)
+        inst = make_instance("sine", 2, alpha=alpha, box=(-100.0, 100.0))
         sol = admm_reference(inst, tol=1e-9)
         norms.append(float(np.sqrt(sol.u @ (inst.ops.M_full @ sol.u))))
         js.append(sol.J)
-    assert norms[0] >= norms[1] >= norms[2]
+    assert norms[0] > norms[1] > norms[2]
     # heavier regularization cannot lower the optimum
     assert js[0] <= js[1] <= js[2]
 
