@@ -85,14 +85,24 @@ def ops3():
     return assemble(build_unit_square_mesh(3))
 
 
-def test_level0_operators():
-    # two right triangles (0, 1, 3) and (0, 3, 2) of area 1/2 on the nodes
-    # (0,0), (1,0), (0,1), (1,1); every entry follows by hand
+# The level-0 mesh is two reference right triangles (0, 1, 3) and (0, 3, 2)
+# of area 1/2 on the nodes (0,0), (1,0), (0,1), (1,1), so every entry of its
+# assembled operators follows by hand from the reference-triangle element
+# matrices.
+
+
+def test_element_stiffness_reference_triangle():
     ops = assemble(build_unit_square_mesh(0))
     assert np.array_equal(ops.K_full.toarray(), [[1.0, -0.5, -0.5, 0.0],
                                                  [-0.5, 1.0, 0.0, -0.5],
                                                  [-0.5, 0.0, 1.0, -0.5],
                                                  [0.0, -0.5, -0.5, 1.0]])
+    # all four nodes lie on the boundary
+    assert ops.n_interior == 0
+
+
+def test_element_mass_reference_triangle():
+    ops = assemble(build_unit_square_mesh(0))
     assert np.allclose(24.0 * ops.M_full.toarray(), [[4.0, 1.0, 1.0, 2.0],
                                                      [1.0, 2.0, 0.0, 1.0],
                                                      [1.0, 0.0, 2.0, 1.0],
@@ -100,8 +110,6 @@ def test_level0_operators():
                        rtol=0.0, atol=1e-14)
     assert np.allclose(6.0 * ops.W_full, [2.0, 1.0, 1.0, 2.0],
                        rtol=0.0, atol=1e-14)
-    # all four nodes lie on the boundary
-    assert ops.n_interior == 0
 
 
 def test_lumped_weights_are_row_sums(ops3):
