@@ -32,7 +32,7 @@ ORACLE_CAP = 4000
 
 
 def apply_g_inverse(prob: ProblemInstance, b: np.ndarray) -> np.ndarray:
-    """Solve ``(M + alpha K M^{-1} K) x = b`` with the operators' saddle solver."""
+    """Solve ``(M + alpha K M^{-1} K) x = b`` with the operators' p-solve."""
     return prob.ops.augmented(prob.alpha).solve(
         np.asarray(b, dtype=float) / prob.alpha)
 

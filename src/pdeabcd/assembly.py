@@ -94,7 +94,7 @@ class FemOperators:
         return self._spd_factor("K")
 
     def augmented(self, alpha: float) -> AugmentedSolver:
-        """Saddle solver for ``(K M^{-1} K + (1/alpha) M) p = b``, one per alpha."""
+        """Complex-symmetric solver for ``(K M^{-1} K + M/alpha) p = b``, per alpha."""
         key = float(alpha)
         solver = self._augmented.get(key)
         if solver is None:

@@ -1,13 +1,13 @@
-"""Sparse direct solves, the augmented saddle-point solver, and eigenvalue
+"""Sparse direct solves, the complex-symmetric p-solve, and eigenvalue
 estimates.
 
 Storage and factorizations are backed by scipy.sparse (CSR matrices, SuperLU
 factorizations); this module pins down the contracts the solver relies on:
-definiteness checking for symmetric positive definite factorizations, a
-solver for systems of the form ``(K M^{-1} K + (1/alpha) M) p = b`` that
-never forms ``M^{-1}`` explicitly, and deterministic power iteration for
-extreme eigenvalues.  The factorizations themselves are held by the
-operators that use them (see ``assembly.FemOperators``).
+definiteness checking for symmetric factorizations with a positive definite
+real part, a solver for ``(K M^{-1} K + (1/alpha) M) p = b`` that never
+forms ``M^{-1}`` explicitly, and deterministic power iteration for extreme
+eigenvalues.  The factorizations themselves are held by the operators that
+use them (see ``assembly.FemOperators``).
 """
 
 from __future__ import annotations
@@ -41,14 +41,17 @@ class Factorization:
     _lu: object
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._lu.solve(np.asarray(b, dtype=float))
+        """Solve with ``b`` cast (safely) to the factor's dtype."""
+        return self._lu.solve(b)
 
 
 def factorize_spd(matrix) -> Factorization:
-    """Factor a symmetric positive definite sparse matrix.
+    """Factor a real SPD matrix, or a complex symmetric one with SPD real part.
 
-    Pivoting is suppressed (symmetric mode) so the returned pivots expose the
-    inertia; a non-positive pivot raises :class:`DefinitenessError`.
+    Pivoting is suppressed (symmetric mode).  The Hermitian part of such a
+    matrix, ``Re(A)``, stays positive definite in every Schur complement, so
+    the pivots have positive real parts; a non-positive real pivot raises
+    :class:`DefinitenessError`.
     """
     csc = sp.csc_matrix(matrix)
     if csc.shape[0] != csc.shape[1]:
@@ -60,10 +63,10 @@ def factorize_spd(matrix) -> Factorization:
         options={"SymmetricMode": True},
     )
     pivots = lu.U.diagonal()
-    if not np.all(np.isfinite(pivots)) or pivots.min() <= 0.0:
+    smallest = pivots.real.min()
+    if not np.all(np.isfinite(pivots)) or smallest <= 0.0:
         raise DefinitenessError(
-            f"matrix is not positive definite (smallest pivot {pivots.min():.3e})"
-        )
+            f"matrix is not positive definite (smallest real pivot {smallest:.3e})")
     return Factorization("spd", lu.L.nnz + lu.U.nnz, lu)
 
 
@@ -77,23 +80,20 @@ def factorize_indefinite(matrix) -> Factorization:
 class AugmentedSolver:
     """Direct solver for ``(K M^{-1} K + (1/alpha) M) p = b``.
 
-    The normal-equation operator is never formed.  Instead the equivalent
-    symmetric saddle system
-
-        [ (1/alpha) M   K ] [p]   [b]
-        [      K      - M ] [w] = [0]
-
-    is factored once per ``(K, M, alpha)``; the second block row enforces
-    ``w = M^{-1} K p`` exactly, so eliminating ``w`` recovers the original
-    equation.
+    With ``s = 1/sqrt(alpha)``, the n x n complex symmetric ``K + i s M`` is
+    factored once per ``(K, M, alpha)``.  The real and imaginary parts of
+    ``(K + i s M) x = b`` read ``K Re(x) - s M Im(x) = b`` and
+    ``K Im(x) + s M Re(x) = 0``, so ``p = -Im(x)/s`` and
+    ``w = Re(x) = M^{-1} K p`` exactly.  K and sM are SPD, so elimination
+    without pivoting is stable (Higham, 1998).
     """
 
     def __init__(self, K, M, alpha: float):
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         self.n = K.shape[0]
-        aug = sp.bmat([[M / alpha, K], [K, -M]], format="csc")
-        self._fact = factorize_indefinite(aug)
+        self.s = 1.0 / np.sqrt(alpha)
+        self._fact = factorize_spd(K + 1j * self.s * M)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         p, _ = self.solve_with_multiplier(b)
@@ -103,9 +103,8 @@ class AugmentedSolver:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},)")
-        rhs = np.concatenate([b, np.zeros(self.n)])
-        x = self._fact.solve(rhs)
-        return x[: self.n], x[self.n :]
+        x = self._fact.solve(b)
+        return -x.imag / self.s, x.real
 
 
 def power_iteration_extremes(apply, n: int, iters: int = 2000,

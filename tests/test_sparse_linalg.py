@@ -1,9 +1,11 @@
-"""Factorization wrappers and the coupled augmented solver."""
+"""Factorization wrappers and the complex-symmetric p-solve."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pdeabcd import dual_solver, sparse_linalg
+from pdeabcd.analysis import compute_tau_h, lam_max_majorizer
 from pdeabcd.assembly import assemble
 from pdeabcd.mesh import build_unit_square_mesh
 from pdeabcd.presets import make_instance
@@ -35,13 +37,15 @@ def test_canonicalize_formats():
 
 
 def test_factorize_spd_matches_dense(rng):
-    A = _random_spd(rng)
-    fact = factorize_spd(A)
-    b = rng.standard_normal(A.shape[0])
-    x = fact.solve(b)
-    assert np.allclose(A @ x, b, atol=1e-10)
-    x_dense = np.linalg.solve(A.toarray(), b)
-    assert np.allclose(x, x_dense, atol=1e-9)
+    # real SPD, and complex symmetric with SPD real part (the p-solve matrix)
+    ops = assemble(build_unit_square_mesh(3))
+    for A in (_random_spd(rng), ops.K + 1j * 10.0 * ops.M):
+        fact = factorize_spd(A)
+        b = rng.standard_normal(A.shape[0])
+        x = fact.solve(b)
+        assert np.allclose(A @ x, b, atol=1e-10)
+        x_dense = np.linalg.solve(A.toarray(), b)
+        assert np.allclose(x, x_dense, atol=1e-9)
 
 
 def test_factorize_spd_multiple_rhs(rng):
@@ -54,9 +58,11 @@ def test_factorize_spd_multiple_rhs(rng):
 
 
 def test_factorize_spd_rejects_indefinite():
-    A = sp.diags([1.0, -1.0, 2.0]).tocsc()
-    with pytest.raises(DefinitenessError):
-        factorize_spd(A)
+    # the complex case has an SPD imaginary part but a negative definite real one
+    ops = assemble(build_unit_square_mesh(3))
+    for A in (sp.diags([1.0, -1.0, 2.0]).tocsc(), -ops.K + 1j * ops.M):
+        with pytest.raises(DefinitenessError):
+            factorize_spd(A)
 
 
 def test_factorize_spd_rejects_singular():
@@ -77,10 +83,11 @@ def test_factorize_indefinite_saddle(rng):
     assert np.allclose(S @ x, b, atol=1e-9)
 
 
-def test_augmented_solver_identity(rng):
+@pytest.mark.parametrize("level", [3, 5])
+@pytest.mark.parametrize("alpha", [1e-4, 1e-2, 1.0])
+def test_augmented_solver_identity(rng, level, alpha):
     """x = AugmentedSolver(K, M, alpha).solve(b) solves (K M^-1 K + M/alpha) x = b."""
-    ops = assemble(build_unit_square_mesh(3))
-    alpha = 1e-2
+    ops = assemble(build_unit_square_mesh(level))
     aug = AugmentedSolver(ops.K, ops.M, alpha)
     b = rng.standard_normal(ops.n_interior)
     x = aug.solve(b)
@@ -100,6 +107,20 @@ def test_augmented_solver_with_multiplier(rng):
     assert np.abs(r1).max() < 1e-10 * (1.0 + np.abs(b).max())
     assert np.abs(r2).max() < 1e-10 * (1.0 + np.abs(b).max())
     assert np.allclose(x, aug.solve(b), atol=1e-12)
+
+
+def test_dual_solver_never_factors_an_indefinite_matrix(monkeypatch):
+    """Every factor the dual solver and its analysis own is an SPD-mode one."""
+    def refuse(matrix):
+        raise AssertionError("factorize_indefinite called")
+
+    monkeypatch.setattr(sparse_linalg, "factorize_indefinite", refuse)
+    inst = make_instance("sine", 3)
+    record = dual_solver.solve(inst, dual_solver.SolverConfig(tol=1e-6))
+    assert record.converged
+    origin = dual_solver.DualIterate.for_instance(inst)
+    assert compute_tau_h(inst, origin, record.final) > 0.0
+    assert lam_max_majorizer(inst) > 0.0
 
 
 def test_operators_own_their_factorizations():
