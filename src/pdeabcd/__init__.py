@@ -39,7 +39,7 @@ from .oracle import (
     admm_reference,
     certified_optimum,
 )
-from .presets import Preset, make_instance, preset_names
+from .presets import make_instance, preset_names
 from .sparse_linalg import AugmentedSolver, DefinitenessError, \
     factorize_spd, power_iteration_extremes
 
@@ -54,7 +54,6 @@ __all__ = [
     "FemOperators",
     "Mesh",
     "MeshSizeError",
-    "Preset",
     "ProblemInstance",
     "RunRecord",
     "SolverConfig",

@@ -16,7 +16,6 @@ of the majorization metric scale with the mesh size.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +25,14 @@ from .assembly import assemble, l1h_norm, l1_norm_exact, norms
 from .dual_solver import DualIterate, ProblemInstance, RunRecord, SolverConfig
 from .mesh import Mesh, build_unit_square_mesh, prolongate_nodal
 from .presets import make_instance
-from .sparse_linalg import power_iteration_extremes
+from .sparse_linalg import AugmentedSolver, power_iteration_extremes
 
 ORACLE_CAP = 4000
 
 
 def apply_g_inverse(prob: ProblemInstance, b: np.ndarray) -> np.ndarray:
-    """Solve ``(M + alpha K M^{-1} K) x = b`` with the operators' p-solve."""
-    return prob.ops.augmented(prob.alpha).solve(
-        np.asarray(b, dtype=float) / prob.alpha)
+    """Solve ``(M + alpha K M^{-1} K) x = b`` with the instance's p-solve."""
+    return prob.psolve.solve(np.asarray(b, dtype=float) / prob.alpha)
 
 
 def compute_tau_h(prob: ProblemInstance, z0: DualIterate,
@@ -73,7 +71,7 @@ def verify_complexity_bound(record: RunRecord, tau_h: float, phi_star: float,
     return bool(np.all(gaps <= bounds + slack)), float(margins.min())
 
 
-def lam_max_majorizer(prob: ProblemInstance, iters: int = 400) -> float:
+def lam_max_majorizer(prob: ProblemInstance) -> float:
     """Largest eigenvalue of the block-diagonal majorization metric."""
     ops = prob.ops
     alpha, gamma = prob.alpha, prob.gamma
@@ -88,8 +86,8 @@ def lam_max_majorizer(prob: ProblemInstance, iters: int = 400) -> float:
         mv = ops.M_full @ v
         return (gamma / alpha) * (ops.M_full @ (mv / ops.W_full))
 
-    top_lam, _ = power_iteration_extremes(lam_block, n, iters=iters)
-    top_mu, _ = power_iteration_extremes(mu_block, n, iters=iters)
+    top_lam, _ = power_iteration_extremes(lam_block, n, iters=400)
+    top_mu, _ = power_iteration_extremes(mu_block, n, iters=400)
     return float(max(top_lam, top_mu))
 
 
@@ -189,15 +187,18 @@ class MeshIndependenceReport:
     fitted_c: float | None = None
     tau_proxy: float | None = None
 
+    def csv_lines(self) -> list[str]:
+        """The CSV header and one line per row, without line ends."""
+        return ["level,h,n_interior,iters_to_eps,tau_h,lam_max_Sh,"
+                "phi_star,seconds"] + [
+            f"{r.level},{float(r.h)!r},{r.n_interior},{r.iters_to_eps},"
+            f"{float(r.tau_h)!r},{float(r.lam_max_sh)!r},"
+            f"{float(r.phi_star)!r},{float(r.seconds)!r}"
+            for r in self.rows]
+
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("level,h,n_interior,iters_to_eps,tau_h,lam_max_Sh,"
-                     "phi_star,seconds\n")
-            for r in self.rows:
-                fh.write(f"{r.level},{float(r.h)!r},{r.n_interior},"
-                         f"{r.iters_to_eps},{float(r.tau_h)!r},"
-                         f"{float(r.lam_max_sh)!r},{float(r.phi_star)!r},"
-                         f"{float(r.seconds)!r}\n")
+            fh.writelines(f"{line}\n" for line in self.csv_lines())
 
     def to_json_dict(self) -> dict:
         return {
@@ -244,18 +245,16 @@ def _optimum_at(preset: str, level: int, coarse_inst: ProblemInstance,
 
 
 def _level_result(preset: str, level: int, epsilon: float,
-                  coarse_inst: ProblemInstance, *,
-                  run_max_iters: int = 50_000, timing: bool = False,
-                  warm: tuple | None = None,
-                  alpha=None, beta=None, box=None) -> tuple[LevelResult, tuple]:
+                  coarse_inst: ProblemInstance, warm: tuple | None,
+                  run_max_iters: int, timing: bool,
+                  **params) -> tuple[LevelResult, tuple]:
     """Compute one report row and the ``(mesh, z_star)`` warm start it leaves.
 
     ``warm`` optionally seeds the reference solve from a coarser level.
     """
     t0 = time.perf_counter()
     inst, z0, z_star, phi_star, tau_h = _optimum_at(
-        preset, level, coarse_inst, warm, 10 * run_max_iters, alpha=alpha,
-        beta=beta, box=box)
+        preset, level, coarse_inst, warm, 10 * run_max_iters, **params)
     lam_max_sh = lam_max_majorizer(inst)
 
     target = phi_star + epsilon * (1.0 + abs(phi_star))
@@ -279,10 +278,19 @@ def _level_result(preset: str, level: int, epsilon: float,
     return row, (inst.ops.mesh, z_star)
 
 
-def _level_result_args(args: tuple) -> LevelResult:
-    preset, level, epsilon, coarse_inst, kwargs = args
-    row, _ = _level_result(preset, level, epsilon, coarse_inst, **kwargs)
-    return row
+def check_levels(levels, tau_proxy_level: int | None = None) -> list[int]:
+    """Sorted levels of a mesh-independence run; ``ValueError`` unless they
+    are two or more and distinct, and ``tau_proxy_level``, if given, is no
+    coarser than the coarsest level, which every start is prolongated from."""
+    levels = sorted(int(l) for l in levels)
+    if len(levels) < 2:
+        raise ValueError("need at least two levels to compare")
+    if len(set(levels)) < len(levels):
+        raise ValueError(f"levels must be distinct, got {levels}")
+    if tau_proxy_level is not None and tau_proxy_level < levels[0]:
+        raise ValueError(f"tau proxy level {tau_proxy_level} is coarser "
+                         f"than the coarsest level {levels[0]}")
+    return levels
 
 
 def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
@@ -298,33 +306,24 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
     the dual objective reaches ``Phi* + epsilon (1 + |Phi*|)``.  The report
     passes when no level saturates and all counts lie within 20 percent of
     their median.  The coarsest level's instance is built once and serves
-    every row and the tau proxy.  With ``jobs > 1`` levels run in separate
-    processes (independent, no warm-start chaining); results are ordered by
-    level either way.
+    every row and the tau proxy; each level's optimum seeds the next one's
+    reference solve.  ``jobs`` must be 1.  Bad input raises ``ValueError``
+    before any instance is built.
     """
-    levels = sorted(int(l) for l in levels)
-    if len(levels) < 2:
-        raise ValueError("need at least two levels to compare")
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}")
+    levels = check_levels(levels, tau_proxy_level)
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    # built before any factorization, so it still pickles for the workers
-    coarse_inst = make_instance(preset, levels[0], alpha=alpha, beta=beta,
-                                box=box)
-    kwargs = dict(run_max_iters=run_max_iters, timing=timing, alpha=alpha,
-                  beta=beta, box=box)
+    params = dict(alpha=alpha, beta=beta, box=box)
+    coarse_inst = make_instance(preset, levels[0], **params)
 
     rows: list[LevelResult] = []
     warm = None
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = [(preset, lvl, epsilon, coarse_inst, kwargs)
-                    for lvl in levels]
-            rows = list(pool.map(_level_result_args, args))
-    else:
-        for lvl in levels:
-            row, warm = _level_result(preset, lvl, epsilon, coarse_inst,
-                                      warm=warm, **kwargs)
-            rows.append(row)
+    for lvl in levels:
+        row, warm = _level_result(preset, lvl, epsilon, coarse_inst, warm,
+                                  run_max_iters, timing, **params)
+        rows.append(row)
 
     counts = [r.iters_to_eps for r in rows if not r.saturated]
     median = float(np.median(counts)) if counts else float("nan")
@@ -339,7 +338,7 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
         if tau_proxy_level < levels[-1]:
             warm = None
         proxy = tau_h_at_level(preset, tau_proxy_level, coarse_inst,
-                               alpha=alpha, beta=beta, box=box, warm=warm)
+                               warm=warm, **params)
         c, ok = fit_tau_constant(rows, proxy)
         report.fitted_c = c
         report.tau_proxy = proxy
@@ -388,8 +387,6 @@ class SpectralRow:
 class SpectralScalingReport:
     """Extreme-eigenvalue scaling of M, K, and the majorization metric."""
 
-    alpha: float
-    gamma: float
     rows: list[SpectralRow]
 
     def checks(self) -> dict[str, bool]:
@@ -414,13 +411,12 @@ class SpectralScalingReport:
         return out
 
 
-def spectral_scaling_report(levels, alpha: float = 1e-2,
-                            gamma: float = 4.0,
-                            preset: str = "sine") -> SpectralScalingReport:
-    """Estimate extreme eigenvalues of M, K, and the majorizer per level."""
+def spectral_scaling_report(levels,
+                            alpha: float = 1e-2) -> SpectralScalingReport:
+    """Extreme eigenvalues of M, K, and the majorizer per level on ``sine``."""
     rows = []
     for level in sorted(int(l) for l in levels):
-        inst = make_instance(preset, level, alpha=alpha, gamma=gamma)
+        inst = make_instance("sine", level, alpha=alpha)
         ops = inst.ops
         n = inst.n
         m_fact = ops.mass_factor()
@@ -438,7 +434,7 @@ def spectral_scaling_report(levels, alpha: float = 1e-2,
             lam_min_k=1.0 / kinv_max,
             lam_max_sh=lam_max_majorizer(inst),
         ))
-    return SpectralScalingReport(alpha=alpha, gamma=gamma, rows=rows)
+    return SpectralScalingReport(rows=rows)
 
 
 def lumped_mass_comparison_check(levels, samples: int = 1000,
@@ -467,8 +463,7 @@ def lumped_mass_comparison_check(levels, samples: int = 1000,
     return out
 
 
-def l1_gap_check(levels, samples: int = 1000, seed: int = 0,
-                 fit_margin: float = 1.0) -> dict:
+def l1_gap_check(levels, samples: int = 1000, seed: int = 0) -> dict:
     """Two-sided check of the lumped-l1 overshoot.
 
     For random nodal vectors the gap ``||z||_{l1,W} - ||z||_{L1}`` must be
@@ -497,7 +492,7 @@ def l1_gap_check(levels, samples: int = 1000, seed: int = 0,
             if idx > 0 and gap > c_fit * h * h1 + 1e-12 * (1.0 + h1):
                 nviol_upper += 1
         if idx == 0:
-            c_fit = worst_ratio * fit_margin
+            c_fit = worst_ratio
         out["levels"][level] = {
             "worst_ratio": worst_ratio,
             "lower_violations": nviol_lower,
@@ -522,7 +517,7 @@ def operator_bound_check(levels, alpha: float = 1e-2) -> dict:
     for level in levels:
         ops = assemble(build_unit_square_mesh(level))
         n = ops.n_interior
-        aug = ops.augmented(alpha)
+        aug = AugmentedSolver(ops.K, ops.M, alpha)
 
         def g_apply(v):
             mv = ops.mass_factor().solve(ops.K @ v)

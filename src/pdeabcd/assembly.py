@@ -22,8 +22,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .mesh import Mesh, triangle_areas
-from .sparse_linalg import (AugmentedSolver, Factorization, canonicalize,
-                            factorize_spd)
+from .sparse_linalg import Factorization, canonicalize, factorize_spd
 
 _ELEMENT_MASS_PATTERN = np.array([
     [2.0, 1.0, 1.0],
@@ -57,9 +56,9 @@ class FemOperators:
     ``M`` are their interior blocks (Dirichlet elimination).  ``K_full`` is
     the Laplacian stiffness of the state equation and of the H1 norm, and
     ``restrict(W_full)`` gives the interior lumped mass.  The operators own
-    their factorizations: each is built on first use and kept on the
-    instance, so every problem instance sharing these operators shares the
-    factors.
+    their SPD factorizations of ``M``, ``M_full`` and ``K``: each is built on
+    first use and kept for the life of the operators.  The p-solve depends on
+    alpha, so the problem instance owns it (``ProblemInstance.psolve``).
     """
 
     mesh: Mesh
@@ -70,8 +69,6 @@ class FemOperators:
     K: sp.csr_matrix
     M: sp.csr_matrix
     _spd: dict[str, Factorization] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _augmented: dict[float, AugmentedSolver] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -92,15 +89,6 @@ class FemOperators:
 
     def stiffness_factor(self) -> Factorization:
         return self._spd_factor("K")
-
-    def augmented(self, alpha: float) -> AugmentedSolver:
-        """Complex-symmetric solver for ``(K M^{-1} K + M/alpha) p = b``, per alpha."""
-        key = float(alpha)
-        solver = self._augmented.get(key)
-        if solver is None:
-            solver = self._augmented[key] = AugmentedSolver(self.K, self.M,
-                                                            alpha)
-        return solver
 
     def pad(self, u_int: np.ndarray) -> np.ndarray:
         """Embed an interior vector into the full node set with zero boundary."""

@@ -177,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     mi.add_argument("--box", type=_parse_box, default=None, metavar="A,B")
     mi.add_argument("--max-iters", type=int, default=50_000,
                     help="per-level iteration cap (default 50000)")
-    mi.add_argument("--jobs", type=int, default=1,
-                    help="levels to run in parallel (default 1)")
     mi.add_argument("--tau-proxy-level", type=int, default=None,
                     help="also fit tau_h <= tau_proxy + C h with the proxy "
                     "taken at this level")
@@ -295,33 +293,24 @@ def run_mesh_independence(args) -> int:
         raise UsageError(f"--eps must be positive, got {args.eps}")
     if len(args.levels) < 3:
         raise UsageError("--levels needs at least three levels")
-    if min(args.levels) < 0:
-        raise UsageError(f"--levels must be nonnegative, got {args.levels}")
-    if args.tau_proxy_level is not None and args.tau_proxy_level < 0:
-        raise UsageError("--tau-proxy-level must be nonnegative, got "
-                         f"{args.tau_proxy_level}")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     if args.max_iters < 1:
         raise UsageError(f"--max-iters must be >= 1, got {args.max_iters}")
-    # the coarsest instance runs the library's checks on alpha, beta and box
+    # the library's checks on the levels and tau proxy level, and those the
+    # coarsest instance runs on its level, alpha, beta and box
     try:
+        analysis.check_levels(args.levels, args.tau_proxy_level)
         make_instance(args.preset, min(args.levels), alpha=args.alpha,
                       beta=args.beta, box=args.box)
     except ValueError as err:
         raise UsageError(str(err)) from None
 
     report = analysis.mesh_independence_experiment(
-        args.preset, args.levels, args.eps, jobs=args.jobs,
+        args.preset, args.levels, args.eps,
         run_max_iters=args.max_iters, timing=args.timing,
         tau_proxy_level=args.tau_proxy_level, alpha=args.alpha,
         beta=args.beta, box=args.box)
 
-    print("level,h,n_interior,iters_to_eps,tau_h,lam_max_Sh,"
-          "phi_star,seconds")
-    for r in report.rows:
-        print(f"{r.level},{r.h!r},{r.n_interior},{r.iters_to_eps},"
-              f"{r.tau_h!r},{r.lam_max_sh!r},{r.phi_star!r},{r.seconds!r}")
+    print("\n".join(report.csv_lines()))
     print(f"median_iters={report.median_iters!r} passed={report.passed}")
     if report.fitted_c is not None:
         print(f"tau_proxy={report.tau_proxy!r} fitted_C={report.fitted_c!r}")

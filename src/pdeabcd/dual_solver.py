@@ -37,10 +37,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .assembly import FemOperators
+from .sparse_linalg import AugmentedSolver
 
 
 class DivergenceError(RuntimeError):
@@ -97,6 +99,11 @@ class ProblemInstance:
     def n_full(self) -> int:
         """Full node count (control and multiplier blocks)."""
         return self.ops.mesh.n_nodes
+
+    @cached_property
+    def psolve(self) -> AugmentedSolver:
+        """Solver for ``(K M^{-1} K + M/alpha) p = b``, factored on first use."""
+        return AugmentedSolver(self.ops.K, self.ops.M, self.alpha)
 
 
 @dataclass
@@ -247,7 +254,7 @@ def step_phat(prob: ProblemInstance, lam_t: np.ndarray,
     ops = prob.ops
     rhs = ops.K @ prob.y_d - ops.mass_interior_rows(prob.y_r) \
         + ops.mass_interior_rows(lam_t + mu_t) / prob.alpha
-    return ops.augmented(prob.alpha).solve(rhs)
+    return prob.psolve.solve(rhs)
 
 
 def lambda_kernel(lam_t, coupled, W, beta: float) -> np.ndarray:

@@ -190,20 +190,19 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
 
 
 def certified_optimum(prob: ProblemInstance, tol: float = 1e-10,
-                      cross_tol: float = 1e-9,
                       cross_max_iters: int = 100_000,
                       z0: DualIterate | None = None) -> CertifiedOptimum:
     """Optimal value certified by two independent routes.
 
-    Runs the splitting oracle to ``tol``, then a long dual run, and demands
-    ``|Phi(z_final) + J*| <= 1e-7 (1 + |J*|)``; disagreement raises
-    :class:`OracleInconsistencyError` and blocks anything built on top.
+    Runs the splitting oracle to ``tol``, then a long dual run to KKT
+    residual 1e-9, and demands ``|Phi(z_final) + J*| <= 1e-7 (1 + |J*|)``;
+    disagreement raises :class:`OracleInconsistencyError`.
     ``z0`` optionally warm starts the dual cross run (its verdict only
     depends on the reached residual, not the path).
     """
     sol = admm_reference(prob, tol=tol)
     j_star = sol.J
-    config = SolverConfig(max_iters=cross_max_iters, tol=cross_tol,
+    config = SolverConfig(max_iters=cross_max_iters, tol=1e-9,
                           log_every=0, check_every=5)
     run = dual_solver.solve(prob, config, z0=z0)
     cross_phi = dual_solver.dual_objective(prob, *run.final.blocks())

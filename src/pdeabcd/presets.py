@@ -8,7 +8,7 @@ import numpy as np
 
 from .assembly import assemble, interpolate_function
 from .dual_solver import ProblemInstance
-from .mesh import Mesh, build_unit_square_mesh
+from .mesh import build_unit_square_mesh
 
 
 @dataclass(frozen=True)
@@ -51,35 +51,31 @@ def preset_names() -> list[str]:
     return sorted(PRESETS)
 
 
-def make_instance(preset: str | Preset, level: int | Mesh, *,
+def make_instance(preset: str, level: int, *,
                   alpha: float | None = None, beta: float | None = None,
                   box: tuple[float, float] | None = None,
-                  gamma: float = 4.0, ops=None) -> ProblemInstance:
-    """Build a :class:`ProblemInstance` for a preset at one mesh level.
+                  gamma: float = 4.0) -> ProblemInstance:
+    """Build a :class:`ProblemInstance` for a named preset at one mesh level.
 
-    ``alpha``, ``beta``, and ``box`` override the preset defaults.  Pass
-    pre-assembled ``ops`` to share operators between instances on the same
-    mesh.
+    ``alpha``, ``beta``, and ``box`` override the preset defaults.  Each
+    instance assembles its own operators on a fresh mesh.
     """
-    if isinstance(preset, str):
-        try:
-            preset = PRESETS[preset]
-        except KeyError:
-            raise KeyError(
-                f"unknown preset {preset!r}; available: {preset_names()}"
-            ) from None
-    if ops is None:
-        mesh = level if isinstance(level, Mesh) else build_unit_square_mesh(level)
-        ops = assemble(mesh)
-    y_d = ops.restrict(interpolate_function(ops.mesh, preset.y_d))
-    y_r = interpolate_function(ops.mesh, preset.y_r)
+    try:
+        spec = PRESETS[preset]
+    except KeyError:
+        raise KeyError(
+            f"unknown preset {preset!r}; available: {preset_names()}"
+        ) from None
+    ops = assemble(build_unit_square_mesh(level))
+    y_d = ops.restrict(interpolate_function(ops.mesh, spec.y_d))
+    y_r = interpolate_function(ops.mesh, spec.y_r)
     return ProblemInstance(
         ops=ops,
-        alpha=preset.alpha if alpha is None else float(alpha),
-        beta=preset.beta if beta is None else float(beta),
-        box=preset.box if box is None else (float(box[0]), float(box[1])),
+        alpha=spec.alpha if alpha is None else float(alpha),
+        beta=spec.beta if beta is None else float(beta),
+        box=spec.box if box is None else (float(box[0]), float(box[1])),
         y_d=y_d,
         y_r=y_r,
         gamma=float(gamma),
-        name=preset.name,
+        name=spec.name,
     )

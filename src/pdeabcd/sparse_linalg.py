@@ -6,8 +6,9 @@ factorizations); this module pins down the contracts the solver relies on:
 definiteness checking for symmetric factorizations with a positive definite
 real part, a solver for ``(K M^{-1} K + (1/alpha) M) p = b`` that never
 forms ``M^{-1}`` explicitly, and deterministic power iteration for extreme
-eigenvalues.  The factorizations themselves are held by the operators that
-use them (see ``assembly.FemOperators``).
+eigenvalues.  The factorizations are held by their users: the SPD factors
+of the mass and stiffness matrices by ``assembly.FemOperators``, the p-solve
+by ``dual_solver.ProblemInstance``.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class AugmentedSolver:
     """Direct solver for ``(K M^{-1} K + (1/alpha) M) p = b``.
 
     With ``s = 1/sqrt(alpha)``, the n x n complex symmetric ``K + i s M`` is
-    factored once per ``(K, M, alpha)``.  The real and imaginary parts of
+    factored once, on construction.  The real and imaginary parts of
     ``(K + i s M) x = b`` read ``K Re(x) - s M Im(x) = b`` and
     ``K Im(x) + s M Re(x) = 0``, so ``p = -Im(x)/s`` and
     ``w = Re(x) = M^{-1} K p`` exactly.  K and sM are SPD, so elimination
@@ -107,14 +108,15 @@ class AugmentedSolver:
         return -x.imag / self.s, x.real
 
 
-def power_iteration_extremes(apply, n: int, iters: int = 2000,
-                             tol: float = 1e-13) -> tuple[float, bool]:
+def power_iteration_extremes(apply, n: int,
+                             iters: int = 2000) -> tuple[float, bool]:
     """Estimate the largest eigenvalue of a symmetric positive operator.
 
     ``apply`` maps a vector of length ``n`` to the operator image.  The
     starting vector is drawn from a fixed seed, so estimates are
     deterministic.  Returns ``(estimate, converged)``; ``converged`` is False
-    when the Rayleigh quotient has not stabilized within ``iters`` steps.
+    when the Rayleigh quotient has not stabilized to 1e-13 relative within
+    ``iters`` steps.
     """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
@@ -127,7 +129,7 @@ def power_iteration_extremes(apply, n: int, iters: int = 2000,
         if norm_w == 0.0:
             return 0.0, True
         v = w / norm_w
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= 1e-13 * max(1.0, abs(lam_new)):
             return lam_new, True
         lam = lam_new
     return lam, False

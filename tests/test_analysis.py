@@ -281,6 +281,25 @@ def test_mesh_independence_builds_each_level_once(monkeypatch):
     assert sorted(built) == [2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("levels, kwargs", [
+    ([2, 3, 4], {"jobs": 2}),
+    ([3, 3, 3], {}),
+    ([3, 4, 5], {"tau_proxy_level": 2}),
+])
+def test_mesh_independence_rejects_bad_input_before_building(
+        monkeypatch, levels, kwargs):
+    built = []
+
+    def counting(preset, level, **params):
+        built.append(level)
+        return make_instance(preset, level, **params)
+
+    monkeypatch.setattr(analysis, "make_instance", counting)
+    with pytest.raises(ValueError):
+        mesh_independence_experiment("sine", levels, **kwargs)
+    assert built == []
+
+
 def test_mesh_independence_releases_finished_levels(monkeypatch):
     # warm starts carry a mesh, not operators: a finished level's factors
     # must be freed before the next level factorizes

@@ -119,6 +119,9 @@ def test_usage_errors(capsys):
                  "--eps", "0"]) == 2
     assert main(["mesh-indep", "--preset", "zero", "--levels", "3,4"]) == 2
     assert main(["checks", "--levels", "2"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["mesh-indep", "--preset", "zero", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -136,6 +139,9 @@ def test_usage_errors(capsys):
     ["mesh-indep", "--preset", "sine", "--levels", "2,3,4", "--alpha", "0"],
     ["mesh-indep", "--preset", "sine", "--levels", "2,3,4", "--beta", "-1"],
     ["mesh-indep", "--preset", "sine", "--levels", "2,3,4", "--box", "1,2"],
+    ["mesh-indep", "--preset", "sine", "--levels", "3,4,5",
+     "--tau-proxy-level", "2"],
+    ["mesh-indep", "--preset", "sine", "--levels", "3,3,3"],
 ])
 def test_bad_flag_values_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pdeabcd.dual_solver import SolverConfig, solve
-from pdeabcd.mesh import build_unit_square_mesh
 from pdeabcd.presets import PRESETS, make_instance, preset_names
 
 
@@ -57,14 +56,6 @@ def test_overrides():
 def test_unknown_preset():
     with pytest.raises(KeyError, match="unknown preset"):
         make_instance("nope", 2)
-
-
-def test_mesh_object_and_shared_ops():
-    mesh = build_unit_square_mesh(3)
-    a = make_instance("sine", mesh)
-    assert a.ops.mesh is mesh
-    b = make_instance("zero", 99, ops=a.ops)  # level ignored when ops given
-    assert b.ops is a.ops
 
 
 def test_bad_overrides_rejected():

@@ -123,19 +123,27 @@ def test_dual_solver_never_factors_an_indefinite_matrix(monkeypatch):
     assert lam_max_majorizer(inst) > 0.0
 
 
-def test_operators_own_their_factorizations():
+def test_operators_own_their_factorizations(monkeypatch):
     ops = assemble(build_unit_square_mesh(2))
     assert ops.mass_factor() is ops.mass_factor()
     assert ops.mass_full_factor() is ops.mass_full_factor()
     assert ops.stiffness_factor() is ops.stiffness_factor()
-    alpha = 1e-2
-    assert ops.augmented(alpha) is ops.augmented(alpha)
-    assert ops.augmented(2 * alpha) is not ops.augmented(alpha)
-    # instances built on shared operators share their factors
-    a = make_instance("sine", 2, ops=ops)
-    b = make_instance("shifted", 2, ops=ops)
-    assert a.ops.stiffness_factor() is b.ops.stiffness_factor()
-    assert a.ops.augmented(alpha) is b.ops.augmented(alpha)
+    # the p-solve depends on alpha, so each instance owns its own, built once
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return AugmentedSolver(*args)
+
+    monkeypatch.setattr(dual_solver, "AugmentedSolver", counting)
+    a = make_instance("sine", 2, alpha=1e-2)
+    b = make_instance("sine", 2, alpha=2e-2)
+    dual_solver.solve(a, dual_solver.SolverConfig(max_iters=3, tol=0.0))
+    lam_max_majorizer(a)
+    assert len(built) == 1
+    assert a.psolve is not b.psolve
+    assert a.psolve.s != b.psolve.s
+    assert len(built) == 2
 
 
 def test_power_iteration_diagonal():
