@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual_solver, oracle
-from .assembly import assemble, l1h_norm, l1_norm_exact, norms
+from .assembly import (LUMPED_MASS_GAMMA, assemble, l1h_norm,
+                       l1_norm_exact, norms)
 from .dual_solver import DualIterate, ProblemInstance, RunRecord, SolverConfig
 from .mesh import Mesh, build_unit_square_mesh, prolongate_nodal
 from .presets import make_instance
@@ -278,10 +279,16 @@ def _level_result(preset: str, level: int, epsilon: float,
     return row, (inst.ops.mesh, z_star)
 
 
-def check_levels(levels, tau_proxy_level: int | None = None) -> list[int]:
+def check_experiment(levels, epsilon: float, run_max_iters: int,
+                     tau_proxy_level: int | None = None) -> list[int]:
     """Sorted levels of a mesh-independence run; ``ValueError`` unless they
-    are two or more and distinct, and ``tau_proxy_level``, if given, is no
+    are two or more and distinct, ``epsilon`` is positive (NaN is not),
+    ``run_max_iters`` is at least 1, and ``tau_proxy_level``, if given, is no
     coarser than the coarsest level, which every start is prolongated from."""
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if run_max_iters < 1:
+        raise ValueError(f"run_max_iters must be >= 1, got {run_max_iters}")
     levels = sorted(int(l) for l in levels)
     if len(levels) < 2:
         raise ValueError("need at least two levels to compare")
@@ -312,9 +319,7 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")
-    levels = check_levels(levels, tau_proxy_level)
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    levels = check_experiment(levels, epsilon, run_max_iters, tau_proxy_level)
     params = dict(alpha=alpha, beta=beta, box=box)
     coarse_inst = make_instance(preset, levels[0], **params)
 
@@ -337,27 +342,13 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
     if tau_proxy_level is not None:
         if tau_proxy_level < levels[-1]:
             warm = None
-        proxy = tau_h_at_level(preset, tau_proxy_level, coarse_inst,
-                               warm=warm, **params)
+        *_, proxy = _optimum_at(preset, tau_proxy_level, coarse_inst, warm,
+                                200_000, **params)
         c, ok = fit_tau_constant(rows, proxy)
         report.fitted_c = c
         report.tau_proxy = proxy
         report.passed = report.passed and ok
     return report
-
-
-def tau_h_at_level(preset: str, level: int, coarse_inst: ProblemInstance,
-                   *, alpha=None, beta=None, box=None,
-                   warm: tuple | None = None) -> float:
-    """tau_h for the standard prolongated start at one level.
-
-    ``coarse_inst`` is the preset's instance at the coarsest level of the
-    hierarchy.  ``warm`` is an optional ``(mesh, z_star)`` pair from a level
-    no finer than ``level`` that seeds the reference solve.
-    """
-    *_, tau_h = _optimum_at(preset, level, coarse_inst, warm, 200_000,
-                            alpha=alpha, beta=beta, box=box)
-    return tau_h
 
 
 def fit_tau_constant(rows: list[LevelResult],
@@ -398,15 +389,15 @@ class SpectralScalingReport:
         max_k = np.array([r.lam_max_k for r in rows])
         max_sh = np.array([r.lam_max_sh for r in rows]) / h2
         sh_raw = np.array([r.lam_max_sh for r in rows])
-        out = {
+        out = {key: bool(ok) for key, ok in {
             "mass_max_window2": max_m.max() <= 2.0 * max_m.min(),
             "mass_min_window2": min_m.max() <= 2.0 * min_m.min(),
             "stiffness_min_window2": min_k.max() <= 2.0 * min_k.min(),
             "stiffness_max_stable": abs(max_k[-1] - max_k[-2])
             <= 0.10 * max_k[-2] if len(rows) >= 2 else True,
             "majorizer_window2": max_sh.max() <= 2.0 * max_sh.min(),
-            "majorizer_decreasing": bool(np.all(np.diff(sh_raw) < 0.0)),
-        }
+            "majorizer_decreasing": np.all(np.diff(sh_raw) < 0.0),
+        }.items()}
         out["all"] = all(out.values())
         return out
 
@@ -419,8 +410,8 @@ def spectral_scaling_report(levels,
         inst = make_instance("sine", level, alpha=alpha)
         ops = inst.ops
         n = inst.n
-        m_fact = ops.mass_factor()
-        k_fact = ops.stiffness_factor()
+        m_fact = ops.mass_factor
+        k_fact = ops.stiffness_factor
         lam_max_m, _ = power_iteration_extremes(lambda v: ops.M @ v, n)
         inv_max, _ = power_iteration_extremes(m_fact.solve, n)
         lam_max_k, _ = power_iteration_extremes(lambda v: ops.K @ v, n)
@@ -438,7 +429,7 @@ def spectral_scaling_report(levels,
 
 
 def lumped_mass_comparison_check(levels, samples: int = 1000,
-                                 gamma: float = 4.0,
+                                 gamma: float = LUMPED_MASS_GAMMA,
                                  seed: int = 0) -> dict:
     """Sandwich check ``||z||_M^2 <= ||z||_W^2 <= gamma ||z||_M^2``.
 
@@ -520,7 +511,7 @@ def operator_bound_check(levels, alpha: float = 1e-2) -> dict:
         aug = AugmentedSolver(ops.K, ops.M, alpha)
 
         def g_apply(v):
-            mv = ops.mass_factor().solve(ops.K @ v)
+            mv = ops.mass_factor.solve(ops.K @ v)
             return ops.M @ v + alpha * (ops.K @ mv)
 
         def g_inv(v):

@@ -15,7 +15,8 @@ dual variables live on the interior index set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.io
@@ -23,6 +24,10 @@ import scipy.sparse as sp
 
 from .mesh import Mesh, triangle_areas
 from .sparse_linalg import Factorization, canonicalize, factorize_spd
+
+# lumped-mass comparison constant of the mesh family: z'Wz <= 4 z'Mz for
+# P1 triangles in the plane
+LUMPED_MASS_GAMMA = 4.0
 
 _ELEMENT_MASS_PATTERN = np.array([
     [2.0, 1.0, 1.0],
@@ -56,9 +61,11 @@ class FemOperators:
     ``M`` are their interior blocks (Dirichlet elimination).  ``K_full`` is
     the Laplacian stiffness of the state equation and of the H1 norm, and
     ``restrict(W_full)`` gives the interior lumped mass.  The operators own
-    their SPD factorizations of ``M``, ``M_full`` and ``K``: each is built on
-    first use and kept for the life of the operators.  The p-solve depends on
-    alpha, so the problem instance owns it (``ProblemInstance.psolve``).
+    the SPD factorizations of ``M``, ``M_full`` and ``K`` as the cached
+    properties ``mass_factor``, ``mass_full_factor`` and
+    ``stiffness_factor``: each is built on first read and kept for the life
+    of the operators.  The p-solve depends on alpha, so the problem instance
+    owns it (``ProblemInstance.psolve``).
     """
 
     mesh: Mesh
@@ -68,27 +75,22 @@ class FemOperators:
     interior: np.ndarray
     K: sp.csr_matrix
     M: sp.csr_matrix
-    _spd: dict[str, Factorization] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_interior(self) -> int:
         return self.interior.size
 
-    def _spd_factor(self, name: str) -> Factorization:
-        fact = self._spd.get(name)
-        if fact is None:
-            fact = self._spd[name] = factorize_spd(getattr(self, name))
-        return fact
-
+    @cached_property
     def mass_factor(self) -> Factorization:
-        return self._spd_factor("M")
+        return factorize_spd(self.M)
 
+    @cached_property
     def mass_full_factor(self) -> Factorization:
-        return self._spd_factor("M_full")
+        return factorize_spd(self.M_full)
 
+    @cached_property
     def stiffness_factor(self) -> Factorization:
-        return self._spd_factor("K")
+        return factorize_spd(self.K)
 
     def pad(self, u_int: np.ndarray) -> np.ndarray:
         """Embed an interior vector into the full node set with zero boundary."""

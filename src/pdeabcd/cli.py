@@ -28,7 +28,6 @@ from .mesh import MeshSizeError, dump_mesh
 from .presets import make_instance, preset_names
 
 _BOOL_KEYS = {"check-bound", "dump-mesh", "dump-matrices", "timing"}
-_SUBCOMMANDS = ("solve", "mesh-indep", "checks")
 
 
 class UsageError(ValueError):
@@ -70,8 +69,10 @@ def load_config_tokens(path: str) -> list[str]:
 
     Keys mirror the long flags one to one (dashes or underscores); lines
     starting with '#' and blank lines are skipped.  Boolean keys accept
-    true/false style values.  Command-line flags override the file because
-    file tokens are injected before them.
+    true/false style values.  Each value is emitted as one ``--key=value``
+    token, so a value that starts with '-' is not read as a flag.
+    Command-line flags override the file because file tokens are injected
+    before them.
     """
     tokens: list[str] = []
     with open(path) as fh:
@@ -97,7 +98,7 @@ def load_config_tokens(path: str) -> list[str]:
                     raise UsageError(
                         f"{path}:{lineno}: boolean key {key} got {val!r}")
             else:
-                tokens.extend([f"--{key}", val])
+                tokens.append(f"--{key}={val}")
     return tokens
 
 
@@ -119,9 +120,7 @@ def _inject_config(argv: list[str]) -> list[str]:
             path = tok.split("=", 1)[1]
         else:
             rest.append(tok)
-    if path is None:
-        return argv
-    if not rest or rest[0] not in _SUBCOMMANDS:
+    if path is None or not rest:
         return argv
     return [rest[0]] + load_config_tokens(path) + rest[1:]
 
@@ -130,9 +129,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value file mirroring the flags; "
                      "explicit flags win")
     sub.add_argument("--out", help="directory for output files")
-    sub.add_argument("--timing", action="store_true",
-                     help="fill wall-clock columns (breaks byte-for-byte "
-                     "determinism of outputs)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,6 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(mi)
     mi.set_defaults(func=run_mesh_independence)
 
+    for sub in (sv, mi):
+        sub.add_argument("--timing", action="store_true",
+                         help="fill wall-clock columns (breaks byte-for-byte "
+                         "determinism of outputs)")
+
     ck = subs.add_parser("checks",
                          help="randomized matrix/norm/spectral properties")
     ck.add_argument("--levels", type=_parse_levels, default=[2, 3, 4],
@@ -196,16 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _jsonable(obj):
-    """numpy scalars leak into report dicts; json refuses them"""
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _write_json(path: str, obj: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -213,10 +207,7 @@ def _dump_divergence(err: DivergenceError, outdir: str | None) -> str:
     outdir = outdir or "."
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, "divergence.npz")
-    if err.iterate is not None:
-        lam, p, mu = err.iterate.blocks()
-    else:
-        lam = p = mu = np.zeros(0)
+    lam, p, mu = err.iterate.blocks()
     np.savez(path, k=np.array([err.k]), lam=lam, p=p, mu=mu)
     return path
 
@@ -243,10 +234,10 @@ def run_solve(args) -> int:
         z_star, phi_star = analysis.reference_optimum(inst)
         z0 = dual_solver.DualIterate.for_instance(inst)
         tau_h = analysis.compute_tau_h(inst, z0, z_star)
-        record.tau_h = tau_h
         bound_ok, margin = analysis.verify_complexity_bound(
             record, tau_h, phi_star)
-        bound_fields = {"phi_star": phi_star, "bound_ok": bool(bound_ok),
+        bound_fields = {"phi_star": phi_star, "tau_h": tau_h,
+                        "bound_ok": bool(bound_ok),
                         "bound_min_margin": margin}
         verdict = "PASS" if bound_ok else "FAIL"
         print(f"bound check: {verdict} tau_h={tau_h!r} "
@@ -289,16 +280,14 @@ def run_solve(args) -> int:
 
 
 def run_mesh_independence(args) -> int:
-    if args.eps is None or not args.eps > 0.0:
-        raise UsageError(f"--eps must be positive, got {args.eps}")
     if len(args.levels) < 3:
         raise UsageError("--levels needs at least three levels")
-    if args.max_iters < 1:
-        raise UsageError(f"--max-iters must be >= 1, got {args.max_iters}")
-    # the library's checks on the levels and tau proxy level, and those the
-    # coarsest instance runs on its level, alpha, beta and box
+    # the library's checks on the levels, epsilon, iteration cap and tau
+    # proxy level, and those the coarsest instance runs on its level,
+    # alpha, beta and box
     try:
-        analysis.check_levels(args.levels, args.tau_proxy_level)
+        analysis.check_experiment(args.levels, args.eps, args.max_iters,
+                                  args.tau_proxy_level)
         make_instance(args.preset, min(args.levels), alpha=args.alpha,
                       beta=args.beta, box=args.box)
     except ValueError as err:

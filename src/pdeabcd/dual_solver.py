@@ -41,14 +41,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .assembly import FemOperators
+from .assembly import LUMPED_MASS_GAMMA, FemOperators
 from .sparse_linalg import AugmentedSolver
 
 
 class DivergenceError(RuntimeError):
     """Iterates left the finite range; carries the offending state."""
 
-    def __init__(self, message: str, k: int, iterate: "DualIterate | None" = None):
+    def __init__(self, message: str, k: int, iterate: "DualIterate"):
         super().__init__(message)
         self.k = k
         self.iterate = iterate
@@ -60,8 +60,7 @@ class ProblemInstance:
 
     ``y_d`` is an interior nodal vector (tracking target for the Dirichlet
     state); ``y_r`` is a full nodal vector (source shift, control-like).
-    ``gamma`` is the lumped-mass comparison constant of the mesh family
-    (4 for triangles in the plane).
+    ``gamma`` is the lumped-mass comparison constant of the mesh family.
     """
 
     ops: FemOperators
@@ -70,7 +69,7 @@ class ProblemInstance:
     box: tuple[float, float]
     y_d: np.ndarray
     y_r: np.ndarray
-    gamma: float = 4.0
+    gamma: float = LUMPED_MASS_GAMMA
     name: str = "custom"
 
     def __post_init__(self):
@@ -170,7 +169,6 @@ class RunRecord:
     converged: bool
     iterations: int
     stop_reason: str
-    tau_h: float | None = None
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -183,7 +181,7 @@ class RunRecord:
     def summary(self, prob: ProblemInstance) -> dict:
         u_l2m = float(np.sqrt(self.u @ (prob.ops.M_full @ self.u)))
         y_l2m = float(np.sqrt(self.y @ (prob.ops.M @ self.y)))
-        out = {
+        return {
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
             "stop_reason": self.stop_reason,
@@ -195,9 +193,6 @@ class RunRecord:
             "y_l2M": y_l2m,
             "y_linf": float(np.abs(self.y).max()) if self.y.size else 0.0,
         }
-        if self.tau_h is not None:
-            out["tau_h"] = float(self.tau_h)
-        return out
 
 
 def support_box(s: np.ndarray, a: float, b: float) -> float:
@@ -219,7 +214,7 @@ def dual_objective(prob: ProblemInstance, lam, p, mu) -> float:
         return float("inf")
     ops = prob.ops
     r = ops.K @ p - ops.M @ prob.y_d
-    minv_r = ops.mass_factor().solve(r)
+    minv_r = ops.mass_factor.solve(r)
     coupling = lam + mu - ops.pad(p)
     val = 0.5 * float(r @ minv_r)
     val += 0.5 / prob.alpha * float(coupling @ (ops.M_full @ coupling))
@@ -240,7 +235,7 @@ def primal_value(prob: ProblemInstance, u: np.ndarray) -> float:
     """
     u = np.asarray(u, dtype=float)
     ops = prob.ops
-    y = ops.stiffness_factor().solve(ops.mass_interior_rows(u + prob.y_r))
+    y = ops.stiffness_factor.solve(ops.mass_interior_rows(u + prob.y_r))
     diff = y - prob.y_d
     val = 0.5 * float(diff @ (ops.M @ diff))
     val += 0.5 * prob.alpha * float(u @ (ops.M_full @ u))
@@ -307,7 +302,7 @@ def step_mu(prob: ProblemInstance, lam_new: np.ndarray, p_new: np.ndarray,
     v = ops.M_full @ mu_t \
         + (ops.W_full * (ops.pad(p_new) - lam_new - mu_t)) / prob.gamma
     xi = mu_xi_kernel(v, ops.W_full, *prob.box, prob.alpha, prob.gamma)
-    return ops.mass_full_factor().solve(xi)
+    return ops.mass_full_factor.solve(xi)
 
 
 def momentum(t: float) -> tuple[float, float]:
@@ -326,7 +321,7 @@ def recover_primal(prob: ProblemInstance, lam, p, mu) -> tuple[np.ndarray, np.nd
     ops = prob.ops
     u = (ops.pad(p) - np.asarray(lam, float)
          - np.asarray(mu, float)) / prob.alpha
-    y = ops.stiffness_factor().solve(ops.mass_interior_rows(u + prob.y_r))
+    y = ops.stiffness_factor.solve(ops.mass_interior_rows(u + prob.y_r))
     return u, y
 
 

@@ -58,10 +58,6 @@ class Mesh:
         return self.nodes.shape[0]
 
     @property
-    def n_triangles(self) -> int:
-        return self.triangles.shape[0]
-
-    @property
     def interior(self) -> np.ndarray:
         """Indices of interior nodes, in node order."""
         return np.flatnonzero(~self.boundary_mask)

@@ -126,7 +126,7 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
     n = prob.n_full
     n_int = prob.n
 
-    K_fact = ops.stiffness_factor()
+    K_fact = ops.stiffness_factor
     s0 = K_fact.solve(ops.mass_interior_rows(prob.y_r))
     # q = S' M (y_d - s0), the constant gradient shift of the smooth part
     p0 = K_fact.solve(ops.M @ (prob.y_d - s0))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble, interpolate_function
+from .assembly import LUMPED_MASS_GAMMA, assemble, interpolate_function
 from .dual_solver import ProblemInstance
 from .mesh import build_unit_square_mesh
 
@@ -54,7 +54,7 @@ def preset_names() -> list[str]:
 def make_instance(preset: str, level: int, *,
                   alpha: float | None = None, beta: float | None = None,
                   box: tuple[float, float] | None = None,
-                  gamma: float = 4.0) -> ProblemInstance:
+                  gamma: float = LUMPED_MASS_GAMMA) -> ProblemInstance:
     """Build a :class:`ProblemInstance` for a named preset at one mesh level.
 
     ``alpha``, ``beta``, and ``box`` override the preset defaults.  Each

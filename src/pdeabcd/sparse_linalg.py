@@ -7,8 +7,9 @@ definiteness checking for symmetric factorizations with a positive definite
 real part, a solver for ``(K M^{-1} K + (1/alpha) M) p = b`` that never
 forms ``M^{-1}`` explicitly, and deterministic power iteration for extreme
 eigenvalues.  The factorizations are held by their users: the SPD factors
-of the mass and stiffness matrices by ``assembly.FemOperators``, the p-solve
-by ``dual_solver.ProblemInstance``.
+of ``M``, ``M_full`` and ``K`` by the cached properties ``mass_factor``,
+``mass_full_factor`` and ``stiffness_factor`` of ``assembly.FemOperators``,
+the p-solve by ``dual_solver.ProblemInstance.psolve``.
 """
 
 from __future__ import annotations

@@ -257,7 +257,7 @@ def test_criterion_09_block_stationarity():
 
         o = prob.ops
         # stationarity in p of the joint block objective
-        g_p = o.K @ o.mass_factor().solve(o.K @ p - o.M @ prob.y_d) \
+        g_p = o.K @ o.mass_factor.solve(o.K @ p - o.M @ prob.y_d) \
             + o.mass_interior_rows(prob.y_r) \
             - o.mass_interior_rows(lam + mu_t - o.pad(p)) / prob.alpha
         worst_p = max(worst_p, float(np.abs(g_p).max()))

@@ -58,7 +58,7 @@ def test_apply_g_inverse(sine2, rng):
     x = apply_g_inverse(sine2, b)
     ops = sine2.ops
     lhs = ops.M @ x + sine2.alpha * (
-        ops.K @ ops.mass_factor().solve(ops.K @ x))
+        ops.K @ ops.mass_factor.solve(ops.K @ x))
     assert np.allclose(lhs, b, atol=1e-9 * (1.0 + np.abs(b).max()))
 
 
@@ -263,12 +263,6 @@ def test_operator_bound_check():
     assert out["passed"]
 
 
-def test_tau_h_at_level_positive():
-    tau = analysis.tau_h_at_level("sine", 3, make_instance("sine", 2))
-    assert tau > 0.0
-    assert np.isfinite(tau)
-
-
 def test_mesh_independence_builds_each_level_once(monkeypatch):
     built = []
 
@@ -277,14 +271,18 @@ def test_mesh_independence_builds_each_level_once(monkeypatch):
         return make_instance(preset, level, **kwargs)
 
     monkeypatch.setattr(analysis, "make_instance", counting)
-    mesh_independence_experiment("sine", [2, 3, 4], tau_proxy_level=5)
+    rep = mesh_independence_experiment("sine", [2, 3, 4], tau_proxy_level=5)
     assert sorted(built) == [2, 3, 4, 5]
+    assert rep.tau_proxy > 0.0
+    assert np.isfinite(rep.tau_proxy)
 
 
 @pytest.mark.parametrize("levels, kwargs", [
     ([2, 3, 4], {"jobs": 2}),
     ([3, 3, 3], {}),
     ([3, 4, 5], {"tau_proxy_level": 2}),
+    ([2, 3, 4], {"epsilon": float("nan")}),
+    ([2, 3, 4], {"run_max_iters": 0}),
 ])
 def test_mesh_independence_rejects_bad_input_before_building(
         monkeypatch, levels, kwargs):

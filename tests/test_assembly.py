@@ -164,12 +164,12 @@ def test_mass_interior_rows(ops3, rng):
 
 def test_factors_solve(ops3, rng):
     b = rng.standard_normal(ops3.n_interior)
-    x = ops3.mass_factor().solve(b)
+    x = ops3.mass_factor.solve(b)
     assert np.allclose(ops3.M @ x, b, atol=1e-11)
-    y = ops3.stiffness_factor().solve(b)
+    y = ops3.stiffness_factor.solve(b)
     assert np.allclose(ops3.K @ y, b, atol=1e-10)
     bf = rng.standard_normal(ops3.mesh.n_nodes)
-    xf = ops3.mass_full_factor().solve(bf)
+    xf = ops3.mass_full_factor.solve(bf)
     assert np.allclose(ops3.M_full @ xf, bf, atol=1e-11)
 
 

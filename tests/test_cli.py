@@ -122,6 +122,10 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mesh-indep", "--preset", "zero", "--jobs", "2"])
     assert exc.value.code == 2
+    # --timing fills wall-clock columns, and checks writes none
+    with pytest.raises(SystemExit) as exc:
+        main(["checks", "--timing"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -142,6 +146,7 @@ def test_usage_errors(capsys):
     ["mesh-indep", "--preset", "sine", "--levels", "3,4,5",
      "--tau-proxy-level", "2"],
     ["mesh-indep", "--preset", "sine", "--levels", "3,3,3"],
+    ["mesh-indep", "--preset", "sine", "--levels", "2,3,4", "--eps", "nan"],
 ])
 def test_bad_flag_values_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -185,6 +190,7 @@ def test_config_file_flags_win(tmp_path, capsys):
         "preset = zero\n"
         "level = 4\n"
         "max_iters = 50  # underscores map to dashes\n"
+        "box = -0.5,0.5  # a value starting with '-' is not a flag\n"
         "\n"
         "dump-mesh = true\n"
     )
@@ -195,6 +201,8 @@ def test_config_file_flags_win(tmp_path, capsys):
     assert (out / "mesh.json").exists()
     mesh = json.loads((out / "mesh.json").read_text())
     assert mesh["level"] == 2  # explicit flag beats the file's level=4
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["box"] == [-0.5, 0.5]
 
 
 def test_config_file_errors(tmp_path):

@@ -26,7 +26,7 @@ def test_counts(level):
     mesh = build_unit_square_mesh(level)
     n = 2**level
     assert mesh.n_nodes == (n + 1) ** 2
-    assert mesh.n_triangles == 2 * n * n
+    assert mesh.triangles.shape[0] == 2 * n * n
     assert mesh.h == pytest.approx(np.sqrt(2.0) / n)
 
 
@@ -168,7 +168,7 @@ def test_mesh_to_dict_and_dump(tmp_path):
     d = mesh_to_dict(mesh)
     assert d["level"] == 2
     assert len(d["nodes"]) == mesh.n_nodes
-    assert len(d["triangles"]) == mesh.n_triangles
+    assert len(d["triangles"]) == mesh.triangles.shape[0]
     path = tmp_path / "mesh.json"
     dump_mesh(mesh, path)
     import json

@@ -91,7 +91,7 @@ def test_augmented_solver_identity(rng, level, alpha):
     aug = AugmentedSolver(ops.K, ops.M, alpha)
     b = rng.standard_normal(ops.n_interior)
     x = aug.solve(b)
-    lhs = ops.K @ ops.mass_factor().solve(ops.K @ x) + (ops.M @ x) / alpha
+    lhs = ops.K @ ops.mass_factor.solve(ops.K @ x) + (ops.M @ x) / alpha
     assert np.allclose(lhs, b, atol=1e-9 * (1.0 + np.abs(b).max()))
 
 
@@ -125,9 +125,9 @@ def test_dual_solver_never_factors_an_indefinite_matrix(monkeypatch):
 
 def test_operators_own_their_factorizations(monkeypatch):
     ops = assemble(build_unit_square_mesh(2))
-    assert ops.mass_factor() is ops.mass_factor()
-    assert ops.mass_full_factor() is ops.mass_full_factor()
-    assert ops.stiffness_factor() is ops.stiffness_factor()
+    assert ops.mass_factor is ops.mass_factor
+    assert ops.mass_full_factor is ops.mass_full_factor
+    assert ops.stiffness_factor is ops.stiffness_factor
     # the p-solve depends on alpha, so each instance owns its own, built once
     built = []
 
