@@ -263,6 +263,14 @@ def test_operator_bound_check():
     assert out["passed"]
 
 
+def test_tau_h_at_level_positive():
+    # the tau proxy route: prolongated start, reference optimum, tau_h
+    *_, tau = analysis._optimum_at("sine", 3, make_instance("sine", 2),
+                                   None, 200_000)
+    assert tau > 0.0
+    assert np.isfinite(tau)
+
+
 def test_mesh_independence_builds_each_level_once(monkeypatch):
     built = []
 
