@@ -32,7 +32,7 @@ from .dual_solver import (
     recover_primal,
     solve,
 )
-from .mesh import Mesh, MeshSizeError, build_unit_square_mesh, \
+from .mesh import InputError, Mesh, MeshSizeError, build_unit_square_mesh, \
     prolongate_nodal
 from .oracle import (
     CertifiedOptimum,
@@ -52,6 +52,7 @@ __all__ = [
     "DivergenceError",
     "DualIterate",
     "FemOperators",
+    "InputError",
     "Mesh",
     "MeshSizeError",
     "ProblemInstance",

@@ -24,9 +24,9 @@ from . import dual_solver, oracle
 from .assembly import (LUMPED_MASS_GAMMA, assemble, l1h_norm,
                        l1_norm_exact, norms)
 from .dual_solver import DualIterate, ProblemInstance, RunRecord, SolverConfig
-from .mesh import Mesh, build_unit_square_mesh, prolongate_nodal
+from .mesh import InputError, Mesh, build_unit_square_mesh, prolongate_nodal
 from .presets import make_instance
-from .sparse_linalg import AugmentedSolver, power_iteration_extremes
+from .sparse_linalg import power_iteration_extremes
 
 ORACLE_CAP = 4000
 
@@ -259,7 +259,7 @@ def _level_result(preset: str, level: int, epsilon: float,
     lam_max_sh = lam_max_majorizer(inst)
 
     target = phi_star + epsilon * (1.0 + abs(phi_star))
-    config = SolverConfig(max_iters=run_max_iters, tol=0.0, log_every=1,
+    config = SolverConfig(max_iters=run_max_iters, tol=0.0, log_every=0,
                           check_every=5, phi_target=target)
     run = dual_solver.solve(inst, config, z0=z0)
     reached = run.converged
@@ -279,27 +279,6 @@ def _level_result(preset: str, level: int, epsilon: float,
     return row, (inst.ops.mesh, z_star)
 
 
-def check_experiment(levels, epsilon: float, run_max_iters: int,
-                     tau_proxy_level: int | None = None) -> list[int]:
-    """Sorted levels of a mesh-independence run; ``ValueError`` unless they
-    are two or more and distinct, ``epsilon`` is positive (NaN is not),
-    ``run_max_iters`` is at least 1, and ``tau_proxy_level``, if given, is no
-    coarser than the coarsest level, which every start is prolongated from."""
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if run_max_iters < 1:
-        raise ValueError(f"run_max_iters must be >= 1, got {run_max_iters}")
-    levels = sorted(int(l) for l in levels)
-    if len(levels) < 2:
-        raise ValueError("need at least two levels to compare")
-    if len(set(levels)) < len(levels):
-        raise ValueError(f"levels must be distinct, got {levels}")
-    if tau_proxy_level is not None and tau_proxy_level < levels[0]:
-        raise ValueError(f"tau proxy level {tau_proxy_level} is coarser "
-                         f"than the coarsest level {levels[0]}")
-    return levels
-
-
 def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
                                  *, jobs: int = 1,
                                  run_max_iters: int = 50_000,
@@ -314,12 +293,24 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
     passes when no level saturates and all counts lie within 20 percent of
     their median.  The coarsest level's instance is built once and serves
     every row and the tau proxy; each level's optimum seeds the next one's
-    reference solve.  ``jobs`` must be 1.  Bad input raises ``ValueError``
-    before any instance is built.
+    reference solve.  ``jobs`` must be 1, and the tau proxy level no coarser
+    than the coarsest level, which every start is prolongated from.  Bad
+    input raises ``InputError`` before any instance is built.
     """
     if jobs != 1:
-        raise ValueError(f"jobs must be 1, got {jobs}")
-    levels = check_experiment(levels, epsilon, run_max_iters, tau_proxy_level)
+        raise InputError(f"jobs must be 1, got {jobs}")
+    if not epsilon > 0.0:
+        raise InputError(f"epsilon must be positive, got {epsilon}")
+    if not run_max_iters >= 1:
+        raise InputError(f"run_max_iters must be >= 1, got {run_max_iters}")
+    levels = sorted(int(l) for l in levels)
+    if len(levels) < 2:
+        raise InputError("need at least two levels to compare")
+    if len(set(levels)) < len(levels):
+        raise InputError(f"levels must be distinct, got {levels}")
+    if tau_proxy_level is not None and not tau_proxy_level >= levels[0]:
+        raise InputError(f"tau proxy level {tau_proxy_level} is coarser "
+                         f"than the coarsest level {levels[0]}")
     params = dict(alpha=alpha, beta=beta, box=box)
     coarse_inst = make_instance(preset, levels[0], **params)
 
@@ -506,19 +497,16 @@ def operator_bound_check(levels, alpha: float = 1e-2) -> dict:
     levels = sorted(int(l) for l in levels)
     rows = []
     for level in levels:
-        ops = assemble(build_unit_square_mesh(level))
-        n = ops.n_interior
-        aug = AugmentedSolver(ops.K, ops.M, alpha)
+        inst = make_instance("sine", level, alpha=alpha)
+        ops = inst.ops
 
         def g_apply(v):
             mv = ops.mass_factor.solve(ops.K @ v)
             return ops.M @ v + alpha * (ops.K @ mv)
 
-        def g_inv(v):
-            return aug.solve(v / alpha)
-
-        g_max, _ = power_iteration_extremes(g_apply, n)
-        ginv_max, _ = power_iteration_extremes(g_inv, n)
+        g_max, _ = power_iteration_extremes(g_apply, inst.n)
+        ginv_max, _ = power_iteration_extremes(
+            lambda v: apply_g_inverse(inst, v), inst.n)
         h = ops.mesh.h
         rows.append({
             "level": level,

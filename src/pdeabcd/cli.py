@@ -5,11 +5,12 @@ preset instance and writes a per-iteration CSV plus a JSON summary;
 ``mesh-indep`` measures iterations-to-accuracy across a mesh hierarchy;
 ``checks`` runs the randomized matrix and norm property suites.
 
-Exit codes: 0 all good, 2 usage error, 3 solver divergence, 4 a checked
-criterion failed.  Output files are byte-identical across repeated runs
-with the same flags; wall-clock columns are only filled under --timing.
-The PDEABCD_SEED environment variable fixes the seed of the randomized
-check suites.
+Exit codes: 0 all good, 2 bad input (a value that a rule of the library
+or of this module rejects with ``InputError``), 3 solver divergence, 4 a
+checked criterion failed; any other exception propagates.  Output files
+are byte-identical across repeated runs with the same flags; wall-clock
+columns are only filled under --timing.  The PDEABCD_SEED environment
+variable fixes the seed of the randomized check suites.
 """
 
 from __future__ import annotations
@@ -24,14 +25,10 @@ import numpy as np
 from . import analysis, dual_solver
 from .assembly import dump_operators
 from .dual_solver import DivergenceError, SolverConfig
-from .mesh import MeshSizeError, dump_mesh
+from .mesh import InputError, dump_mesh
 from .presets import make_instance, preset_names
 
 _BOOL_KEYS = {"check-bound", "dump-mesh", "dump-matrices", "timing"}
-
-
-class UsageError(ValueError):
-    """Bad flag values detected after parsing."""
 
 
 def _parse_box(text: str) -> tuple[float, float]:
@@ -61,7 +58,7 @@ def _env_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise UsageError(f"PDEABCD_SEED must be an integer, got {raw!r}")
+        raise InputError(f"PDEABCD_SEED must be an integer, got {raw!r}")
 
 
 def load_config_tokens(path: str) -> list[str]:
@@ -81,13 +78,13 @@ def load_config_tokens(path: str) -> list[str]:
             if not line:
                 continue
             if "=" not in line:
-                raise UsageError(
+                raise InputError(
                     f"{path}:{lineno}: expected key=value, got {line!r}")
             key, val = line.split("=", 1)
             key = key.strip().replace("_", "-")
             val = val.strip()
             if key == "config":
-                raise UsageError(f"{path}:{lineno}: config cannot nest")
+                raise InputError(f"{path}:{lineno}: config cannot nest")
             if key in _BOOL_KEYS:
                 low = val.lower()
                 if low in ("1", "true", "yes", "on"):
@@ -95,7 +92,7 @@ def load_config_tokens(path: str) -> list[str]:
                 elif low in ("0", "false", "no", "off"):
                     pass
                 else:
-                    raise UsageError(
+                    raise InputError(
                         f"{path}:{lineno}: boolean key {key} got {val!r}")
             else:
                 tokens.append(f"--{key}={val}")
@@ -113,7 +110,7 @@ def _inject_config(argv: list[str]) -> list[str]:
             continue
         if tok == "--config":
             if i + 1 >= len(argv):
-                raise UsageError("--config needs a file argument")
+                raise InputError("--config needs a file argument")
             path = argv[i + 1]
             skip = True
         elif tok.startswith("--config="):
@@ -213,15 +210,10 @@ def _dump_divergence(err: DivergenceError, outdir: str | None) -> str:
 
 
 def run_solve(args) -> int:
-    # bad flag values fail the library's own checks here; a ValueError
-    # raised later in the run is an internal error and propagates
-    try:
-        inst = make_instance(args.preset, args.level, alpha=args.alpha,
-                             beta=args.beta, box=args.box)
-        config = SolverConfig(max_iters=args.max_iters, tol=args.tol,
-                              timing=args.timing)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    inst = make_instance(args.preset, args.level, alpha=args.alpha,
+                         beta=args.beta, box=args.box)
+    config = SolverConfig(max_iters=args.max_iters, tol=args.tol,
+                          timing=args.timing)
     record = dual_solver.solve(inst, config)
 
     print(f"preset={inst.name} level={args.level} n={inst.n} "
@@ -281,18 +273,7 @@ def run_solve(args) -> int:
 
 def run_mesh_independence(args) -> int:
     if len(args.levels) < 3:
-        raise UsageError("--levels needs at least three levels")
-    # the library's checks on the levels, epsilon, iteration cap and tau
-    # proxy level, and those the coarsest instance runs on its level,
-    # alpha, beta and box
-    try:
-        analysis.check_experiment(args.levels, args.eps, args.max_iters,
-                                  args.tau_proxy_level)
-        make_instance(args.preset, min(args.levels), alpha=args.alpha,
-                      beta=args.beta, box=args.box)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
-
+        raise InputError("--levels needs at least three levels")
     report = analysis.mesh_independence_experiment(
         args.preset, args.levels, args.eps,
         run_max_iters=args.max_iters, timing=args.timing,
@@ -318,9 +299,9 @@ def run_mesh_independence(args) -> int:
 
 def run_checks(args) -> int:
     if len(args.levels) < 2:
-        raise UsageError("--levels needs at least two levels")
+        raise InputError("--levels needs at least two levels")
     if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+        raise InputError(f"--samples must be >= 1, got {args.samples}")
     seed = _env_seed()
 
     sandwich = analysis.lumped_mass_comparison_check(
@@ -384,13 +365,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         argv = _inject_config(argv)
-    except (UsageError, OSError) as err:
+    except (InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, MeshSizeError) as err:
+    except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except DivergenceError as err:

@@ -42,6 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import LUMPED_MASS_GAMMA, FemOperators
+from .mesh import InputError
 from .sparse_linalg import AugmentedSolver
 
 
@@ -75,13 +76,13 @@ class ProblemInstance:
     def __post_init__(self):
         a, b = self.box
         if not (a <= 0.0 <= b):
-            raise ValueError(f"box [{a}, {b}] must contain 0")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        if self.gamma <= 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+            raise InputError(f"box [{a}, {b}] must contain 0")
+        if not self.alpha > 0.0:
+            raise InputError(f"alpha must be positive, got {self.alpha}")
+        if not self.beta >= 0.0:
+            raise InputError(f"beta must be nonnegative, got {self.beta}")
+        if not self.gamma > 1.0:
+            raise InputError(f"gamma must exceed 1, got {self.gamma}")
         self.y_d = np.asarray(self.y_d, dtype=float)
         self.y_r = np.asarray(self.y_r, dtype=float)
         if self.y_d.shape != (self.ops.n_interior,):
@@ -146,12 +147,12 @@ class SolverConfig:
     phi_target: float | None = None
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
-        if self.log_every < 0 or self.check_every < 1:
-            raise ValueError("bad logging or checking cadence")
+        if not self.max_iters >= 1:
+            raise InputError("max_iters must be at least 1")
+        if not self.tol >= 0:
+            raise InputError(f"tol must be nonnegative, got {self.tol}")
+        if not (self.log_every >= 0 and self.check_every >= 1):
+            raise InputError("bad logging or checking cadence")
 
 
 @dataclass

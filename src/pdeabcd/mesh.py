@@ -21,7 +21,11 @@ import numpy as np
 MAX_LEVEL = 12
 
 
-class MeshSizeError(ValueError):
+class InputError(ValueError):
+    """A parameter the caller passed breaks a rule of the library."""
+
+
+class MeshSizeError(InputError):
     """Requested refinement level exceeds the memory guard."""
 
 
@@ -67,12 +71,13 @@ def build_unit_square_mesh(level: int) -> Mesh:
     """Build the level-``level`` uniform triangulation of the unit square.
 
     The mesh has ``(2**level + 1)**2`` nodes and ``2 * 4**level`` triangles.
-    Raises :class:`MeshSizeError` for levels above ``MAX_LEVEL``.
+    Raises :class:`InputError` for a negative level and its subclass
+    :class:`MeshSizeError` for levels above ``MAX_LEVEL``.
     """
     if not isinstance(level, (int, np.integer)):
         raise TypeError(f"level must be an integer, got {level!r}")
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
+    if not level >= 0:
+        raise InputError(f"level must be nonnegative, got {level}")
     if level > MAX_LEVEL:
         raise MeshSizeError(
             f"level {level} exceeds the guard MAX_LEVEL={MAX_LEVEL} "

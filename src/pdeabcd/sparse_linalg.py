@@ -91,7 +91,7 @@ class AugmentedSolver:
     """
 
     def __init__(self, K, M, alpha: float):
-        if alpha <= 0:
+        if not alpha > 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         self.n = K.shape[0]
         self.s = 1.0 / np.sqrt(alpha)

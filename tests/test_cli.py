@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, config files,
 determinism of written artifacts."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -114,7 +115,7 @@ def test_usage_errors(capsys):
         main(["solve", "--preset", "sine", "--box", "bad"])
     with pytest.raises(SystemExit):
         main(["nonsense"])
-    # UsageError paths return 2 instead of raising
+    # values that pass argparse but break a rule return 2 instead of raising
     assert main(["mesh-indep", "--preset", "zero", "--levels", "3,4,5",
                  "--eps", "0"]) == 2
     assert main(["mesh-indep", "--preset", "zero", "--levels", "3,4"]) == 2
@@ -140,6 +141,7 @@ def test_usage_errors(capsys):
     ["mesh-indep", "--preset", "sine", "--levels", "2,3,4",
      "--tau-proxy-level=-1"],
     ["checks", "--levels", "2,3,4", "--samples", "0"],
+    ["checks", "--levels", "2,3", "--samples", "5", "--alpha", "0"],
     ["mesh-indep", "--preset", "sine", "--levels", "2,3,4", "--alpha", "0"],
     ["mesh-indep", "--preset", "sine", "--levels", "2,3,4", "--beta", "-1"],
     ["mesh-indep", "--preset", "sine", "--levels", "2,3,4", "--box", "1,2"],
@@ -154,6 +156,49 @@ def test_bad_flag_values_exit_2(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+# bounded runs of each subcommand, so a flag its rules let through ends soon
+_BOUNDED_ARGS = {
+    "solve": ["--preset", "sine", "--level", "2", "--max-iters", "50"],
+    "mesh-indep": ["--preset", "sine", "--levels", "2,3,4"],
+    "checks": ["--levels", "2,3", "--samples", "5"],
+}
+
+
+def _float_flags():
+    subs = next(act for act in cli.build_parser()._actions
+                if isinstance(act, argparse._SubParsersAction))
+    return [(name, act.option_strings[0])
+            for name, sub in subs.choices.items()
+            for act in sub._actions if act.type is float]
+
+
+@pytest.mark.parametrize("command, flag", _float_flags())
+def test_float_flags_reject_nan(command, flag, tmp_path, capsys):
+    argv = [command, *_BOUNDED_ARGS[command], flag, "nan",
+            "--out", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+def test_mesh_indep_builds_coarsest_once(monkeypatch, capsys):
+    built = []
+
+    def counting(real):
+        def build(preset, level, **params):
+            built.append(level)
+            return real(preset, level, **params)
+        return build
+
+    for module in (cli, analysis):
+        monkeypatch.setattr(module, "make_instance",
+                            counting(module.make_instance))
+    assert main(["mesh-indep", "--preset", "zero", "--levels", "3,4,5"]) == 0
+    assert sorted(built) == [3, 4, 5]
 
 
 def test_value_error_during_run_propagates(monkeypatch):

@@ -28,6 +28,7 @@ from pdeabcd.dual_solver import (
     step_phat,
     support_box,
 )
+from pdeabcd.mesh import InputError
 from pdeabcd.presets import make_instance
 
 
@@ -151,6 +152,8 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(tol=-1.0)
+    with pytest.raises(InputError):
+        SolverConfig(tol=float("nan"))
     with pytest.raises(ValueError):
         SolverConfig(check_every=0)
     with pytest.raises(ValueError):

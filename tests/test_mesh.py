@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pdeabcd.mesh import (
     MAX_LEVEL,
+    InputError,
     Mesh,
     MeshSizeError,
     NestingError,
@@ -106,6 +107,7 @@ def test_quasi_uniformity_constants_level_independent():
 
 
 def test_level_guards():
+    assert issubclass(MeshSizeError, InputError)
     with pytest.raises(MeshSizeError):
         build_unit_square_mesh(MAX_LEVEL + 1)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pdeabcd.dual_solver import SolverConfig, solve
+from pdeabcd.mesh import InputError
 from pdeabcd.presets import PRESETS, make_instance, preset_names
 
 
@@ -65,6 +66,10 @@ def test_bad_overrides_rejected():
         make_instance("sine", 2, box=(0.1, 1.0))
     with pytest.raises(ValueError):
         make_instance("sine", 2, alpha=-1.0)
+    with pytest.raises(InputError):
+        make_instance("sine", 2, alpha=float("nan"))
+    with pytest.raises(InputError):
+        make_instance("sine", 2, beta=float("nan"))
 
 
 def test_zero_preset_solves_in_one_iteration():
