@@ -130,11 +130,16 @@ def prolongate_iterate(src_mesh: Mesh, z: DualIterate,
 
 def reference_solution(prob: ProblemInstance, max_iters: int = 200_000,
                        z0: DualIterate | None = None) -> tuple[DualIterate, float]:
-    """Dual solve to KKT residual 1e-8; returns (z_star, phi_star)."""
+    """Dual solve to KKT residual 1e-8; returns (z_star, phi_star).
+
+    The run only produces a reference optimum, so it restarts its momentum
+    (``SolverConfig.restart``); the runs whose sweeps are counted stay on
+    the unrestarted scheme that the value bound covers.
+    """
     config = SolverConfig(max_iters=max_iters, tol=1e-8, log_every=0,
-                          check_every=5)
+                          check_every=5, restart=True)
     run = dual_solver.solve(prob, config, z0=z0)
-    return run.final, dual_solver.dual_objective(prob, *run.final.blocks())
+    return run.final, float(run.phi[-1])
 
 
 def reference_optimum(prob: ProblemInstance, z0: DualIterate | None = None,

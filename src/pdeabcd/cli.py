@@ -28,7 +28,8 @@ from .dual_solver import DivergenceError, SolverConfig
 from .mesh import InputError, dump_mesh
 from .presets import make_instance, preset_names
 
-_BOOL_KEYS = {"check-bound", "dump-mesh", "dump-matrices", "timing"}
+_BOOL_KEYS = {"check-bound", "dump-mesh", "dump-matrices", "restart",
+              "timing"}
 
 
 def _parse_box(text: str) -> tuple[float, float]:
@@ -148,6 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--tol", type=float, default=1e-6,
                     help="KKT residual stop (default 1e-6)")
     sv.add_argument("--max-iters", type=int, default=10_000)
+    sv.add_argument("--restart", action="store_true",
+                    help="reset the momentum when a step turns against the "
+                    "last move (fewer sweeps; the value bound is proven "
+                    "only for the default unrestarted scheme)")
     sv.add_argument("--check-bound", action="store_true",
                     help="verify the accelerated value bound along the run "
                     "against a certified optimum")
@@ -213,7 +218,7 @@ def run_solve(args) -> int:
     inst = make_instance(args.preset, args.level, alpha=args.alpha,
                          beta=args.beta, box=args.box)
     config = SolverConfig(max_iters=args.max_iters, tol=args.tol,
-                          timing=args.timing)
+                          timing=args.timing, restart=args.restart)
     record = dual_solver.solve(inst, config)
 
     print(f"preset={inst.name} level={args.level} n={inst.n} "
@@ -239,7 +244,8 @@ def run_solve(args) -> int:
 
     print(f"converged={summary['converged']} "
           f"iterations={summary['iterations']} "
-          f"stop_reason={summary['stop_reason']}")
+          f"stop_reason={summary['stop_reason']} "
+          f"restarts={summary['restarts']}")
     print(f"kkt={summary['kkt']!r} phi={summary['phi']!r} "
           f"gap={summary['gap']!r}")
 
@@ -304,11 +310,13 @@ def run_checks(args) -> int:
         raise InputError(f"--samples must be >= 1, got {args.samples}")
     seed = _env_seed()
 
+    # first, so that its first instance rejects a bad --alpha before any
+    # sampling; each check seeds its own generator, so order is free
+    spectral = analysis.spectral_scaling_report(args.levels, alpha=args.alpha)
+    spect = spectral.checks()
     sandwich = analysis.lumped_mass_comparison_check(
         args.levels, samples=args.samples, seed=seed)
     l1 = analysis.l1_gap_check(args.levels, samples=args.samples, seed=seed)
-    spectral = analysis.spectral_scaling_report(args.levels, alpha=args.alpha)
-    spect = spectral.checks()
     opb = analysis.operator_bound_check(args.levels, alpha=args.alpha)
 
     rows = [

@@ -137,6 +137,14 @@ class SolverConfig:
     that value (used by the iterations-to-accuracy experiments).  With
     ``timing`` off (the default) recorded times are zero so that records and
     serialized outputs are bitwise reproducible.
+
+    ``restart`` resets the momentum (t = 1, so the next extrapolation is
+    zero) whenever the last step turns against the previous move, the
+    gradient test of O'Donoghue and Candes (2015).  The 4 tau_h / (k+1)^2
+    value bound is proven only for the unrestarted scheme, so every run
+    whose sweeps are counted or checked against it keeps the default off;
+    the long reference runs that only produce an optimum turn it on, since
+    it reaches the same residual in far fewer sweeps.
     """
 
     max_iters: int = 10000
@@ -145,6 +153,7 @@ class SolverConfig:
     check_every: int = 1
     timing: bool = False
     phi_target: float | None = None
+    restart: bool = False
 
     def __post_init__(self):
         if not self.max_iters >= 1:
@@ -170,6 +179,7 @@ class RunRecord:
     converged: bool
     iterations: int
     stop_reason: str
+    restarts: int = 0
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -186,6 +196,7 @@ class RunRecord:
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
             "stop_reason": self.stop_reason,
+            "restarts": int(self.restarts),
             "kkt": float(self.kkt[-1]) if self.kkt.size else None,
             "phi": float(self.phi[-1]) if self.phi.size else None,
             "gap": float(self.gap[-1]) if self.gap.size else None,
@@ -353,8 +364,10 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     checked for its size.  Logs the dual objective, the KKT residual, and
     the duality gap at the configured cadence and at the last iteration;
     stops on the KKT tolerance, on ``phi_target`` when set, or at
-    ``max_iters``.  Raises :class:`DivergenceError` when iterates become
-    non-finite.
+    ``max_iters``.  With ``config.restart`` the momentum is reset after
+    every sweep whose step turns against the previous move, and the resets
+    are counted in ``RunRecord.restarts``.  Raises
+    :class:`DivergenceError` when iterates become non-finite.
     """
     config = config or SolverConfig()
     if z0 is None:
@@ -372,6 +385,7 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
 
     lam_t, mu_t = lam_prev, mu_prev
     t = 1.0
+    restarts = 0
     t0 = time.perf_counter()
 
     ks: list[int] = []
@@ -424,6 +438,10 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
         if last:
             break
 
+        if config.restart and float((lam_t - lam) @ (lam - lam_prev)) \
+                + float((mu_t - mu) @ (mu - mu_prev)) > 0.0:
+            t = 1.0
+            restarts += 1
         t_next, beta_k = momentum(t)
         lam_t = lam + beta_k * (lam - lam_prev)
         mu_t = mu + beta_k * (mu - mu_prev)
@@ -442,4 +460,5 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
         converged=converged,
         iterations=k,
         stop_reason=stop_reason,
+        restarts=restarts,
     )

@@ -312,6 +312,31 @@ def test_checks_bad_gamma_fails(capsys, monkeypatch):
     assert "gamma=2.0" in out
 
 
+def test_checks_rejects_alpha_before_sampling(monkeypatch, capsys):
+    def sampled(*args, **kwargs):
+        raise AssertionError("sampled before the alpha rule ran")
+
+    monkeypatch.setattr(analysis, "lumped_mass_comparison_check", sampled)
+    assert main(["checks", "--alpha", "0", "--levels", "2,3,4,5,6"]) == 2
+
+
+def test_solve_restart_flag(tmp_path, capsys):
+    cfg = tmp_path / "restart.cfg"
+    cfg.write_text("restart = yes\n")
+    summaries = {}
+    for name, extra in [("plain", []), ("flag", ["--restart"]),
+                        ("config", ["--config", str(cfg)])]:
+        out = tmp_path / name
+        assert main(["solve", "--preset", "shifted", "--level", "3",
+                     *extra, "--out", str(out)]) == 0
+        summaries[name] = json.loads((out / "summary.json").read_text())
+    plain, flag = summaries["plain"], summaries["flag"]
+    assert plain["restarts"] == 0
+    assert flag["converged"] and flag["restarts"] > 0
+    assert flag["iterations"] < plain["iterations"]
+    assert summaries["config"] == flag
+
+
 def test_checks_seed_env_deterministic(tmp_path, monkeypatch):
     d1, d2, d3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     monkeypatch.setenv("PDEABCD_SEED", "7")

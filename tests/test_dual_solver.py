@@ -160,6 +160,22 @@ def test_solver_config_validation():
         SolverConfig(log_every=-1)
 
 
+def test_restart_off_by_default():
+    assert SolverConfig().restart is False
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize("preset", ["sine", "shifted"])
+def test_restart_never_takes_more_sweeps(preset, level):
+    inst = make_instance(preset, level)
+    plain = solve(inst, SolverConfig(tol=1e-6, log_every=0))
+    restarted = solve(inst, SolverConfig(tol=1e-6, log_every=0,
+                                         restart=True))
+    assert plain.converged and restarted.converged
+    assert plain.restarts == 0 and restarted.restarts > 0
+    assert restarted.iterations <= plain.iterations
+
+
 def test_momentum_recurrence():
     t1 = 1.0
     t2, beta1 = momentum(t1)
@@ -336,10 +352,11 @@ def test_record_csv_roundtrip(tmp_path, sine2):
 def test_summary_keys(sine2):
     run = solve(sine2, SolverConfig(max_iters=20, tol=0.0))
     s = run.summary(sine2)
-    for key in ("converged", "iterations", "stop_reason", "kkt", "phi",
-                "gap", "u_l2M", "u_linf", "y_l2M", "y_linf"):
+    for key in ("converged", "iterations", "stop_reason", "restarts", "kkt",
+                "phi", "gap", "u_l2M", "u_linf", "y_l2M", "y_linf"):
         assert key in s
     assert s["iterations"] == 20
+    assert s["restarts"] == 0
 
 
 def test_primal_value_zero_control(sine2):

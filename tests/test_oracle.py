@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pdeabcd import oracle
-from pdeabcd.dual_solver import dual_objective
+from pdeabcd.dual_solver import (SolverConfig, dual_objective,
+                                 recover_primal, solve)
 from pdeabcd.oracle import (
     CertifiedOptimum,
     OracleError,
@@ -14,7 +15,7 @@ from pdeabcd.oracle import (
     certified_optimum,
     primal_objective,
 )
-from pdeabcd.presets import make_instance
+from pdeabcd.presets import make_instance, preset_names
 
 
 def _dense_objective(prob, u):
@@ -124,9 +125,8 @@ def test_certified_optimum_fields(certified_sine2):
     assert isinstance(cert, CertifiedOptimum)
     assert cert.phi_star == -cert.j_star
     assert cert.kkt_star <= 1e-8
-    # the dual value at the certified iterate matches the stored phi
-    phi = dual_objective(inst, *cert.z_star.blocks())
-    assert phi == pytest.approx(cert.cross_phi, rel=1e-12)
+    # the stored phi is the dual value at the certified iterate, bit for bit
+    assert dual_objective(inst, *cert.z_star.blocks()) == cert.cross_phi
     gap = abs(cert.cross_phi + cert.j_star)
     assert gap <= 1e-7 * (1.0 + abs(cert.j_star))
     assert cert.oracle.iterations >= 1
@@ -143,6 +143,29 @@ def test_certified_inconsistency_raises(sine2):
     # refuse to certify
     with pytest.raises(OracleInconsistencyError):
         certified_optimum(sine2, cross_max_iters=1)
+
+
+def test_certified_cross_run_restarts():
+    inst = make_instance("shifted", 4)
+    cert = certified_optimum(inst)
+    plain = solve(inst, SolverConfig(max_iters=100_000, tol=1e-9,
+                                     log_every=0, check_every=5))
+    assert plain.converged
+    assert cert.z_star.k < plain.iterations
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("preset", preset_names())
+def test_restarted_solve_matches_certified_optimum(preset, level):
+    # guarantee 2's tolerances: control in ||.||_M, value relative
+    inst = make_instance(preset, level)
+    cert = certified_optimum(inst)
+    run = solve(inst, SolverConfig(tol=1e-9, log_every=0, restart=True))
+    assert run.converged
+    u, _ = recover_primal(inst, *run.final.blocks())
+    du = np.clip(u, *inst.box) - cert.u_star
+    assert float(np.sqrt(du @ (inst.ops.M_full @ du))) <= 1e-6
+    assert abs(run.phi[-1] - cert.phi_star) <= 1e-6 * (1.0 + abs(cert.j_star))
 
 
 def test_certified_zero_preset(zero2):
