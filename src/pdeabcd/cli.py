@@ -215,6 +215,10 @@ def _dump_divergence(err: DivergenceError, outdir: str | None) -> str:
 
 
 def run_solve(args) -> int:
+    if args.restart and args.check_bound:
+        raise InputError("--restart cannot be combined with --check-bound: "
+                         "the value bound is proven only for the "
+                         "unrestarted scheme")
     inst = make_instance(args.preset, args.level, alpha=args.alpha,
                          beta=args.beta, box=args.box)
     config = SolverConfig(max_iters=args.max_iters, tol=args.tol,

@@ -149,6 +149,8 @@ def test_usage_errors(capsys):
      "--tau-proxy-level", "2"],
     ["mesh-indep", "--preset", "sine", "--levels", "3,3,3"],
     ["mesh-indep", "--preset", "sine", "--levels", "2,3,4", "--eps", "nan"],
+    ["solve", "--preset", "sine", "--level", "2", "--restart",
+     "--check-bound"],
 ])
 def test_bad_flag_values_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -160,10 +160,6 @@ def test_solver_config_validation():
         SolverConfig(log_every=-1)
 
 
-def test_restart_off_by_default():
-    assert SolverConfig().restart is False
-
-
 @pytest.mark.parametrize("level", [3, 4, 5])
 @pytest.mark.parametrize("preset", ["sine", "shifted"])
 def test_restart_never_takes_more_sweeps(preset, level):
