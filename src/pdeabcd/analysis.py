@@ -72,8 +72,12 @@ def verify_complexity_bound(record: RunRecord, tau_h: float, phi_star: float,
     return bool(np.all(gaps <= bounds + slack)), float(margins.min())
 
 
-def lam_max_majorizer(prob: ProblemInstance) -> float:
-    """Largest eigenvalue of the block-diagonal majorization metric."""
+def lam_max_majorizer(prob: ProblemInstance) -> tuple[float, bool]:
+    """Largest eigenvalue of the block-diagonal majorization metric.
+
+    Returns ``(estimate, converged)``; ``converged`` is False when the power
+    iteration of either block stops at its 400-step cap.
+    """
     ops = prob.ops
     alpha, gamma = prob.alpha, prob.gamma
     n = prob.n_full
@@ -87,9 +91,9 @@ def lam_max_majorizer(prob: ProblemInstance) -> float:
         mv = ops.M_full @ v
         return (gamma / alpha) * (ops.M_full @ (mv / ops.W_full))
 
-    top_lam, _ = power_iteration_extremes(lam_block, n, iters=400)
-    top_mu, _ = power_iteration_extremes(mu_block, n, iters=400)
-    return float(max(top_lam, top_mu))
+    top_lam, lam_ok = power_iteration_extremes(lam_block, n, iters=400)
+    top_mu, mu_ok = power_iteration_extremes(mu_block, n, iters=400)
+    return float(max(top_lam, top_mu)), lam_ok and mu_ok
 
 
 def prolongated_start(coarse_inst: ProblemInstance,
@@ -173,6 +177,7 @@ class LevelResult:
     iters_to_eps: int
     tau_h: float
     lam_max_sh: float
+    lam_max_converged: bool
     phi_star: float
     seconds: float
 
@@ -222,6 +227,7 @@ class MeshIndependenceReport:
                     "iters_to_eps": r.iters_to_eps,
                     "tau_h": r.tau_h,
                     "lam_max_Sh": r.lam_max_sh,
+                    "lam_max_converged": bool(r.lam_max_converged),
                     "phi_star": r.phi_star,
                     "seconds": r.seconds,
                 }
@@ -261,7 +267,7 @@ def _level_result(preset: str, level: int, epsilon: float,
     t0 = time.perf_counter()
     inst, z0, z_star, phi_star, tau_h = _optimum_at(
         preset, level, coarse_inst, warm, 10 * run_max_iters, **params)
-    lam_max_sh = lam_max_majorizer(inst)
+    lam_max_sh, lam_max_ok = lam_max_majorizer(inst)
 
     target = phi_star + epsilon * (1.0 + abs(phi_star))
     config = SolverConfig(max_iters=run_max_iters, tol=0.0, log_every=0,
@@ -278,6 +284,7 @@ def _level_result(preset: str, level: int, epsilon: float,
         iters_to_eps=iters,
         tau_h=tau_h,
         lam_max_sh=lam_max_sh,
+        lam_max_converged=lam_max_ok,
         phi_star=phi_star,
         seconds=seconds,
     )
@@ -368,6 +375,7 @@ class SpectralRow:
     lam_max_k: float
     lam_min_k: float
     lam_max_sh: float
+    lam_max_converged: bool
 
 
 @dataclass
@@ -412,6 +420,7 @@ def spectral_scaling_report(levels,
         inv_max, _ = power_iteration_extremes(m_fact.solve, n)
         lam_max_k, _ = power_iteration_extremes(lambda v: ops.K @ v, n)
         kinv_max, _ = power_iteration_extremes(k_fact.solve, n)
+        lam_max_sh, lam_max_ok = lam_max_majorizer(inst)
         rows.append(SpectralRow(
             level=level,
             h=ops.mesh.h,
@@ -419,7 +428,8 @@ def spectral_scaling_report(levels,
             lam_min_m=1.0 / inv_max,
             lam_max_k=lam_max_k,
             lam_min_k=1.0 / kinv_max,
-            lam_max_sh=lam_max_majorizer(inst),
+            lam_max_sh=lam_max_sh,
+            lam_max_converged=lam_max_ok,
         ))
     return SpectralScalingReport(rows=rows)
 

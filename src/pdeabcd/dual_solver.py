@@ -22,6 +22,9 @@ set (M_full, W_full).  The solver minimizes the dual function
 symmetrized sweep over the (lam, p) block (p-solve at the extrapolated lam,
 closed-form lam update, p-solve again), a closed-form mu update in a lumped
 metric, and extrapolation with the classic accelerated t-sequence.  The
+second p-solve also yields w = M^{-1} K p, which gives the first term of
+Phi with no solve of its own, so a run factors only the p-solve, M_full
+(the mu update) and K (the primal state), never the interior M.  The
 value gap decays like 4 tau / (k+1)^2 with tau the weighted squared
 distance from the start to an optimum (analysis.compute_tau_h).
 
@@ -104,6 +107,21 @@ class ProblemInstance:
     def psolve(self) -> AugmentedSolver:
         """Solver for ``(K M^{-1} K + M/alpha) p = b``, factored on first use."""
         return AugmentedSolver(self.ops.K, self.ops.M, self.alpha)
+
+    @cached_property
+    def m_yd(self) -> np.ndarray:
+        """``M y_d``, the target in the interior mass pairing."""
+        return self.ops.M @ self.y_d
+
+    @cached_property
+    def m_yr(self) -> np.ndarray:
+        """Interior rows of ``M_full y_r``, the source shift on the state."""
+        return self.ops.mass_interior_rows(self.y_r)
+
+    @cached_property
+    def p_rhs_data(self) -> np.ndarray:
+        """``K y_d - M_int y_r``, the data part of every p-solve's rhs."""
+        return self.ops.K @ self.y_d - self.m_yr
 
 
 @dataclass
@@ -216,8 +234,12 @@ def support_box(s: np.ndarray, a: float, b: float) -> float:
 _BOX_SLACK = 1e-12
 
 
-def dual_objective(prob: ProblemInstance, lam, p, mu) -> float:
-    """Dual objective value; +inf when lam violates the [-beta, beta] box."""
+def dual_objective(prob: ProblemInstance, lam, p, mu, w=None) -> float:
+    """Dual objective value; +inf when lam violates the [-beta, beta] box.
+
+    The first term is ``(K p - M y_d).(w - y_d)/2`` with ``w = M^{-1} K p``:
+    the sweep passes the ``w`` of :func:`step_p`, else one mass solve.
+    """
     lam = np.asarray(lam, dtype=float)
     p = np.asarray(p, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -225,14 +247,15 @@ def dual_objective(prob: ProblemInstance, lam, p, mu) -> float:
     if np.abs(lam).max(initial=0.0) > beta + _BOX_SLACK * (1.0 + beta):
         return float("inf")
     ops = prob.ops
-    r = ops.K @ p - ops.M @ prob.y_d
-    minv_r = ops.mass_factor.solve(r)
+    kp = ops.K @ p
+    if w is None:
+        w = ops.mass_factor.solve(kp)
     coupling = lam + mu - ops.pad(p)
-    val = 0.5 * float(r @ minv_r)
+    val = 0.5 * float((kp - prob.m_yd) @ (w - prob.y_d))
     val += 0.5 / prob.alpha * float(coupling @ (ops.M_full @ coupling))
-    val += float(ops.mass_interior_rows(prob.y_r) @ p)
+    val += float(prob.m_yr @ p)
     val += support_box(ops.M_full @ mu, *prob.box)
-    val -= 0.5 * float(prob.y_d @ (ops.M @ prob.y_d))
+    val -= 0.5 * float(prob.y_d @ prob.m_yd)
     return val
 
 
@@ -255,13 +278,17 @@ def primal_value(prob: ProblemInstance, u: np.ndarray) -> float:
     return val
 
 
+def _p_rhs(prob: ProblemInstance, lam: np.ndarray,
+           mu_t: np.ndarray) -> np.ndarray:
+    """Right side of the p-solve at the multipliers ``lam`` and ``mu_t``."""
+    coupled = prob.ops.mass_interior_rows(lam + mu_t)
+    return prob.p_rhs_data + coupled / prob.alpha
+
+
 def step_phat(prob: ProblemInstance, lam_t: np.ndarray,
               mu_t: np.ndarray) -> np.ndarray:
     """First p-solve of the sweep, at the extrapolated lam."""
-    ops = prob.ops
-    rhs = ops.K @ prob.y_d - ops.mass_interior_rows(prob.y_r) \
-        + ops.mass_interior_rows(lam_t + mu_t) / prob.alpha
-    return prob.psolve.solve(rhs)
+    return prob.psolve.solve(_p_rhs(prob, lam_t, mu_t))
 
 
 def lambda_kernel(lam_t, coupled, W, beta: float) -> np.ndarray:
@@ -285,9 +312,10 @@ def step_lambda(prob: ProblemInstance, lam_t: np.ndarray, mu_t: np.ndarray,
 
 
 def step_p(prob: ProblemInstance, lam_new: np.ndarray,
-           mu_t: np.ndarray) -> np.ndarray:
-    """Second p-solve of the sweep, at the updated lam."""
-    return step_phat(prob, lam_new, mu_t)
+           mu_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Second p-solve of the sweep, at the updated lam: ``(p, w)`` with
+    ``w = M^{-1} K p`` from the same solve, for :func:`dual_objective`."""
+    return prob.psolve.solve_with_multiplier(_p_rhs(prob, lam_new, mu_t))
 
 
 def mu_xi_kernel(v, W, a: float, b: float, alpha: float,
@@ -345,7 +373,7 @@ def kkt_residual(prob: ProblemInstance, lam, p, mu, u, y) -> float:
     beta = prob.beta
 
     r_adj = np.linalg.norm(ops.K @ p - ops.M @ (prob.y_d - y))
-    r_adj /= 1.0 + np.linalg.norm(ops.M @ prob.y_d)
+    r_adj /= 1.0 + np.linalg.norm(prob.m_yd)
 
     lam_prox = np.clip(lam + (ops.M_full @ u) / ops.W_full, -beta, beta)
     r_lam = np.linalg.norm(lam - lam_prox) / (1.0 + np.linalg.norm(lam))
@@ -402,7 +430,7 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     for k in range(1, config.max_iters + 1):
         p_hat = step_phat(prob, lam_t, mu_t)
         lam = step_lambda(prob, lam_t, mu_t, p_hat)
-        p = step_p(prob, lam, mu_t)
+        p, w = step_p(prob, lam, mu_t)
         mu = step_mu(prob, lam, p, mu_t)
 
         if not (np.isfinite(lam).all() and np.isfinite(p).all()
@@ -415,7 +443,7 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
 
         phi = None
         if log_now or target is not None:
-            phi = dual_objective(prob, lam, p, mu)
+            phi = dual_objective(prob, lam, p, mu, w)
         hit_target = target is not None and phi <= target
         if check_now or log_now or hit_target:
             u, y = recover_primal(prob, lam, p, mu)
@@ -429,7 +457,7 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
         # the last iteration is always logged; max_iters forces a check there
         if log_now or last:
             if phi is None:
-                phi = dual_objective(prob, lam, p, mu)
+                phi = dual_objective(prob, lam, p, mu, w)
             ks.append(k)
             phis.append(phi)
             kkts.append(res)

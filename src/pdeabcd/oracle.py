@@ -127,7 +127,7 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
     n_int = prob.n
 
     K_fact = ops.stiffness_factor
-    s0 = K_fact.solve(ops.mass_interior_rows(prob.y_r))
+    s0 = K_fact.solve(prob.m_yr)
     # q = S' M (y_d - s0), the constant gradient shift of the smooth part
     p0 = K_fact.solve(ops.M @ (prob.y_d - s0))
     q = (Mf @ ops.pad(p0))
@@ -201,13 +201,15 @@ def certified_optimum(prob: ProblemInstance, tol: float = 1e-10,
     produces a reference point, and its verdict depends only on the
     residual reached, not the path, so it runs with momentum restarts
     (``SolverConfig.restart``): no value bound is checked along it.
+    ``cross_phi`` is the dual value at ``z_star`` with its own mass solve,
+    so it depends on ``z_star`` alone, not on the run's last multiplier.
     """
     sol = admm_reference(prob, tol=tol)
     j_star = sol.J
     config = SolverConfig(max_iters=cross_max_iters, tol=1e-9,
                           log_every=0, check_every=5, restart=True)
     run = dual_solver.solve(prob, config, z0=z0)
-    cross_phi = float(run.phi[-1])
+    cross_phi = dual_solver.dual_objective(prob, *run.final.blocks())
     gap = abs(cross_phi + j_star)
     if gap > 1e-7 * (1.0 + abs(j_star)):
         raise OracleInconsistencyError(

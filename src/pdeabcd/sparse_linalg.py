@@ -9,7 +9,10 @@ forms ``M^{-1}`` explicitly, and deterministic power iteration for extreme
 eigenvalues.  The factorizations are held by their users: the SPD factors
 of ``M``, ``M_full`` and ``K`` by the cached properties ``mass_factor``,
 ``mass_full_factor`` and ``stiffness_factor`` of ``assembly.FemOperators``,
-the p-solve by ``dual_solver.ProblemInstance.psolve``.
+the p-solve by ``dual_solver.ProblemInstance.psolve``.  A dual solve
+builds the p-solve, ``M_full`` and ``K`` factors; the factor of ``M`` is
+built only by dual values taken without the p-solve's multiplier (the
+oracle's certificate) and by the spectral checks.
 """
 
 from __future__ import annotations
@@ -87,7 +90,10 @@ class AugmentedSolver:
     ``(K + i s M) x = b`` read ``K Re(x) - s M Im(x) = b`` and
     ``K Im(x) + s M Re(x) = 0``, so ``p = -Im(x)/s`` and
     ``w = Re(x) = M^{-1} K p`` exactly.  K and sM are SPD, so elimination
-    without pivoting is stable (Higham, 1998).
+    without pivoting is stable (Higham, 1998).  The dual sweep reads ``p``
+    from its first p-solve (:meth:`solve`) and ``(p, w)`` from its second
+    (:meth:`solve_with_multiplier`), where ``w`` gives the dual value with
+    no factor of ``M``; ``analysis.apply_g_inverse`` uses :meth:`solve`.
     """
 
     def __init__(self, K, M, alpha: float):

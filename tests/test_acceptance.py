@@ -253,7 +253,7 @@ def test_criterion_09_block_stationarity():
         mu_t = rng.standard_normal(prob.n_full)
         p_hat = step_phat(prob, lam_t, mu_t)
         lam = step_lambda(prob, lam_t, mu_t, p_hat)
-        p = step_p(prob, lam, mu_t)
+        p, _ = step_p(prob, lam, mu_t)
 
         o = prob.ops
         # stationarity in p of the joint block objective

@@ -119,8 +119,14 @@ def test_lam_max_majorizer_matches_dense(certified_sine2):
     S_mu = (inst.gamma / inst.alpha) * (Mf @ np.diag(1.0 / W) @ Mf)
     expected = max(np.linalg.eigvalsh(S_lam).max(),
                    np.linalg.eigvalsh(S_mu).max())
-    got = lam_max_majorizer(inst)
+    got, _ = lam_max_majorizer(inst)
     assert got == pytest.approx(expected, rel=1e-6)
+
+
+def test_lam_max_majorizer_reports_unconverged_power_iteration():
+    # at its 400-step cap the lam block's power iteration has not settled
+    _, converged = lam_max_majorizer(make_instance("sine", 4))
+    assert converged is False
 
 
 def test_prolongated_start_zero_data_stays_at_origin():
@@ -197,6 +203,7 @@ def test_mesh_independence_report_shape_and_csv(tmp_path):
     d = rep.to_json_dict()
     assert d["preset"] == "sine"
     assert len(d["rows"]) == 2
+    assert [r["lam_max_converged"] for r in d["rows"]] == [False, False]
 
 
 def test_mesh_independence_saturation_flagged():
@@ -209,7 +216,8 @@ def test_mesh_independence_saturation_flagged():
 def test_fit_tau_constant_synthetic():
     def row(level, h, tau):
         return LevelResult(level=level, h=h, n_interior=1, iters_to_eps=1,
-                           tau_h=tau, lam_max_sh=1.0, phi_star=0.0,
+                           tau_h=tau, lam_max_sh=1.0,
+                           lam_max_converged=True, phi_star=0.0,
                            seconds=0.0)
 
     proxy = 1.0

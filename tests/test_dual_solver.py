@@ -126,6 +126,28 @@ def test_dual_objective_infinite_outside_box(sine2, rng):
     assert dual_objective(sine2, lam, z.p, z.mu) == np.inf
 
 
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("preset", ["sine", "shifted"])
+def test_dual_objective_sweep_multiplier_matches_mass_solve(preset, level):
+    # the logged phi uses the second p-solve's w = M^{-1} K p; without it
+    # dual_objective takes w from a mass solve
+    inst = make_instance(preset, level)
+    for k in (1, 2, 5, 10, 20):
+        run = solve(inst, SolverConfig(max_iters=k, tol=0.0, log_every=0))
+        by_mass_solve = dual_objective(inst, *run.final.blocks())
+        assert abs(run.phi[-1] - by_mass_solve) <= 1e-13 * abs(by_mass_solve)
+
+
+def test_solve_builds_no_interior_mass_factor():
+    plain = make_instance("sine", 3)
+    run = solve(plain, SolverConfig(tol=1e-6))
+    assert "mass_factor" not in plain.ops.__dict__
+    targeted = make_instance("sine", 3)
+    run = solve(targeted, SolverConfig(tol=0.0, phi_target=run.phi[-1]))
+    assert run.stop_reason == "phi_target"
+    assert "mass_factor" not in targeted.ops.__dict__
+
+
 def test_instance_validation():
     ops = make_instance("sine", 2).ops
     n, ni = ops.mesh.n_nodes, ops.n_interior
@@ -226,7 +248,7 @@ def test_sweep_steps_shapes(sine2):
     lam = step_lambda(sine2, z.lam, z.mu, p_hat)
     assert lam.shape == (sine2.n_full,)
     assert np.abs(lam).max() <= sine2.beta
-    p = step_p(sine2, lam, z.mu)
+    p, _ = step_p(sine2, lam, z.mu)
     mu = step_mu(sine2, lam, p, z.mu)
     assert mu.shape == (sine2.n_full,)
 

@@ -120,7 +120,7 @@ def test_dual_solver_never_factors_an_indefinite_matrix(monkeypatch):
     assert record.converged
     origin = dual_solver.DualIterate.for_instance(inst)
     assert compute_tau_h(inst, origin, record.final) > 0.0
-    assert lam_max_majorizer(inst) > 0.0
+    assert lam_max_majorizer(inst)[0] > 0.0
 
 
 def test_operators_own_their_factorizations(monkeypatch):
