@@ -1,16 +1,16 @@
 """Convergence constants, bound verification, and mesh-robustness
 experiments.
 
-``compute_tau_h`` evaluates the weighted squared distance
+The dual sweep majorizes in the block-diagonal metric on (lam, mu)
 
-    tau_h = 1/(2 alpha) [ d' (M G^{-1} M + W - M) d + gamma e' M W^{-1} M e ],
-    G = M + alpha K M^{-1} K,  d = lam0 - lam*,  e = mu0 - mu*,
+    S_h = diag((M E G^{-1} E' M + W - M)/alpha, gamma M W^{-1} M/alpha),
+    G = M + alpha K M^{-1} K,  E the zero-boundary embedding,
 
-which controls the accelerated value gap through 4 tau_h / (k+1)^2.  The
-mesh-independence experiment runs the solver on a level hierarchy from one
-prolongated starting point and records iterations to a relative accuracy;
-the spectral report tracks how the extreme eigenvalues of the operators and
-of the majorization metric scale with the mesh size.
+and tau_h = 1/2 ||z0 - z*||^2 in S_h controls the accelerated value gap
+through 4 tau_h / (k+1)^2.  The mesh-independence experiment runs the
+solver on a level hierarchy from one prolongated starting point and
+records iterations to a relative accuracy; the spectral report tracks how
+the extreme eigenvalues of the operators and of S_h scale with h.
 """
 
 from __future__ import annotations
@@ -36,24 +36,32 @@ def apply_g_inverse(prob: ProblemInstance, b: np.ndarray) -> np.ndarray:
     return prob.psolve.solve(np.asarray(b, dtype=float) / prob.alpha)
 
 
+def majorizer_blocks(prob: ProblemInstance):
+    """The ``(lam, mu)`` blocks of S_h as maps of full nodal vectors."""
+    ops = prob.ops
+
+    def s_lam(v):
+        mv = ops.M_full @ v
+        ginv = apply_g_inverse(prob, ops.restrict(mv))
+        return (ops.M_full @ ops.pad(ginv) + ops.W_full * v - mv) / prob.alpha
+
+    def s_mu(v):
+        mv = ops.M_full @ v
+        return (prob.gamma / prob.alpha) * (ops.M_full @ (mv / ops.W_full))
+
+    return s_lam, s_mu
+
+
 def compute_tau_h(prob: ProblemInstance, z0: DualIterate,
                   z_star: DualIterate) -> float:
-    """Weighted squared distance between a start and an optimum.
+    """tau_h, half the squared S_h distance of a start from an optimum.
 
-    Only the lam and mu blocks of the two iterates enter.  The lam part is
-    measured in (M E G^{-1} E' M + W - M)/alpha with E the zero-boundary
-    embedding of the adjoint block, the mu part in gamma M W^{-1} M / alpha.
+    The p blocks do not enter; roundoff below zero is clipped.
     """
-    ops = prob.ops
+    s_lam, s_mu = majorizer_blocks(prob)
     d = z0.lam - z_star.lam
     e = z0.mu - z_star.mu
-    md = ops.M_full @ d
-    md_int = ops.restrict(md)
-    term = float(md_int @ apply_g_inverse(prob, md_int))
-    term += float(d @ (ops.W_full * d)) - float(d @ md)
-    me = ops.M_full @ e
-    term += prob.gamma * float((me / ops.W_full) @ me)
-    return max(term, 0.0) / (2.0 * prob.alpha)
+    return 0.5 * max(float(d @ s_lam(d)) + float(e @ s_mu(e)), 0.0)
 
 
 def verify_complexity_bound(record: RunRecord, tau_h: float, phi_star: float,
@@ -73,44 +81,31 @@ def verify_complexity_bound(record: RunRecord, tau_h: float, phi_star: float,
 
 
 def lam_max_majorizer(prob: ProblemInstance) -> tuple[float, bool]:
-    """Largest eigenvalue of the block-diagonal majorization metric.
+    """Largest eigenvalue of S_h, the larger of its two blocks' maxima.
 
     Returns ``(estimate, converged)``; ``converged`` is False when the power
     iteration of either block stops at its 400-step cap.
     """
-    ops = prob.ops
-    alpha, gamma = prob.alpha, prob.gamma
-    n = prob.n_full
-
-    def lam_block(v):
-        mv = ops.M_full @ v
-        ginv = apply_g_inverse(prob, ops.restrict(mv))
-        return (ops.M_full @ ops.pad(ginv) + ops.W_full * v - mv) / alpha
-
-    def mu_block(v):
-        mv = ops.M_full @ v
-        return (gamma / alpha) * (ops.M_full @ (mv / ops.W_full))
-
-    top_lam, lam_ok = power_iteration_extremes(lam_block, n, iters=400)
-    top_mu, mu_ok = power_iteration_extremes(mu_block, n, iters=400)
+    s_lam, s_mu = majorizer_blocks(prob)
+    top_lam, lam_ok = power_iteration_extremes(s_lam, prob.n_full, iters=400)
+    top_mu, mu_ok = power_iteration_extremes(s_mu, prob.n_full, iters=400)
     return float(max(top_lam, top_mu)), lam_ok and mu_ok
 
 
-def prolongated_start(coarse_inst: ProblemInstance,
-                      prob: ProblemInstance) -> DualIterate:
-    """One dual sweep from rest on the coarse level, prolongated.
+def prolongated_start(coarse_inst: ProblemInstance) -> DualIterate:
+    """One dual sweep from rest on the coarse level: the common start.
 
     The sweep output is a P1 triple on the coarse mesh: data adapted (zero
     data keeps the start at the origin, so those runs finish in one
     iteration everywhere), dual feasible by construction, and with
-    level-independent norms.  Its prolongation equals nodal interpolation
-    of the same functions on every finer nested mesh, so the start
+    level-independent norms.  :func:`prolongate_iterate` carries it to any
+    finer nested mesh as nodal interpolation of the same functions, so it
     represents one fixed function triple across the whole hierarchy.
     """
     run = dual_solver.solve(
         coarse_inst,
         SolverConfig(max_iters=1, tol=0.0, log_every=0, check_every=1))
-    return prolongate_iterate(coarse_inst.ops.mesh, run.final, prob)
+    return run.final
 
 
 def prolongate_iterate(src_mesh: Mesh, z: DualIterate,
@@ -132,33 +127,33 @@ def prolongate_iterate(src_mesh: Mesh, z: DualIterate,
     return DualIterate(lam, p, mu)
 
 
-def reference_solution(prob: ProblemInstance, max_iters: int = 200_000,
-                       z0: DualIterate | None = None) -> tuple[DualIterate, float]:
+def reference_solution(prob: ProblemInstance, z0: DualIterate | None = None
+                       ) -> tuple[DualIterate, float]:
     """Dual solve to KKT residual 1e-8; returns (z_star, phi_star).
 
     The run only produces a reference optimum, so it restarts its momentum
     (``SolverConfig.restart``); the runs whose sweeps are counted stay on
     the unrestarted scheme that the value bound covers.
     """
-    config = SolverConfig(max_iters=max_iters, tol=1e-8, log_every=0,
+    config = SolverConfig(max_iters=200_000, tol=1e-8, log_every=0,
                           check_every=5, restart=True)
     run = dual_solver.solve(prob, config, z0=z0)
     return run.final, float(run.phi[-1])
 
 
-def reference_optimum(prob: ProblemInstance, z0: DualIterate | None = None,
-                      *, max_iters: int = 200_000) -> tuple[DualIterate, float]:
+def reference_optimum(prob: ProblemInstance, z0: DualIterate | None = None
+                      ) -> tuple[DualIterate, float]:
     """Optimal dual iterate and value ``(z_star, phi_star)`` of one instance.
 
     Up to ``ORACLE_CAP`` interior unknowns the optimum is certified by the
-    primal oracle; above it, it is a :func:`reference_solution` capped at
-    ``max_iters`` iterations.  ``z0`` warm starts the dual run of either
-    route.
+    primal oracle; above it, it is a :func:`reference_solution`.  Each
+    route owns its sweep cap, so no caller's run budget can truncate it.
+    ``z0`` warm starts the dual run of either route.
     """
     if prob.n <= ORACLE_CAP:
         cert = oracle.certified_optimum(prob, z0=z0)
         return cert.z_star, cert.phi_star
-    return reference_solution(prob, max_iters=max_iters, z0=z0)
+    return reference_solution(prob, z0=z0)
 
 
 def certified_preset_optimum(preset: str, level: int):
@@ -237,28 +232,27 @@ class MeshIndependenceReport:
 
 
 def _optimum_at(preset: str, level: int, coarse_inst: ProblemInstance,
-                warm: tuple | None, max_iters: int, **params) -> tuple:
-    """The preset at ``level`` with its prolongated start, optimum and tau_h.
+                start: DualIterate, warm: tuple | None, **params) -> tuple:
+    """The preset at ``level`` with its start, optimum and tau_h.
 
     Returns ``(inst, z0, z_star, phi_star, tau_h)``; at its own level the
-    coarse instance is reused.  ``warm`` is an optional ``(mesh, z_star)``
-    pair from a coarser level that seeds the reference solve, which is
-    capped at ``max_iters`` iterations above the oracle's size limit.
+    coarse instance is reused.  ``z0`` is the coarse ``start`` prolongated
+    to ``level``; ``warm``, an optional ``(mesh, z_star)`` pair from a
+    coarser level, seeds the reference optimum.
     """
     if level == coarse_inst.ops.mesh.level:
         inst = coarse_inst
     else:
         inst = make_instance(preset, level, **params)
-    z0 = prolongated_start(coarse_inst, inst)
+    z0 = prolongate_iterate(coarse_inst.ops.mesh, start, inst)
     warm_start = None if warm is None else prolongate_iterate(*warm, inst)
-    z_star, phi_star = reference_optimum(inst, warm_start,
-                                         max_iters=max_iters)
+    z_star, phi_star = reference_optimum(inst, warm_start)
     return inst, z0, z_star, phi_star, compute_tau_h(inst, z0, z_star)
 
 
 def _level_result(preset: str, level: int, epsilon: float,
-                  coarse_inst: ProblemInstance, warm: tuple | None,
-                  run_max_iters: int, timing: bool,
+                  coarse_inst: ProblemInstance, start: DualIterate,
+                  warm: tuple | None, run_max_iters: int, timing: bool,
                   **params) -> tuple[LevelResult, tuple]:
     """Compute one report row and the ``(mesh, z_star)`` warm start it leaves.
 
@@ -266,7 +260,7 @@ def _level_result(preset: str, level: int, epsilon: float,
     """
     t0 = time.perf_counter()
     inst, z0, z_star, phi_star, tau_h = _optimum_at(
-        preset, level, coarse_inst, warm, 10 * run_max_iters, **params)
+        preset, level, coarse_inst, start, warm, **params)
     lam_max_sh, lam_max_ok = lam_max_majorizer(inst)
 
     target = phi_star + epsilon * (1.0 + abs(phi_star))
@@ -303,11 +297,13 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
     Every level starts from the same prolongated point; a level passes when
     the dual objective reaches ``Phi* + epsilon (1 + |Phi*|)``.  The report
     passes when no level saturates and all counts lie within 20 percent of
-    their median.  The coarsest level's instance is built once and serves
-    every row and the tau proxy; each level's optimum seeds the next one's
-    reference solve.  ``jobs`` must be 1, and the tau proxy level no coarser
-    than the coarsest level, which every start is prolongated from.  Bad
-    input raises ``InputError`` before any instance is built.
+    their median.  The coarsest level's instance and its one-sweep start
+    are built once and serve every row and the tau proxy; each level's
+    optimum seeds the next one's reference solve.  ``run_max_iters`` caps
+    the counted runs, never a reference solve.  ``jobs`` must be 1, and
+    the tau proxy level no coarser than the coarsest level, which every
+    start is prolongated from.  Bad input raises ``InputError`` before any
+    instance is built.
     """
     if jobs != 1:
         raise InputError(f"jobs must be 1, got {jobs}")
@@ -325,12 +321,13 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
                          f"than the coarsest level {levels[0]}")
     params = dict(alpha=alpha, beta=beta, box=box)
     coarse_inst = make_instance(preset, levels[0], **params)
+    start = prolongated_start(coarse_inst)
 
     rows: list[LevelResult] = []
     warm = None
     for lvl in levels:
-        row, warm = _level_result(preset, lvl, epsilon, coarse_inst, warm,
-                                  run_max_iters, timing, **params)
+        row, warm = _level_result(preset, lvl, epsilon, coarse_inst, start,
+                                  warm, run_max_iters, timing, **params)
         rows.append(row)
 
     counts = [r.iters_to_eps for r in rows if not r.saturated]
@@ -345,8 +342,8 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
     if tau_proxy_level is not None:
         if tau_proxy_level < levels[-1]:
             warm = None
-        *_, proxy = _optimum_at(preset, tau_proxy_level, coarse_inst, warm,
-                                200_000, **params)
+        *_, proxy = _optimum_at(preset, tau_proxy_level, coarse_inst, start,
+                                warm, **params)
         c, ok = fit_tau_constant(rows, proxy)
         report.fitted_c = c
         report.tau_proxy = proxy

@@ -102,25 +102,13 @@ def load_config_tokens(path: str) -> list[str]:
 
 def _inject_config(argv: list[str]) -> list[str]:
     """Splice config-file tokens after the subcommand; flags win."""
-    path = None
-    rest: list[str] = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise InputError("--config needs a file argument")
-            path = argv[i + 1]
-            skip = True
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-        else:
-            rest.append(tok)
-    if path is None or not rest:
+    pre = argparse.ArgumentParser(prog="pdeabcd", add_help=False,
+                                  allow_abbrev=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    if known.config is None or not rest:
         return argv
-    return [rest[0]] + load_config_tokens(path) + rest[1:]
+    return [rest[0]] + load_config_tokens(known.config) + rest[1:]
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -257,15 +245,10 @@ def run_solve(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         record_path = os.path.join(args.out, "record.csv")
         record.to_csv(record_path)
-        summary["preset"] = inst.name
-        summary["level"] = int(args.level)
-        summary["n_interior"] = int(inst.n)
-        summary["alpha"] = inst.alpha
-        summary["beta"] = inst.beta
-        summary["box"] = list(inst.box)
-        summary["gamma"] = inst.gamma
-        summary["tol"] = args.tol
-        summary["max_iters"] = int(args.max_iters)
+        summary.update(preset=inst.name, level=int(args.level),
+                       n_interior=int(inst.n), alpha=inst.alpha,
+                       beta=inst.beta, box=list(inst.box), gamma=inst.gamma,
+                       tol=args.tol, max_iters=int(args.max_iters))
         summary_path = os.path.join(args.out, "summary.json")
         _write_json(summary_path, summary)
         print(f"wrote {record_path}")

@@ -190,13 +190,12 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
 
 
 def certified_optimum(prob: ProblemInstance, tol: float = 1e-10,
-                      cross_max_iters: int = 100_000,
                       z0: DualIterate | None = None) -> CertifiedOptimum:
     """Optimal value certified by two independent routes.
 
-    Runs the splitting oracle to ``tol``, then a long dual run to KKT
-    residual 1e-9, and demands ``|Phi(z_final) + J*| <= 1e-7 (1 + |J*|)``;
-    disagreement raises :class:`OracleInconsistencyError`.
+    Runs the splitting oracle to ``tol``, then a dual run of at most 100k
+    sweeps to KKT residual 1e-9, and demands ``|Phi(z_final) + J*| <= 1e-7
+    (1 + |J*|)``; disagreement raises :class:`OracleInconsistencyError`.
     ``z0`` optionally warm starts the dual cross run.  The cross run only
     produces a reference point, and its verdict depends only on the
     residual reached, not the path, so it runs with momentum restarts
@@ -206,7 +205,7 @@ def certified_optimum(prob: ProblemInstance, tol: float = 1e-10,
     """
     sol = admm_reference(prob, tol=tol)
     j_star = sol.J
-    config = SolverConfig(max_iters=cross_max_iters, tol=1e-9,
+    config = SolverConfig(max_iters=100_000, tol=1e-9,
                           log_every=0, check_every=5, restart=True)
     run = dual_solver.solve(prob, config, z0=z0)
     cross_phi = dual_solver.dual_objective(prob, *run.final.blocks())

@@ -132,7 +132,7 @@ def test_lam_max_majorizer_reports_unconverged_power_iteration():
 def test_prolongated_start_zero_data_stays_at_origin():
     coarse = make_instance("zero", 2)
     fine = make_instance("zero", 4)
-    z0 = prolongated_start(coarse, fine)
+    z0 = prolongate_iterate(coarse.ops.mesh, prolongated_start(coarse), fine)
     assert np.all(z0.lam == 0.0)
     assert np.all(z0.p == 0.0)
     assert np.all(z0.mu == 0.0)
@@ -141,11 +141,11 @@ def test_prolongated_start_zero_data_stays_at_origin():
 def test_prolongated_start_feasible_and_deterministic():
     coarse = make_instance("sine", 2)
     fine = make_instance("sine", 4)
-    z0 = prolongated_start(coarse, fine)
+    z0 = prolongate_iterate(coarse.ops.mesh, prolongated_start(coarse), fine)
     assert np.abs(z0.lam).max() <= fine.beta
     assert z0.lam.shape == (fine.n_full,)
     assert z0.p.shape == (fine.n,)
-    z1 = prolongated_start(coarse, fine)
+    z1 = prolongate_iterate(coarse.ops.mesh, prolongated_start(coarse), fine)
     assert np.array_equal(z0.lam, z1.lam)
     assert np.array_equal(z0.mu, z1.mu)
     # nonzero data produces a nonzero start
@@ -273,22 +273,50 @@ def test_operator_bound_check():
 
 def test_tau_h_at_level_positive():
     # the tau proxy route: prolongated start, reference optimum, tau_h
-    *_, tau = analysis._optimum_at("sine", 3, make_instance("sine", 2),
-                                   None, 200_000)
+    coarse = make_instance("sine", 2)
+    *_, tau = analysis._optimum_at("sine", 3, coarse,
+                                   prolongated_start(coarse), None)
     assert tau > 0.0
     assert np.isfinite(tau)
 
 
+def test_reference_solves_ignore_run_max_iters(monkeypatch):
+    # every level takes the dual reference route; the counted runs' cap
+    # must not reach it
+    monkeypatch.setattr(analysis, "ORACLE_CAP", 0)
+    capped = mesh_independence_experiment("sine", [2, 3], run_max_iters=1)
+    full = mesh_independence_experiment("sine", [2, 3])
+    for a, b in zip(capped.rows, full.rows):
+        assert a.tau_h == b.tau_h
+        assert a.phi_star == b.phi_star
+
+
+def test_tau_proxy_below_finest_level_matches_its_row():
+    # a proxy inside the hierarchy takes no warm start from the finest
+    # level, yet lands on that level's own tau_h
+    rep = mesh_independence_experiment("sine", [2, 3, 4], tau_proxy_level=3)
+    row = next(r for r in rep.rows if r.level == 3)
+    assert rep.tau_proxy == pytest.approx(row.tau_h, rel=1e-8)
+
+
 def test_mesh_independence_builds_each_level_once(monkeypatch):
     built = []
+    starts = []
 
     def counting(preset, level, **kwargs):
         built.append(level)
         return make_instance(preset, level, **kwargs)
 
+    def counting_start(coarse_inst):
+        starts.append(coarse_inst.ops.mesh.level)
+        return prolongated_start(coarse_inst)
+
     monkeypatch.setattr(analysis, "make_instance", counting)
+    monkeypatch.setattr(analysis, "prolongated_start", counting_start)
     rep = mesh_independence_experiment("sine", [2, 3, 4], tau_proxy_level=5)
     assert sorted(built) == [2, 3, 4, 5]
+    # the coarse one-sweep start serves every level and the proxy
+    assert starts == [2]
     assert rep.tau_proxy > 0.0
     assert np.isfinite(rep.tau_proxy)
 

@@ -111,8 +111,12 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--preset", "unknown"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit):
-        main(["solve", "--preset", "sine", "--box", "bad"])
+    for argv in (["solve", "--preset", "sine", "--box", "bad"],
+                 ["solve", "--preset", "sine", "--box", "a,b"],
+                 ["mesh-indep", "--preset", "zero", "--levels", "3,x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["nonsense"])
     # values that pass argparse but break a rule return 2 instead of raising
@@ -261,6 +265,22 @@ def test_config_file_errors(tmp_path):
     assert main(["solve", "--config", str(nest), "--preset", "zero"]) == 2
     assert main(["solve", "--config", str(tmp_path / "missing.cfg"),
                  "--preset", "zero"]) == 2
+    maybe = tmp_path / "maybe.cfg"
+    maybe.write_text("restart = maybe\n")
+    assert main(["solve", "--config", str(maybe), "--preset", "zero"]) == 2
+    # --config without its file is a usage error, as argparse reports it
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--preset", "zero", "--config"])
+    assert exc.value.code == 2
+
+
+def test_bool_keys_are_the_store_true_flags():
+    subs = next(act for act in cli.build_parser()._actions
+                if isinstance(act, argparse._SubParsersAction))
+    flags = {act.option_strings[0][2:]
+             for sub in subs.choices.values() for act in sub._actions
+             if isinstance(act, argparse._StoreTrueAction)}
+    assert cli._BOOL_KEYS == flags
 
 
 def test_mesh_indep_zero(tmp_path, capsys):
@@ -325,9 +345,12 @@ def test_checks_rejects_alpha_before_sampling(monkeypatch, capsys):
 def test_solve_restart_flag(tmp_path, capsys):
     cfg = tmp_path / "restart.cfg"
     cfg.write_text("restart = yes\n")
+    off = tmp_path / "off.cfg"
+    off.write_text("restart = no\n")
     summaries = {}
     for name, extra in [("plain", []), ("flag", ["--restart"]),
-                        ("config", ["--config", str(cfg)])]:
+                        ("config", ["--config", str(cfg)]),
+                        ("config-off", [f"--config={off}"])]:
         out = tmp_path / name
         assert main(["solve", "--preset", "shifted", "--level", "3",
                      *extra, "--out", str(out)]) == 0
@@ -337,6 +360,7 @@ def test_solve_restart_flag(tmp_path, capsys):
     assert flag["converged"] and flag["restarts"] > 0
     assert flag["iterations"] < plain["iterations"]
     assert summaries["config"] == flag
+    assert summaries["config-off"] == plain
 
 
 def test_checks_seed_env_deterministic(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 """Primal oracle tests: objective values, the splitting reference, and the
 cross-certification logic."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,11 +139,18 @@ def test_certified_optimum_golden(golden, certified_sine2):
     assert cert.j_star == pytest.approx(ref, abs=1e-8 * (1.0 + abs(ref)))
 
 
-def test_certified_inconsistency_raises(sine2):
-    # one dual sweep cannot reach the oracle value: the cross check must
-    # refuse to certify
+def test_certified_inconsistency_raises(sine2, monkeypatch):
+    # an oracle value off by 1e-3 cannot match the dual run: the cross
+    # check must refuse to certify
+    real = oracle.admm_reference
+
+    def shifted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        return dataclasses.replace(sol, J=sol.J + 1e-3)
+
+    monkeypatch.setattr(oracle, "admm_reference", shifted)
     with pytest.raises(OracleInconsistencyError):
-        certified_optimum(sine2, cross_max_iters=1)
+        certified_optimum(sine2)
 
 
 def test_certified_cross_run_restarts():
