@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Pin certified optimal values into the package golden file.
 
-For every preset this runs the splitting oracle and a long dual solve and
-records J* only when the two routes agree (oracle.certified_optimum); a
-disagreement aborts the script instead of writing a stale value.  The
-result lands in src/pdeabcd/data/golden.json and is asserted by the test
-suite, so optima are pinned by computation, never typed in by hand.
+For every preset this runs a long dual solve, then the splitting oracle
+started where that solve ended, and records J* only when the two routes
+agree (oracle.certified_optimum); a disagreement aborts the script instead
+of writing a stale value.  The result lands in src/pdeabcd/data/golden.json
+and is asserted by the test suite, so optima are pinned by computation,
+never typed in by hand.  The ``iterations`` field counts the seeded
+oracle's iterations, so it is far below the count of a start from zero.
 """
 
 import argparse

@@ -123,10 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Accelerated dual solver for L1-sparse elliptic "
         "optimal control, with mesh experiments and property checks.",
         epilog="Environment: PDEABCD_SEED fixes the seed of the "
-        "randomized check suites (default 0).")
+        "randomized check suites (default 0).",
+        allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sv = subs.add_parser("solve", help="run the solver on one instance")
+    sv = subs.add_parser("solve", help="run the solver on one instance",
+                         allow_abbrev=False)
     sv.add_argument("--preset", required=True, choices=preset_names())
     sv.add_argument("--level", type=int, default=4,
                     help="dyadic mesh level (default 4)")
@@ -152,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.set_defaults(func=run_solve)
 
     mi = subs.add_parser("mesh-indep",
-                         help="iterations-to-accuracy across mesh levels")
+                         help="iterations-to-accuracy across mesh levels",
+                         allow_abbrev=False)
     mi.add_argument("--preset", required=True, choices=preset_names())
     mi.add_argument("--levels", type=_parse_levels, default=[3, 4, 5, 6],
                     metavar="L1,L2,...", help="mesh levels (default 3,4,5,6)")
@@ -175,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "determinism of outputs)")
 
     ck = subs.add_parser("checks",
-                         help="randomized matrix/norm/spectral properties")
+                         help="randomized matrix/norm/spectral properties",
+                         allow_abbrev=False)
     ck.add_argument("--levels", type=_parse_levels, default=[2, 3, 4],
                     metavar="L1,L2,...", help="mesh levels (default 2,3,4)")
     ck.add_argument("--samples", type=int, default=1000,

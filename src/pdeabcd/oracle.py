@@ -14,8 +14,12 @@ consistent-mass L1 term keeps this primal an exact conjugate of the dual
 function, which is what makes machine-accuracy cross-checks of the optimal
 values possible.
 
-:func:`certified_optimum` runs this oracle and a long dual solve and accepts
-only when the two optimal values agree to 1e-7 relative.
+:func:`certified_optimum` runs a long dual solve, then this oracle started
+at the splitting point of the dual run's final iterate, and accepts only
+when the two optimal values agree to 1e-7 relative.  The start saves the
+oracle most of its iterations but not its judgement: it still stops only
+on its own fixed-point residual, which bounds the distance from the primal
+optimum whatever the start, and its value must still match the dual one.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ def _splitting_factorization(prob: ProblemInstance, rho1: float,
 
 def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
                    max_iters: int = 200_000,
-                   u0: np.ndarray | None = None) -> PrimalSolution:
+                   z0: DualIterate | None = None) -> PrimalSolution:
     """Solve the consistent-mass primal by consensus operator splitting.
 
     Copies s = M_full u and w = u carry the L1 term and the box indicator;
@@ -118,6 +122,14 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
     relative primal or dual residual falls below ``tol``; raises
     :class:`OracleError` when the cap is hit first.  The returned control
     is the box copy ``w``, feasible to the letter.
+
+    Starts from zero, or with ``z0`` at the splitting point a dual triple
+    (lam, p, mu) maps to: u = clip((E p - lam - mu)/alpha, a, b),
+    s = M_full u, w = u, z1 = lam/rho1 and z2 = M_full mu/rho2.  At a
+    fixed point rho1 z1 = lam and rho2 z2 = M_full mu, so a dual optimum
+    maps to a point where the splitting stops.  The stopping test bounds
+    the distance from optimality whatever the start, so ``z0`` changes
+    how many iterations are needed, not what is accepted.
     """
     ops = prob.ops
     Mf = ops.M_full
@@ -139,14 +151,17 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
     fact = _splitting_factorization(prob, rho1, rho2)
     thresh = beta / rho1
 
-    if u0 is None:
+    if z0 is None:
         u = np.zeros(n)
+        z1 = np.zeros(n)
+        z2 = np.zeros(n)
     else:
-        u = np.clip(np.asarray(u0, dtype=float), a, b)
+        lam, p, mu = z0.blocks()
+        u = np.clip((ops.pad(p) - lam - mu) / alpha, a, b)
+        z1 = lam / rho1
+        z2 = (Mf @ mu) / rho2
     s = Mf @ u
     w = u.copy()
-    z1 = np.zeros(n)
-    z2 = np.zeros(n)
     rhs = np.zeros(n + 2 * n_int)
     g_scale = 1.0 + float(np.abs(q).max(initial=0.0))
 
@@ -193,21 +208,26 @@ def certified_optimum(prob: ProblemInstance, tol: float = 1e-10,
                       z0: DualIterate | None = None) -> CertifiedOptimum:
     """Optimal value certified by two independent routes.
 
-    Runs the splitting oracle to ``tol``, then a dual run of at most 100k
-    sweeps to KKT residual 1e-9, and demands ``|Phi(z_final) + J*| <= 1e-7
-    (1 + |J*|)``; disagreement raises :class:`OracleInconsistencyError`.
-    ``z0`` optionally warm starts the dual cross run.  The cross run only
-    produces a reference point, and its verdict depends only on the
-    residual reached, not the path, so it runs with momentum restarts
+    First a dual run of at most 100k sweeps to KKT residual 1e-9, warm
+    started from ``z0`` if given, then the splitting oracle to ``tol``,
+    started at the splitting point of that run's final iterate (see
+    :func:`admm_reference`).  Accepts only when ``|Phi(z_final) + J*| <=
+    1e-7 (1 + |J*|)``; disagreement raises
+    :class:`OracleInconsistencyError`.  The seed only shortens the oracle's
+    run: it stops on its own fixed-point residual, whose test is the same
+    whatever the start, so a wrong seed is walked back to the primal
+    optimum and then fails the value comparison.  The cross run only produces a
+    reference point, and its verdict depends only on the residual reached,
+    not the path, so it runs with momentum restarts
     (``SolverConfig.restart``): no value bound is checked along it.
     ``cross_phi`` is the dual value at ``z_star`` with its own mass solve,
     so it depends on ``z_star`` alone, not on the run's last multiplier.
     """
-    sol = admm_reference(prob, tol=tol)
-    j_star = sol.J
     config = SolverConfig(max_iters=100_000, tol=1e-9,
                           log_every=0, check_every=5, restart=True)
     run = dual_solver.solve(prob, config, z0=z0)
+    sol = admm_reference(prob, tol=tol, z0=run.final)
+    j_star = sol.J
     cross_phi = dual_solver.dual_objective(prob, *run.final.blocks())
     gap = abs(cross_phi + j_star)
     if gap > 1e-7 * (1.0 + abs(j_star)):

@@ -274,6 +274,24 @@ def test_config_file_errors(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("spelling", ["--conf", "--confi"])
+def test_abbreviated_config_flag_never_runs_the_defaults(spelling, tmp_path):
+    # only the pre-parser reads the file; an abbreviation it does not know
+    # must not reach a subparser that would accept it and ignore the file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("level = 3\n")
+    out = tmp_path / "run"
+    try:
+        rc = main(["solve", "--preset", "zero", spelling, str(cfg),
+                   "--out", str(out)])
+    except SystemExit as exc:
+        assert exc.code == 2
+        assert not out.exists()
+        return
+    assert rc == 0
+    assert json.loads((out / "summary.json").read_text())["level"] == 3
+
+
 def test_bool_keys_are_the_store_true_flags():
     subs = next(act for act in cli.build_parser()._actions
                 if isinstance(act, argparse._SubParsersAction))

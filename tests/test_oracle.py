@@ -6,8 +6,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pdeabcd import oracle
-from pdeabcd.dual_solver import SolverConfig, dual_objective, solve
+from pdeabcd import dual_solver, oracle
+from pdeabcd.dual_solver import (
+    DualIterate,
+    SolverConfig,
+    dual_objective,
+    solve,
+)
 from pdeabcd.oracle import (
     CertifiedOptimum,
     OracleError,
@@ -75,10 +80,12 @@ def test_admm_matches_golden(golden):
 
 
 def test_admm_start_independence(sine2, rng):
-    a, b = sine2.box
+    beta = sine2.beta
+    start = DualIterate(rng.uniform(-beta, beta, sine2.n_full),
+                        rng.standard_normal(sine2.n),
+                        rng.standard_normal(sine2.n_full))
     s1 = admm_reference(sine2, tol=1e-10)
-    s2 = admm_reference(sine2, tol=1e-10,
-                        u0=rng.uniform(a, b, sine2.n_full))
+    s2 = admm_reference(sine2, tol=1e-10, z0=start)
     assert s1.J == pytest.approx(s2.J, abs=1e-9 * (1.0 + abs(s1.J)))
     assert np.abs(s1.u - s2.u).max() < 1e-6
 
@@ -151,6 +158,37 @@ def test_certified_inconsistency_raises(sine2, monkeypatch):
     monkeypatch.setattr(oracle, "admm_reference", shifted)
     with pytest.raises(OracleInconsistencyError):
         certified_optimum(sine2)
+
+
+def test_certified_rejects_a_wrong_seed(sine2, monkeypatch):
+    # a cross run that ends at a wrong point seeds the oracle there; the
+    # oracle walks back to the primal optimum, and the dual value at the
+    # wrong point then fails the value comparison
+    real = dual_solver.solve
+    seeds = []
+
+    def halved(*args, **kwargs):
+        run = real(*args, **kwargs)
+        lam, p, mu = run.final.blocks()
+        seeds.append(DualIterate(0.5 * lam, p, mu, run.final.k))
+        return dataclasses.replace(run, final=seeds[-1])
+
+    monkeypatch.setattr(dual_solver, "solve", halved)
+    with pytest.raises(OracleInconsistencyError):
+        certified_optimum(sine2)
+    cold = admm_reference(sine2)
+    seeded = admm_reference(sine2, z0=seeds[0])
+    assert seeded.J == pytest.approx(cold.J,
+                                     abs=1e-9 * (1.0 + abs(cold.J)))
+
+
+def test_certified_oracle_is_seeded():
+    # started where the cross run ended, the oracle needs a small fraction
+    # of the iterations of a start from zero (5 vs 398 when written)
+    inst = make_instance("shifted", 4)
+    cert = certified_optimum(inst)
+    cold = admm_reference(inst)
+    assert cert.oracle.iterations <= cold.iterations / 10
 
 
 def test_certified_cross_run_restarts():
