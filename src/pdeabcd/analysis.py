@@ -83,12 +83,22 @@ def verify_complexity_bound(record: RunRecord, tau_h: float, phi_star: float,
 def lam_max_majorizer(prob: ProblemInstance) -> tuple[float, bool]:
     """Largest eigenvalue of S_h, the larger of its two blocks' maxima.
 
-    Returns ``(estimate, converged)``; ``converged`` is False when the power
-    iteration of either block stops at its 400-step cap.
+    G = M + alpha K M^{-1} K dominates M, so M E G^{-1} E' M is dominated
+    by M E M^{-1} E' M, which is dominated by M: the lam block satisfies
+    S_lam <= W/alpha and lam_max(S_lam) <= max(W)/alpha.  The mu block
+    (two sparse products per step, no solve) is power-iterated first; when
+    its estimate reaches that bound, the lam block cannot set the maximum
+    and is not iterated.  Otherwise both blocks are.
+
+    Returns ``(estimate, converged)``; ``converged`` is False when a power
+    iteration the estimate depends on (the mu block's alone when the bound
+    decides, else both) stops at its 400-step cap.
     """
     s_lam, s_mu = majorizer_blocks(prob)
-    top_lam, lam_ok = power_iteration_extremes(s_lam, prob.n_full, iters=400)
     top_mu, mu_ok = power_iteration_extremes(s_mu, prob.n_full, iters=400)
+    if prob.ops.W_full.max() / prob.alpha <= top_mu:
+        return float(top_mu), mu_ok
+    top_lam, lam_ok = power_iteration_extremes(s_lam, prob.n_full, iters=400)
     return float(max(top_lam, top_mu)), lam_ok and mu_ok
 
 

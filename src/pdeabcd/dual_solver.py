@@ -273,8 +273,9 @@ def primal_value(prob: ProblemInstance, u: np.ndarray) -> float:
     y = ops.stiffness_factor.solve(ops.mass_interior_rows(u + prob.y_r))
     diff = y - prob.y_d
     val = 0.5 * float(diff @ (ops.M @ diff))
-    val += 0.5 * prob.alpha * float(u @ (ops.M_full @ u))
-    val += prob.beta * float(np.abs(ops.M_full @ u).sum())
+    m_u = ops.M_full @ u
+    val += 0.5 * prob.alpha * float(u @ m_u)
+    val += prob.beta * float(np.abs(m_u).sum())
     return val
 
 

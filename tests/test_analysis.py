@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from pdeabcd import analysis
+from pdeabcd import analysis, dual_solver
 from pdeabcd.analysis import (
     LevelResult,
     apply_g_inverse,
@@ -33,6 +33,7 @@ from pdeabcd.dual_solver import (
     solve,
 )
 from pdeabcd.presets import make_instance
+from pdeabcd.sparse_linalg import power_iteration_extremes
 
 
 def _dense_tau(prob, z0, z_star):
@@ -104,29 +105,77 @@ def test_verify_complexity_bound_pass_and_fail(certified_sine2):
     assert bad_margin < 0.0
 
 
-def test_lam_max_majorizer_matches_dense(certified_sine2):
-    inst, _ = certified_sine2
-    ops = inst.ops
+def _dense_block_maxima(prob):
+    """Dense largest eigenvalues of the (lam, mu) blocks of S_h."""
+    ops = prob.ops
     Mf = ops.M_full.toarray()
     W = ops.W_full
     K = ops.K.toarray()
     M = ops.M.toarray()
-    G = M + inst.alpha * (K @ np.linalg.solve(M, K))
-    E = np.zeros((inst.n_full, inst.n))
-    E[ops.interior, np.arange(inst.n)] = 1.0
+    G = M + prob.alpha * (K @ np.linalg.solve(M, K))
+    E = np.zeros((prob.n_full, prob.n))
+    E[ops.interior, np.arange(prob.n)] = 1.0
     S_lam = (Mf @ E @ np.linalg.solve(G, E.T @ Mf)
-             + np.diag(W) - Mf) / inst.alpha
-    S_mu = (inst.gamma / inst.alpha) * (Mf @ np.diag(1.0 / W) @ Mf)
-    expected = max(np.linalg.eigvalsh(S_lam).max(),
-                   np.linalg.eigvalsh(S_mu).max())
+             + np.diag(W) - Mf) / prob.alpha
+    S_mu = (prob.gamma / prob.alpha) * (Mf @ np.diag(1.0 / W) @ Mf)
+    return np.linalg.eigvalsh(S_lam).max(), np.linalg.eigvalsh(S_mu).max()
+
+
+def test_lam_max_majorizer_matches_dense(certified_sine2):
+    inst, _ = certified_sine2
     got, _ = lam_max_majorizer(inst)
-    assert got == pytest.approx(expected, rel=1e-6)
+    assert got == pytest.approx(max(_dense_block_maxima(inst)), rel=1e-6)
 
 
 def test_lam_max_majorizer_reports_unconverged_power_iteration():
-    # at its 400-step cap the lam block's power iteration has not settled
+    # at its 400-step cap the mu block's power iteration has not settled
     _, converged = lam_max_majorizer(make_instance("sine", 4))
     assert converged is False
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_lam_block_below_w_over_alpha(level):
+    inst = make_instance("sine", level)
+    top_lam, _ = _dense_block_maxima(inst)
+    assert top_lam <= inst.ops.W_full.max() / inst.alpha
+
+
+@pytest.mark.parametrize("preset", ["sine", "shifted"])
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_lam_max_bound_path_matches_two_blocks(preset, level):
+    inst = make_instance(preset, level)
+    s_lam, s_mu = analysis.majorizer_blocks(inst)
+    top_lam, _ = power_iteration_extremes(s_lam, inst.n_full, iters=400)
+    top_mu, mu_ok = power_iteration_extremes(s_mu, inst.n_full, iters=400)
+    assert top_lam <= inst.ops.W_full.max() / inst.alpha <= top_mu
+    # the value is the two-block maximum; the flag is that of the mu block,
+    # the only iteration the value depends on
+    assert lam_max_majorizer(inst) == (float(max(top_lam, top_mu)), mu_ok)
+
+
+def test_lam_max_falls_back_to_both_blocks_near_gamma_one(monkeypatch):
+    inst = make_instance("sine", 2, gamma=1.05)
+    calls = []
+
+    def counted(apply, n, iters=2000):
+        calls.append(apply)
+        return power_iteration_extremes(apply, n, iters)
+
+    monkeypatch.setattr(analysis, "power_iteration_extremes", counted)
+    got, _ = lam_max_majorizer(inst)
+    assert len(calls) == 2
+    assert got == pytest.approx(max(_dense_block_maxima(inst)), rel=1e-6)
+
+
+def test_lam_max_builds_no_p_solve_when_bound_decides(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("p-solve factor built")
+
+    inst = make_instance("sine", 3)
+    monkeypatch.setattr(dual_solver, "AugmentedSolver", refuse)
+    got, converged = lam_max_majorizer(inst)
+    assert got > 0.0 and converged is True
+    assert "psolve" not in vars(inst)
 
 
 def test_prolongated_start_zero_data_stays_at_origin():
@@ -203,7 +252,7 @@ def test_mesh_independence_report_shape_and_csv(tmp_path):
     d = rep.to_json_dict()
     assert d["preset"] == "sine"
     assert len(d["rows"]) == 2
-    assert [r["lam_max_converged"] for r in d["rows"]] == [False, False]
+    assert [r["lam_max_converged"] for r in d["rows"]] == [True, False]
 
 
 def test_mesh_independence_saturation_flagged():
