@@ -81,25 +81,22 @@ def verify_complexity_bound(record: RunRecord, tau_h: float, phi_star: float,
 
 
 def lam_max_majorizer(prob: ProblemInstance) -> tuple[float, bool]:
-    """Largest eigenvalue of S_h, the larger of its two blocks' maxima.
+    """Largest eigenvalue of S_h, which is that of its mu block.
 
-    G = M + alpha K M^{-1} K dominates M, so M E G^{-1} E' M is dominated
-    by M E M^{-1} E' M, which is dominated by M: the lam block satisfies
-    S_lam <= W/alpha and lam_max(S_lam) <= max(W)/alpha.  The mu block
-    (two sparse products per step, no solve) is power-iterated first; when
-    its estimate reaches that bound, the lam block cannot set the maximum
-    and is not iterated.  Otherwise both blocks are.
-
-    Returns ``(estimate, converged)``; ``converged`` is False when a power
-    iteration the estimate depends on (the mu block's alone when the bound
-    decides, else both) stops at its 400-step cap.
+    Returns ``(estimate, converged)`` of 400 power steps on S_mu, False
+    at the cap.  No valid gamma lets the lam block set the maximum:
+    - gamma < 4 is never valid.  Colour node (i, j) by (i + j) mod 3: each
+      triangle gets all three colours, so z = cos(2 pi colour / 3) sums to
+      zero on it and z'W_e z = 4 z'M_e z.  So W <= gamma M, and with it
+      S_mu >= M/alpha, fails for gamma < 4.
+    - gamma >= 4 lets the mu block decide.  P1 has M_ii = W_i/2, so
+      (M W^-1 M)_ii > M_ii^2/W_i = W_i/4 (neighbours add; the least ratio
+      is 7/24): lam_max(S_mu) >= max_i (S_mu)_ii > max(W)/alpha, while
+      S_lam <= W/alpha since G = M + alpha K M^-1 K dominates M.
     """
-    s_lam, s_mu = majorizer_blocks(prob)
+    _, s_mu = majorizer_blocks(prob)
     top_mu, mu_ok = power_iteration_extremes(s_mu, prob.n_full, iters=400)
-    if prob.ops.W_full.max() / prob.alpha <= top_mu:
-        return float(top_mu), mu_ok
-    top_lam, lam_ok = power_iteration_extremes(s_lam, prob.n_full, iters=400)
-    return float(max(top_lam, top_mu)), lam_ok and mu_ok
+    return float(top_mu), mu_ok
 
 
 def prolongated_start(coarse_inst: ProblemInstance) -> DualIterate:
@@ -108,9 +105,9 @@ def prolongated_start(coarse_inst: ProblemInstance) -> DualIterate:
     The sweep output is a P1 triple on the coarse mesh: data adapted (zero
     data keeps the start at the origin, so those runs finish in one
     iteration everywhere), dual feasible by construction, and with
-    level-independent norms.  :func:`prolongate_iterate` carries it to any
-    finer nested mesh as nodal interpolation of the same functions, so it
-    represents one fixed function triple across the whole hierarchy.
+    level-independent norms.  :func:`prolongate_iterate` carries lam and
+    mu to any finer nested mesh as nodal interpolation of the same
+    functions, so they are one fixed function pair across the hierarchy.
     """
     run = dual_solver.solve(
         coarse_inst,
@@ -124,17 +121,14 @@ def prolongate_iterate(src_mesh: Mesh, z: DualIterate,
     ``dst`` by nodal interpolation.
 
     Needs only the source mesh, so a finished level's operators and
-    factorizations need not outlive it.  The p block is interpolated with
-    its zero boundary values and restricted back to the interior; lam is
-    clipped to the destination's beta bound.
+    factorizations need not outlive it.  lam is clipped to the destination's
+    beta bound.  p is left zero: every sweep of :func:`dual_solver.solve`
+    begins with a p-solve and :func:`compute_tau_h` ignores p.
     """
     fine = dst.ops.mesh
     lam = np.clip(prolongate_nodal(src_mesh, fine, z.lam), -dst.beta, dst.beta)
-    p_full = np.zeros(src_mesh.n_nodes)
-    p_full[src_mesh.interior] = z.p
-    p = dst.ops.restrict(prolongate_nodal(src_mesh, fine, p_full))
     mu = prolongate_nodal(src_mesh, fine, z.mu)
-    return DualIterate(lam, p, mu)
+    return DualIterate(lam, np.zeros(dst.n), mu)
 
 
 def reference_solution(prob: ProblemInstance, z0: DualIterate | None = None

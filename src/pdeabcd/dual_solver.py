@@ -64,7 +64,8 @@ class ProblemInstance:
 
     ``y_d`` is an interior nodal vector (tracking target for the Dirichlet
     state); ``y_r`` is a full nodal vector (source shift, control-like).
-    ``gamma`` is the lumped-mass comparison constant of the mesh family.
+    ``gamma``, the mu metric's weight, must be at least 4: S_h majorizes
+    only if W <= gamma M, and W/M reaches 4 (``analysis.lam_max_majorizer``).
     """
 
     ops: FemOperators
@@ -84,8 +85,10 @@ class ProblemInstance:
             raise InputError(f"alpha must be positive, got {self.alpha}")
         if not self.beta >= 0.0:
             raise InputError(f"beta must be nonnegative, got {self.beta}")
-        if not self.gamma > 1.0:
-            raise InputError(f"gamma must exceed 1, got {self.gamma}")
+        if not self.gamma >= LUMPED_MASS_GAMMA:
+            raise InputError(f"gamma must be at least 4, got {self.gamma}")
+        if self.ops.n_interior == 0:
+            raise InputError("the mesh has no interior node")
         self.y_d = np.asarray(self.y_d, dtype=float)
         self.y_r = np.asarray(self.y_r, dtype=float)
         if self.y_d.shape != (self.ops.n_interior,):
@@ -107,6 +110,11 @@ class ProblemInstance:
     def psolve(self) -> AugmentedSolver:
         """Solver for ``(K M^{-1} K + M/alpha) p = b``, factored on first use."""
         return AugmentedSolver(self.ops.K, self.ops.M, self.alpha)
+
+    def state(self, u: np.ndarray) -> np.ndarray:
+        """The state of control ``u``: solves ``K y = M_int (u + y_r)``."""
+        ops = self.ops
+        return ops.stiffness_factor.solve(ops.mass_interior_rows(u + self.y_r))
 
     @cached_property
     def m_yd(self) -> np.ndarray:
@@ -270,8 +278,7 @@ def primal_value(prob: ProblemInstance, u: np.ndarray) -> float:
     """
     u = np.asarray(u, dtype=float)
     ops = prob.ops
-    y = ops.stiffness_factor.solve(ops.mass_interior_rows(u + prob.y_r))
-    diff = y - prob.y_d
+    diff = prob.state(u) - prob.y_d
     val = 0.5 * float(diff @ (ops.M @ diff))
     m_u = ops.M_full @ u
     val += 0.5 * prob.alpha * float(u @ m_u)
@@ -362,8 +369,7 @@ def recover_primal(prob: ProblemInstance, lam, p, mu) -> tuple[np.ndarray, np.nd
     ops = prob.ops
     u = (ops.pad(p) - np.asarray(lam, float)
          - np.asarray(mu, float)) / prob.alpha
-    y = ops.stiffness_factor.solve(ops.mass_interior_rows(u + prob.y_r))
-    return u, y
+    return u, prob.state(u)
 
 
 def kkt_residual(prob: ProblemInstance, lam, p, mu, u, y) -> float:
@@ -389,14 +395,14 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
           z0: DualIterate | None = None) -> RunRecord:
     """Run the accelerated dual scheme from ``z0`` (zeros by default).
 
-    Each sweep begins with a p-solve, so the p block of ``z0`` is only
-    checked for its size.  Logs the dual objective, the KKT residual, and
-    the duality gap at the configured cadence and at the last iteration;
-    stops on the KKT tolerance, on ``phi_target`` when set, or at
-    ``max_iters``.  With ``config.restart`` the momentum is reset after
-    every sweep whose step turns against the previous move, and the resets
-    are counted in ``RunRecord.restarts``.  Raises
-    :class:`DivergenceError` when iterates become non-finite.
+    Each sweep begins with a p-solve, so only the size of ``z0``'s p block
+    is read (a prolongated start carries a zero p).  Logs the dual
+    objective, the KKT residual, and the duality gap at the configured
+    cadence and at the last iteration; stops on the KKT tolerance, on
+    ``phi_target`` when set, or at ``max_iters``.  With ``config.restart``
+    the momentum is reset after every sweep whose step turns against the
+    previous move, and the resets are counted in ``RunRecord.restarts``.
+    Raises :class:`DivergenceError` when iterates become non-finite.
     """
     config = config or SolverConfig()
     if z0 is None:

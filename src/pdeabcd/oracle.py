@@ -199,8 +199,7 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
             f"splitting solve stalled at residual {residual:.3e} "
             f"after {iterations} iterations (tol {tol:.1e})"
         )
-    y = K_fact.solve(ops.mass_interior_rows(w + prob.y_r))
-    return PrimalSolution(u=w, y=y, J=primal_objective(prob, w),
+    return PrimalSolution(u=w, y=prob.state(w), J=primal_objective(prob, w),
                           iterations=iterations)
 
 

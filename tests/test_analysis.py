@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pdeabcd import analysis, dual_solver
 from pdeabcd.analysis import (
@@ -25,6 +26,7 @@ from pdeabcd.analysis import (
     spectral_scaling_report,
     verify_complexity_bound,
 )
+from pdeabcd.assembly import assemble
 from pdeabcd.dual_solver import (
     DualIterate,
     SolverConfig,
@@ -32,6 +34,7 @@ from pdeabcd.dual_solver import (
     recover_primal,
     solve,
 )
+from pdeabcd.mesh import InputError, build_unit_square_mesh
 from pdeabcd.presets import make_instance
 from pdeabcd.sparse_linalg import power_iteration_extremes
 
@@ -153,8 +156,14 @@ def test_lam_max_bound_path_matches_two_blocks(preset, level):
     assert lam_max_majorizer(inst) == (float(max(top_lam, top_mu)), mu_ok)
 
 
-def test_lam_max_falls_back_to_both_blocks_near_gamma_one(monkeypatch):
-    inst = make_instance("sine", 2, gamma=1.05)
+def test_gamma_below_lumped_mass_constant_rejected(monkeypatch):
+    inst = make_instance("sine", 2)
+    with pytest.raises(InputError, match="gamma"):
+        make_instance("sine", 2, gamma=3.99)
+    with pytest.raises(InputError, match="gamma"):
+        dataclasses.replace(inst, gamma=3.99)
+    assert dataclasses.replace(inst, gamma=4.0).gamma == 4.0
+    wide = make_instance("sine", 2, gamma=8.0)
     calls = []
 
     def counted(apply, n, iters=2000):
@@ -162,9 +171,21 @@ def test_lam_max_falls_back_to_both_blocks_near_gamma_one(monkeypatch):
         return power_iteration_extremes(apply, n, iters)
 
     monkeypatch.setattr(analysis, "power_iteration_extremes", counted)
-    got, _ = lam_max_majorizer(inst)
-    assert len(calls) == 2
-    assert got == pytest.approx(max(_dense_block_maxima(inst)), rel=1e-6)
+    got, _ = lam_max_majorizer(wide)
+    assert len(calls) == 1
+    assert got == pytest.approx(max(_dense_block_maxima(wide)), rel=1e-6)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
+def test_lumped_mass_constant_attained_and_mu_diagonal_dominates(level):
+    # why gamma >= 4 is the rule and why the mu block sets lam_max(S_h)
+    ops = assemble(build_unit_square_mesh(level))
+    ij = np.rint(ops.mesh.nodes * 2**level).astype(int)
+    z = np.cos(2.0 * np.pi * ((ij[:, 0] + ij[:, 1]) % 3) / 3.0)
+    Mf, W = ops.M_full, ops.W_full
+    assert (z @ (W * z)) / (z @ (Mf @ z)) == pytest.approx(4.0, abs=1e-12)
+    mwm_diag = (Mf @ sp.diags(1.0 / W) @ Mf).diagonal()
+    assert (mwm_diag / W).min() >= 0.25
 
 
 def test_lam_max_builds_no_p_solve_when_bound_decides(monkeypatch):
@@ -217,8 +238,7 @@ def test_prolongate_iterate_nested_consistency(rng):
     idx = np.array(coarse_in_fine)
     assert np.allclose(out.lam[idx], z.lam, atol=1e-13)
     assert np.allclose(out.mu[idx], z.mu, atol=1e-13)
-    assert out.p.shape == (dst.n,)
-    assert np.allclose(dst.ops.pad(out.p)[idx], src.ops.pad(z.p), atol=1e-13)
+    assert np.array_equal(out.p, np.zeros(dst.n))
 
 
 def test_reference_solution(sine2):

@@ -69,10 +69,15 @@ def test_solve_dump_artifacts(tmp_path):
 
 
 def test_solve_divergence_exit_code(tmp_path, capsys, monkeypatch):
-    # gamma = 1.5 undercuts the lumped-mass constant 4 and the sweep diverges
+    # a NaN in the source shift makes the first sweep non-finite
     real = cli.make_instance
-    monkeypatch.setattr(cli, "make_instance",
-                        lambda *args, **kw: real(*args, gamma=1.5, **kw))
+
+    def nan_source(*args, **kw):
+        inst = real(*args, **kw)
+        inst.y_r[0] = np.nan
+        return inst
+
+    monkeypatch.setattr(cli, "make_instance", nan_source)
     with np.errstate(all="ignore"):
         rc = main(["solve", "--preset", "sine", "--level", "2",
                    "--out", str(tmp_path)])
@@ -155,6 +160,9 @@ def test_usage_errors(capsys):
     ["mesh-indep", "--preset", "sine", "--levels", "2,3,4", "--eps", "nan"],
     ["solve", "--preset", "sine", "--level", "2", "--restart",
      "--check-bound"],
+    ["solve", "--preset", "sine", "--level", "0"],
+    ["mesh-indep", "--preset", "sine", "--levels", "0,1,2"],
+    ["checks", "--levels", "0,1"],
 ])
 def test_bad_flag_values_exit_2(argv, capsys):
     assert main(argv) == 2

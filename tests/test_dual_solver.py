@@ -6,9 +6,12 @@ for its fixed point at a certified optimum, arithmetic identities of the
 primal recovery, bitwise determinism, and the divergence guard.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pdeabcd.assembly import assemble
 from pdeabcd.dual_solver import (
     DivergenceError,
     DualIterate,
@@ -28,7 +31,7 @@ from pdeabcd.dual_solver import (
     step_phat,
     support_box,
 )
-from pdeabcd.mesh import InputError
+from pdeabcd.mesh import InputError, build_unit_square_mesh
 from pdeabcd.presets import make_instance
 
 
@@ -166,6 +169,11 @@ def test_instance_validation():
         ProblemInstance(**{**good, "y_d": np.zeros(n)})
     with pytest.raises(ValueError, match="full"):
         ProblemInstance(**{**good, "y_r": np.zeros(ni)})
+    # level 0 is a valid mesh, but the state has no unknown on it
+    ops0 = assemble(build_unit_square_mesh(0))
+    with pytest.raises(InputError, match="no interior node"):
+        ProblemInstance(**{**good, "ops": ops0, "y_d": np.zeros(0),
+                           "y_r": np.zeros(ops0.mesh.n_nodes)})
 
 
 def test_solver_config_validation():
@@ -332,7 +340,8 @@ def test_phi_target_stop(sine2, certified_sine2):
 
 
 def test_divergence_guard():
-    inst = make_instance("sine", 2, gamma=1.5)
+    inst0 = make_instance("sine", 2)
+    inst = dataclasses.replace(inst0, y_d=np.full(inst0.n, 1e308))
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as exc:
         solve(inst, SolverConfig(max_iters=20000, tol=0.0, log_every=0))
     err = exc.value
