@@ -24,7 +24,8 @@ from . import dual_solver, oracle
 from .assembly import (LUMPED_MASS_GAMMA, assemble, l1h_norm,
                        l1_norm_exact, norms)
 from .dual_solver import DualIterate, ProblemInstance, RunRecord, SolverConfig
-from .mesh import InputError, Mesh, build_unit_square_mesh, prolongate_nodal
+from .mesh import (InputError, Mesh, build_unit_square_mesh, check_level,
+                   prolongate_nodal)
 from .presets import make_instance
 from .sparse_linalg import power_iteration_extremes
 
@@ -320,9 +321,13 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
         raise InputError("need at least two levels to compare")
     if len(set(levels)) < len(levels):
         raise InputError(f"levels must be distinct, got {levels}")
-    if tau_proxy_level is not None and not tau_proxy_level >= levels[0]:
-        raise InputError(f"tau proxy level {tau_proxy_level} is coarser "
-                         f"than the coarsest level {levels[0]}")
+    for lvl in levels:
+        check_level(lvl)
+    if tau_proxy_level is not None:
+        check_level(tau_proxy_level)
+        if not tau_proxy_level >= levels[0]:
+            raise InputError(f"tau proxy level {tau_proxy_level} is coarser "
+                             f"than the coarsest level {levels[0]}")
     params = dict(alpha=alpha, beta=beta, box=box)
     coarse_inst = make_instance(preset, levels[0], **params)
     start = prolongated_start(coarse_inst)
@@ -508,7 +513,7 @@ def operator_bound_check(levels, alpha: float = 1e-2) -> dict:
 
     The smallest eigenvalue scales like h^2 and the largest like 1/h^2;
     windows are fitted on the coarsest pair of levels with a 25 percent
-    margin and checked on the rest.
+    margin and checked on the rest, so fewer than three levels never pass.
     """
     levels = sorted(int(l) for l in levels)
     rows = []
@@ -530,7 +535,7 @@ def operator_bound_check(levels, alpha: float = 1e-2) -> dict:
             "lam_max_G_times_h2": g_max * h * h,
             "lam_min_G_over_h2": (1.0 / ginv_max) / (h * h),
         })
-    passed = True
+    passed = len(rows) > 2
     windows = {}
     for key in ("lam_max_G_times_h2", "lam_min_G_over_h2"):
         fit = [r[key] for r in rows[:2]]

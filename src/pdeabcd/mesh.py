@@ -67,10 +67,9 @@ class Mesh:
         return np.flatnonzero(~self.boundary_mask)
 
 
-def build_unit_square_mesh(level: int) -> Mesh:
-    """Build the level-``level`` uniform triangulation of the unit square.
+def check_level(level: int) -> None:
+    """Reject a level no mesh can be built at, without building anything.
 
-    The mesh has ``(2**level + 1)**2`` nodes and ``2 * 4**level`` triangles.
     Raises :class:`InputError` for a negative level and its subclass
     :class:`MeshSizeError` for levels above ``MAX_LEVEL``.
     """
@@ -83,6 +82,15 @@ def build_unit_square_mesh(level: int) -> Mesh:
             f"level {level} exceeds the guard MAX_LEVEL={MAX_LEVEL} "
             f"({(2 ** level + 1) ** 2} nodes)"
         )
+
+
+def build_unit_square_mesh(level: int) -> Mesh:
+    """Build the level-``level`` uniform triangulation of the unit square.
+
+    The mesh has ``(2**level + 1)**2`` nodes and ``2 * 4**level`` triangles.
+    Levels are checked by :func:`check_level`.
+    """
+    check_level(level)
     n = 2**level
     cell = 1.0 / n
     side = np.arange(n + 1) * cell

@@ -12,7 +12,8 @@ L1 term from the box, so every subproblem is exact -- one sparse symmetric
 indefinite solve, a componentwise soft threshold, a clip.  The
 consistent-mass L1 term keeps this primal an exact conjugate of the dual
 function, which is what makes machine-accuracy cross-checks of the optimal
-values possible.
+values possible.  It has one start, a dual iterate's splitting point (the
+origin's by default), and reports ``dual_solver.primal_value``.
 
 :func:`certified_optimum` runs a long dual solve, then this oracle started
 at the splitting point of the dual run's final iterate, and accepts only
@@ -35,6 +36,8 @@ from .sparse_linalg import factorize_indefinite
 
 # over-relaxation of the splitting updates
 RELAXATION = 1.7
+# iteration cap of one splitting solve
+MAX_ITERS = 200_000
 
 
 class OracleError(RuntimeError):
@@ -50,7 +53,6 @@ class PrimalSolution:
     """Output of a reference primal solve."""
 
     u: np.ndarray
-    y: np.ndarray
     J: float
     iterations: int
 
@@ -66,24 +68,6 @@ class CertifiedOptimum:
     kkt_star: float
     cross_phi: float
     oracle: PrimalSolution
-
-
-def primal_objective(prob: ProblemInstance, u: np.ndarray) -> float:
-    """Objective value of a feasible control, with the exact discrete state.
-
-    J(u) = 1/2 ||y - y_d||_M^2 + alpha/2 ||u||_M^2 + beta sum_i |(M u)_i|
-    with K y = M (u + y_r) on interior rows.  Raises ``ValueError`` when
-    ``u`` leaves the box beyond roundoff.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (prob.n_full,):
-        raise ValueError(
-            f"control has shape {u.shape}, expected ({prob.n_full},)")
-    a, b = prob.box
-    slack = 1e-12 * (1.0 + max(abs(a), abs(b)))
-    if u.size and (u.min() < a - slack or u.max() > b + slack):
-        raise ValueError("control violates the box constraints")
-    return dual_solver.primal_value(prob, np.clip(u, a, b))
 
 
 def _splitting_factorization(prob: ProblemInstance, rho1: float,
@@ -110,7 +94,6 @@ def _splitting_factorization(prob: ProblemInstance, rho1: float,
 
 
 def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
-                   max_iters: int = 200_000,
                    z0: DualIterate | None = None) -> PrimalSolution:
     """Solve the consistent-mass primal by consensus operator splitting.
 
@@ -120,11 +103,12 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
     weights are fixed multiples of alpha and the mean mass diagonal, so the
     3-block system is factorized once per call.  Runs until the worst
     relative primal or dual residual falls below ``tol``; raises
-    :class:`OracleError` when the cap is hit first.  The returned control
-    is the box copy ``w``, feasible to the letter.
+    :class:`OracleError` when ``MAX_ITERS`` iterations pass first.  The
+    returned control is the box copy ``w``, feasible to the letter, and
+    ``J`` is ``dual_solver.primal_value`` there.
 
-    Starts from zero, or with ``z0`` at the splitting point a dual triple
-    (lam, p, mu) maps to: u = clip((E p - lam - mu)/alpha, a, b),
+    Starts at the splitting point the dual triple ``z0`` = (lam, p, mu),
+    the origin by default, maps to: u = clip((E p - lam - mu)/alpha, a, b),
     s = M_full u, w = u, z1 = lam/rho1 and z2 = M_full mu/rho2.  At a
     fixed point rho1 z1 = lam and rho2 z2 = M_full mu, so a dual optimum
     maps to a point where the splitting stops.  The stopping test bounds
@@ -152,14 +136,11 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
     thresh = beta / rho1
 
     if z0 is None:
-        u = np.zeros(n)
-        z1 = np.zeros(n)
-        z2 = np.zeros(n)
-    else:
-        lam, p, mu = z0.blocks()
-        u = np.clip((ops.pad(p) - lam - mu) / alpha, a, b)
-        z1 = lam / rho1
-        z2 = (Mf @ mu) / rho2
+        z0 = DualIterate.for_instance(prob)
+    lam, p, mu = z0.blocks()
+    u = np.clip((ops.pad(p) - lam - mu) / alpha, a, b)
+    z1 = lam / rho1
+    z2 = (Mf @ mu) / rho2
     s = Mf @ u
     w = u.copy()
     rhs = np.zeros(n + 2 * n_int)
@@ -167,7 +148,7 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
 
     residual = float("inf")
     iterations = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         rhs[:n] = q + rho1 * (Mf @ (s - z1)) + rho2 * (w - z2)
         u = fact.solve(rhs)[:n]
         mu_u = Mf @ u
@@ -199,7 +180,7 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
             f"splitting solve stalled at residual {residual:.3e} "
             f"after {iterations} iterations (tol {tol:.1e})"
         )
-    return PrimalSolution(u=w, y=prob.state(w), J=primal_objective(prob, w),
+    return PrimalSolution(u=w, J=dual_solver.primal_value(prob, w),
                           iterations=iterations)
 
 

@@ -338,6 +338,8 @@ def test_l1_gap_check(seed):
 def test_operator_bound_check():
     out = operator_bound_check([2, 3, 4])
     assert out["passed"]
+    # two levels only fit the windows and leave no level to check
+    assert operator_bound_check([3, 4])["passed"] is False
 
 
 def test_tau_h_at_level_positive():
@@ -396,6 +398,8 @@ def test_mesh_independence_builds_each_level_once(monkeypatch):
     ([3, 4, 5], {"tau_proxy_level": 2}),
     ([2, 3, 4], {"epsilon": float("nan")}),
     ([2, 3, 4], {"run_max_iters": 0}),
+    ([3, 4, 13], {}),
+    ([3, 4, 5], {"tau_proxy_level": 13}),
 ])
 def test_mesh_independence_rejects_bad_input_before_building(
         monkeypatch, levels, kwargs):

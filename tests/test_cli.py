@@ -150,7 +150,7 @@ def test_usage_errors(capsys):
     ["mesh-indep", "--preset", "sine", "--levels", "2,3,4",
      "--tau-proxy-level=-1"],
     ["checks", "--levels", "2,3,4", "--samples", "0"],
-    ["checks", "--levels", "2,3", "--samples", "5", "--alpha", "0"],
+    ["checks", "--levels", "2,3,4", "--samples", "5", "--alpha", "0"],
     ["mesh-indep", "--preset", "sine", "--levels", "2,3,4", "--alpha", "0"],
     ["mesh-indep", "--preset", "sine", "--levels", "2,3,4", "--beta", "-1"],
     ["mesh-indep", "--preset", "sine", "--levels", "2,3,4", "--box", "1,2"],
@@ -162,7 +162,9 @@ def test_usage_errors(capsys):
      "--check-bound"],
     ["solve", "--preset", "sine", "--level", "0"],
     ["mesh-indep", "--preset", "sine", "--levels", "0,1,2"],
-    ["checks", "--levels", "0,1"],
+    ["checks", "--levels", "0,1,2"],
+    ["checks", "--levels", "3,4"],
+    ["checks", "--levels", "3,3,4"],
 ])
 def test_bad_flag_values_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -176,7 +178,7 @@ def test_bad_flag_values_exit_2(argv, capsys):
 _BOUNDED_ARGS = {
     "solve": ["--preset", "sine", "--level", "2", "--max-iters", "50"],
     "mesh-indep": ["--preset", "sine", "--levels", "2,3,4"],
-    "checks": ["--levels", "2,3", "--samples", "5"],
+    "checks": ["--levels", "2,3,4", "--samples", "5"],
 }
 
 
@@ -352,7 +354,7 @@ def test_checks_bad_gamma_fails(capsys, monkeypatch):
     real = analysis.lumped_mass_comparison_check
     monkeypatch.setattr(analysis, "lumped_mass_comparison_check",
                         lambda *args, **kw: real(*args, **kw, gamma=2.0))
-    rc = main(["checks", "--levels", "2,3", "--samples", "50"])
+    rc = main(["checks", "--levels", "2,3,4", "--samples", "50"])
     assert rc == 4
     out = capsys.readouterr().out
     assert "checks=FAIL" in out
@@ -404,7 +406,7 @@ def test_checks_seed_env_deterministic(tmp_path, monkeypatch):
     # a different seed still passes; the sampled worst cases differ
     assert json.loads((d3 / "checks.json").read_text())["passed"] is True
     monkeypatch.setenv("PDEABCD_SEED", "not-an-int")
-    assert main(["checks", "--levels", "2,3", "--samples", "10"]) == 2
+    assert main(["checks", "--levels", "2,3,4", "--samples", "10"]) == 2
 
 
 def test_module_entrypoint_subprocess(tmp_path):

@@ -390,7 +390,7 @@ def test_primal_value_zero_control(sine2):
     # u = 0 and y_r = 0: only the tracking term remains
     val = primal_value(sine2, np.zeros(sine2.n_full))
     expected = 0.5 * float(sine2.y_d @ (sine2.ops.M @ sine2.y_d))
-    assert val == pytest.approx(expected, rel=1e-12)
+    assert val == pytest.approx(expected, rel=1e-13)
 
 
 def test_kkt_residual_zero_at_certified_optimum(certified_sine2):
