@@ -44,6 +44,12 @@ def _dense_objective(prob, u):
     return float(val)
 
 
+def test_primal_objective_zero_control(sine2):
+    expected = 0.5 * float(sine2.y_d @ (sine2.ops.M @ sine2.y_d))
+    got = primal_value(sine2, np.zeros(sine2.n_full))
+    assert got == pytest.approx(expected, rel=1e-13)
+
+
 def test_primal_objective_zero_preset_is_zero(zero2):
     assert primal_value(zero2, np.zeros(zero2.n_full)) == 0.0
 
