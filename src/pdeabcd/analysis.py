@@ -16,7 +16,7 @@ the extreme eigenvalues of the operators and of S_h scale with h.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .assembly import (LUMPED_MASS_GAMMA, assemble, l1h_norm,
                        l1_norm_exact, norms)
 from .dual_solver import DualIterate, ProblemInstance, RunRecord, SolverConfig
 from .mesh import (InputError, Mesh, build_unit_square_mesh, check_level,
-                   prolongate_nodal)
+                   check_levels, prolongate_nodal)
 from .presets import make_instance
 from .sparse_linalg import power_iteration_extremes
 
@@ -212,82 +212,11 @@ class MeshIndependenceReport:
             fh.writelines(f"{line}\n" for line in self.csv_lines())
 
     def to_json_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "epsilon": self.epsilon,
-            "median_iters": self.median_iters,
-            "passed": bool(self.passed),
-            "fitted_C": self.fitted_c,
-            "tau_proxy": self.tau_proxy,
-            "rows": [
-                {
-                    "level": r.level,
-                    "h": r.h,
-                    "n_interior": r.n_interior,
-                    "iters_to_eps": r.iters_to_eps,
-                    "tau_h": r.tau_h,
-                    "lam_max_Sh": r.lam_max_sh,
-                    "lam_max_converged": bool(r.lam_max_converged),
-                    "phi_star": r.phi_star,
-                    "seconds": r.seconds,
-                }
-                for r in self.rows
-            ],
-        }
-
-
-def _optimum_at(preset: str, level: int, coarse_inst: ProblemInstance,
-                start: DualIterate, warm: tuple | None, **params) -> tuple:
-    """The preset at ``level`` with its start, optimum and tau_h.
-
-    Returns ``(inst, z0, z_star, phi_star, tau_h)``; at its own level the
-    coarse instance is reused.  ``z0`` is the coarse ``start`` prolongated
-    to ``level``; ``warm``, an optional ``(mesh, z_star)`` pair from a
-    coarser level, seeds the reference optimum.
-    """
-    if level == coarse_inst.ops.mesh.level:
-        inst = coarse_inst
-    else:
-        inst = make_instance(preset, level, **params)
-    z0 = prolongate_iterate(coarse_inst.ops.mesh, start, inst)
-    warm_start = None if warm is None else prolongate_iterate(*warm, inst)
-    z_star, phi_star = reference_optimum(inst, warm_start)
-    return inst, z0, z_star, phi_star, compute_tau_h(inst, z0, z_star)
-
-
-def _level_result(preset: str, level: int, epsilon: float,
-                  coarse_inst: ProblemInstance, start: DualIterate,
-                  warm: tuple | None, run_max_iters: int, timing: bool,
-                  **params) -> tuple[LevelResult, tuple]:
-    """Compute one report row and the ``(mesh, z_star)`` warm start it leaves.
-
-    ``warm`` optionally seeds the reference solve from a coarser level.
-    """
-    t0 = time.perf_counter()
-    inst, z0, z_star, phi_star, tau_h = _optimum_at(
-        preset, level, coarse_inst, start, warm, **params)
-    lam_max_sh, lam_max_ok = lam_max_majorizer(inst)
-
-    target = phi_star + epsilon * (1.0 + abs(phi_star))
-    config = SolverConfig(max_iters=run_max_iters, tol=0.0, log_every=0,
-                          check_every=5, phi_target=target)
-    run = dual_solver.solve(inst, config, z0=z0)
-    reached = run.converged
-    iters = run.iterations if reached else -1
-
-    seconds = time.perf_counter() - t0 if timing else 0.0
-    row = LevelResult(
-        level=level,
-        h=inst.ops.mesh.h,
-        n_interior=inst.n,
-        iters_to_eps=iters,
-        tau_h=tau_h,
-        lam_max_sh=lam_max_sh,
-        lam_max_converged=lam_max_ok,
-        phi_star=phi_star,
-        seconds=seconds,
-    )
-    return row, (inst.ops.mesh, z_star)
+        out = asdict(self)
+        out["fitted_C"] = out.pop("fitted_c")
+        for row in out["rows"]:
+            row["lam_max_Sh"] = row.pop("lam_max_sh")
+        return out
 
 
 def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
@@ -299,15 +228,17 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
                                  box=None) -> MeshIndependenceReport:
     """Iterations to relative accuracy ``epsilon`` across mesh levels.
 
-    Every level starts from the same prolongated point; a level passes when
-    the dual objective reaches ``Phi* + epsilon (1 + |Phi*|)``.  The report
-    passes when no level saturates and all counts lie within 20 percent of
-    their median.  The coarsest level's instance and its one-sweep start
-    are built once and serve every row and the tau proxy; each level's
-    optimum seeds the next one's reference solve.  ``run_max_iters`` caps
-    the counted runs, never a reference solve.  ``jobs`` must be 1, and
-    the tau proxy level no coarser than the coarsest level, which every
-    start is prolongated from.  Bad input raises ``InputError`` before any
+    One ascending chain walks the row levels and the tau proxy level.  The
+    coarsest instance and its one-sweep start are built once; each level
+    of the chain prolongates that start, warm-starts its reference optimum
+    from the previous level's, and takes tau_h between the two.  The proxy
+    level's tau_h is the tau proxy, so a proxy at a row level reuses that
+    row's.  A row counts the sweeps until the dual objective reaches
+    ``Phi* + epsilon (1 + |Phi*|)``; the report passes when no row
+    saturates, all counts lie within 20 percent of their median, and the
+    tau fit holds.  ``run_max_iters`` caps the counted runs, never a
+    reference solve.  ``jobs`` must be 1 and the proxy level no coarser
+    than the coarsest level.  Bad input raises ``InputError`` before any
     instance is built.
     """
     if jobs != 1:
@@ -319,54 +250,62 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
     levels = sorted(int(l) for l in levels)
     if len(levels) < 2:
         raise InputError("need at least two levels to compare")
-    if len(set(levels)) < len(levels):
-        raise InputError(f"levels must be distinct, got {levels}")
-    for lvl in levels:
-        check_level(lvl)
+    check_levels(levels)
     if tau_proxy_level is not None:
         check_level(tau_proxy_level)
         if not tau_proxy_level >= levels[0]:
             raise InputError(f"tau proxy level {tau_proxy_level} is coarser "
                              f"than the coarsest level {levels[0]}")
     params = dict(alpha=alpha, beta=beta, box=box)
-    coarse_inst = make_instance(preset, levels[0], **params)
-    start = prolongated_start(coarse_inst)
+    inst = make_instance(preset, levels[0], **params)
+    coarse_mesh = inst.ops.mesh
+    start = prolongated_start(inst)
 
     rows: list[LevelResult] = []
-    warm = None
-    for lvl in levels:
-        row, warm = _level_result(preset, lvl, epsilon, coarse_inst, start,
-                                  warm, run_max_iters, timing, **params)
-        rows.append(row)
+    warm = proxy = None
+    for level in sorted(set(levels) | ({tau_proxy_level} - {None})):
+        t0 = time.perf_counter()
+        if level != coarse_mesh.level:
+            inst = make_instance(preset, level, **params)
+        z0 = prolongate_iterate(coarse_mesh, start, inst)
+        z_star, phi_star = reference_optimum(
+            inst, None if warm is None else prolongate_iterate(*warm, inst))
+        tau_h = compute_tau_h(inst, z0, z_star)
+        if level == tau_proxy_level:
+            proxy = tau_h
+        if level in levels:
+            lam_max_sh, lam_max_ok = lam_max_majorizer(inst)
+            config = SolverConfig(
+                max_iters=run_max_iters, tol=0.0, log_every=0, check_every=5,
+                phi_target=phi_star + epsilon * (1.0 + abs(phi_star)))
+            run = dual_solver.solve(inst, config, z0=z0)
+            rows.append(LevelResult(
+                level=level, h=inst.ops.mesh.h, n_interior=inst.n,
+                iters_to_eps=run.iterations if run.converged else -1,
+                tau_h=tau_h, lam_max_sh=lam_max_sh,
+                lam_max_converged=lam_max_ok, phi_star=phi_star,
+                seconds=time.perf_counter() - t0 if timing else 0.0))
+        warm = (inst.ops.mesh, z_star)
+        # free this level's operators before the next level is assembled
+        del inst
 
     counts = [r.iters_to_eps for r in rows if not r.saturated]
     median = float(np.median(counts)) if counts else float("nan")
     passed = len(counts) == len(rows) and all(
         abs(c - median) <= 0.2 * median for c in counts)
-
-    report = MeshIndependenceReport(
-        preset=preset, epsilon=epsilon, rows=rows,
-        median_iters=median, passed=passed,
-    )
-    if tau_proxy_level is not None:
-        if tau_proxy_level < levels[-1]:
-            warm = None
-        *_, proxy = _optimum_at(preset, tau_proxy_level, coarse_inst, start,
-                                warm, **params)
-        c, ok = fit_tau_constant(rows, proxy)
-        report.fitted_c = c
-        report.tau_proxy = proxy
-        report.passed = report.passed and ok
-    return report
+    fitted_c = None
+    if proxy is not None:
+        fitted_c, fit_ok = fit_tau_constant(rows, proxy)
+        passed = passed and fit_ok
+    return MeshIndependenceReport(
+        preset=preset, epsilon=epsilon, rows=rows, median_iters=median,
+        passed=passed, fitted_c=fitted_c, tau_proxy=proxy)
 
 
 def fit_tau_constant(rows: list[LevelResult],
                      tau_proxy: float) -> tuple[float, bool]:
     """Smallest nonnegative C with ``tau_h <= tau_proxy + C h`` on all rows."""
-    c = 0.0
-    for r in rows:
-        c = max(c, (r.tau_h - tau_proxy) / r.h)
-    c = max(c, 0.0)
+    c = max([0.0] + [(r.tau_h - tau_proxy) / r.h for r in rows])
     ok = all(r.tau_h <= tau_proxy + c * r.h + 1e-12 * (1.0 + abs(tau_proxy))
              for r in rows)
     return c, ok
@@ -415,8 +354,10 @@ class SpectralScalingReport:
 def spectral_scaling_report(levels,
                             alpha: float = 1e-2) -> SpectralScalingReport:
     """Extreme eigenvalues of M, K, and the majorizer per level on ``sine``."""
+    levels = sorted(int(l) for l in levels)
+    check_levels(levels)
     rows = []
-    for level in sorted(int(l) for l in levels):
+    for level in levels:
         inst = make_instance("sine", level, alpha=alpha)
         ops = inst.ops
         n = inst.n
@@ -448,6 +389,7 @@ def lumped_mass_comparison_check(levels, samples: int = 1000,
     Runs on random full nodal vectors; counts violations beyond a relative
     roundoff slack of 1e-12.
     """
+    check_levels(levels)
     rng = np.random.default_rng(seed)
     out = {"gamma": gamma, "levels": {}, "violations": 0}
     for level in levels:
@@ -474,6 +416,7 @@ def l1_gap_check(levels, samples: int = 1000, seed: int = 0) -> dict:
     fitted at the coarsest level and reused at finer ones.
     """
     levels = sorted(int(l) for l in levels)
+    check_levels(levels)
     rng = np.random.default_rng(seed)
     out = {"levels": {}, "fit_level": levels[0]}
     c_fit = 0.0
@@ -516,6 +459,7 @@ def operator_bound_check(levels, alpha: float = 1e-2) -> dict:
     margin and checked on the rest, so fewer than three levels never pass.
     """
     levels = sorted(int(l) for l in levels)
+    check_levels(levels)
     rows = []
     for level in levels:
         inst = make_instance("sine", level, alpha=alpha)

@@ -9,8 +9,8 @@ function by splitting triangles along the zero line), and the discrete L2/H1
 norms used by the scaling studies.
 
 Boundary conditions are imposed by elimination: operators are stored both on
-the full node set and restricted to interior nodes.  Control, state, and all
-dual variables live on the interior index set.
+the full node set and restricted to interior nodes.  The state and the
+adjoint p live on the interior nodes; the control, lam and mu on all nodes.
 """
 
 from __future__ import annotations

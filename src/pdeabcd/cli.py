@@ -25,7 +25,7 @@ import numpy as np
 from . import analysis, dual_solver
 from .assembly import dump_operators
 from .dual_solver import DivergenceError, SolverConfig
-from .mesh import InputError, check_level, dump_mesh
+from .mesh import InputError, check_levels, dump_mesh
 from .presets import make_instance, preset_names
 
 _BOOL_KEYS = {"check-bound", "dump-mesh", "dump-matrices", "restart",
@@ -57,9 +57,13 @@ def _parse_levels(text: str) -> list[int]:
 def _env_seed() -> int:
     raw = os.environ.get("PDEABCD_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
+        if seed >= 0:
+            return seed
     except ValueError:
-        raise InputError(f"PDEABCD_SEED must be an integer, got {raw!r}")
+        pass
+    raise InputError(f"PDEABCD_SEED must be a nonnegative integer, "
+                     f"got {raw!r}")
 
 
 def load_config_tokens(path: str) -> list[str]:
@@ -295,10 +299,9 @@ def run_mesh_independence(args) -> int:
 
 
 def run_checks(args) -> int:
-    if len(args.levels) < 3 or len(set(args.levels)) < len(args.levels):
-        raise InputError("--levels needs at least three distinct levels")
-    for level in args.levels:
-        check_level(level)
+    if len(args.levels) < 3:
+        raise InputError("--levels needs at least three levels")
+    check_levels(args.levels)
     if args.samples < 1:
         raise InputError(f"--samples must be >= 1, got {args.samples}")
     seed = _env_seed()

@@ -84,6 +84,14 @@ def check_level(level: int) -> None:
         )
 
 
+def check_levels(levels) -> None:
+    """Reject a repeated level, then each level :func:`check_level` rejects."""
+    if len(set(levels)) < len(levels):
+        raise InputError(f"levels must be distinct, got {levels}")
+    for level in levels:
+        check_level(level)
+
+
 def build_unit_square_mesh(level: int) -> Mesh:
     """Build the level-``level`` uniform triangulation of the unit square.
 

@@ -335,6 +335,17 @@ def test_l1_gap_check(seed):
         assert entry["upper_violations"] == 0
 
 
+@pytest.mark.parametrize("check", [
+    spectral_scaling_report,
+    lambda levels: lumped_mass_comparison_check(levels, samples=2),
+    lambda levels: l1_gap_check(levels, samples=2),
+    operator_bound_check,
+], ids=["spectral", "sandwich", "l1-gap", "operator-bound"])
+def test_check_functions_reject_repeated_levels(check):
+    with pytest.raises(InputError, match="distinct"):
+        check([3, 3, 4])
+
+
 def test_operator_bound_check():
     out = operator_bound_check([2, 3, 4])
     assert out["passed"]
@@ -344,9 +355,8 @@ def test_operator_bound_check():
 
 def test_tau_h_at_level_positive():
     # the tau proxy route: prolongated start, reference optimum, tau_h
-    coarse = make_instance("sine", 2)
-    *_, tau = analysis._optimum_at("sine", 3, coarse,
-                                   prolongated_start(coarse), None)
+    tau = mesh_independence_experiment("sine", [2, 3],
+                                       tau_proxy_level=4).tau_proxy
     assert tau > 0.0
     assert np.isfinite(tau)
 
@@ -363,11 +373,44 @@ def test_reference_solves_ignore_run_max_iters(monkeypatch):
 
 
 def test_tau_proxy_below_finest_level_matches_its_row():
-    # a proxy inside the hierarchy takes no warm start from the finest
-    # level, yet lands on that level's own tau_h
+    # a proxy at a row level is that row's tau_h, with no second solve
     rep = mesh_independence_experiment("sine", [2, 3, 4], tau_proxy_level=3)
     row = next(r for r in rep.rows if r.level == 3)
-    assert rep.tau_proxy == pytest.approx(row.tau_h, rel=1e-8)
+    assert rep.tau_proxy == row.tau_h
+
+
+@pytest.mark.parametrize("levels, proxy, solved", [
+    ([2, 3, 4], 3, [2, 3, 4]),
+    ([2, 3, 5], 4, [2, 3, 4, 5]),
+])
+def test_reference_solves_walk_one_chain(monkeypatch, levels, proxy, solved):
+    # the proxy joins the chain of levels: one reference solve per level,
+    # in ascending order
+    seen = []
+    reference_optimum = analysis.reference_optimum
+
+    def tracking(prob, *args, **kwargs):
+        seen.append(prob.ops.mesh.level)
+        return reference_optimum(prob, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "reference_optimum", tracking)
+    mesh_independence_experiment("sine", levels, tau_proxy_level=proxy)
+    assert seen == solved
+
+
+def test_mesh_independence_timing_and_json_keys():
+    plain = mesh_independence_experiment("sine", [2, 3, 4], epsilon=1e-4)
+    timed = mesh_independence_experiment("sine", [2, 3, 4], epsilon=1e-4,
+                                         timing=True)
+    assert all(r.seconds == 0.0 for r in plain.rows)
+    assert all(r.seconds > 0.0 for r in timed.rows)
+    d = plain.to_json_dict()
+    assert set(d) == {"preset", "epsilon", "median_iters", "passed",
+                      "fitted_C", "tau_proxy", "rows"}
+    for row in d["rows"]:
+        assert set(row) == {"level", "h", "n_interior", "iters_to_eps",
+                            "tau_h", "lam_max_Sh", "lam_max_converged",
+                            "phi_star", "seconds"}
 
 
 def test_mesh_independence_builds_each_level_once(monkeypatch):

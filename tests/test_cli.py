@@ -405,8 +405,9 @@ def test_checks_seed_env_deterministic(tmp_path, monkeypatch):
     assert b1 == (d2 / "checks.json").read_bytes()
     # a different seed still passes; the sampled worst cases differ
     assert json.loads((d3 / "checks.json").read_text())["passed"] is True
-    monkeypatch.setenv("PDEABCD_SEED", "not-an-int")
-    assert main(["checks", "--levels", "2,3,4", "--samples", "10"]) == 2
+    for bad in ("not-an-int", "-1"):
+        monkeypatch.setenv("PDEABCD_SEED", bad)
+        assert main(["checks", "--levels", "2,3,4", "--samples", "10"]) == 2
 
 
 def test_module_entrypoint_subprocess(tmp_path):
