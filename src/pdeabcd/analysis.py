@@ -219,6 +219,13 @@ class MeshIndependenceReport:
         return out
 
 
+def _levels_to_compare(levels) -> list[int]:
+    """The checked levels, sorted; fewer than two leave nothing to compare."""
+    if len(levels) < 2:
+        raise InputError("need at least two levels to compare")
+    return sorted(check_levels(levels))
+
+
 def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
                                  *, jobs: int = 1,
                                  run_max_iters: int = 50_000,
@@ -238,8 +245,8 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
     saturates, all counts lie within 20 percent of their median, and the
     tau fit holds.  ``run_max_iters`` caps the counted runs, never a
     reference solve.  ``jobs`` must be 1 and the proxy level no coarser
-    than the coarsest level.  Bad input raises ``InputError`` before any
-    instance is built.
+    than the coarsest level.  Bad input raises ``InputError`` (a
+    non-integer level ``TypeError``) before any instance is built.
     """
     if jobs != 1:
         raise InputError(f"jobs must be 1, got {jobs}")
@@ -247,10 +254,7 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
         raise InputError(f"epsilon must be positive, got {epsilon}")
     if not run_max_iters >= 1:
         raise InputError(f"run_max_iters must be >= 1, got {run_max_iters}")
-    levels = sorted(int(l) for l in levels)
-    if len(levels) < 2:
-        raise InputError("need at least two levels to compare")
-    check_levels(levels)
+    levels = _levels_to_compare(levels)
     if tau_proxy_level is not None:
         check_level(tau_proxy_level)
         if not tau_proxy_level >= levels[0]:
@@ -342,8 +346,8 @@ class SpectralScalingReport:
             "mass_max_window2": max_m.max() <= 2.0 * max_m.min(),
             "mass_min_window2": min_m.max() <= 2.0 * min_m.min(),
             "stiffness_min_window2": min_k.max() <= 2.0 * min_k.min(),
-            "stiffness_max_stable": abs(max_k[-1] - max_k[-2])
-            <= 0.10 * max_k[-2] if len(rows) >= 2 else True,
+            "stiffness_max_stable":
+            abs(max_k[-1] - max_k[-2]) <= 0.10 * max_k[-2],
             "majorizer_window2": max_sh.max() <= 2.0 * max_sh.min(),
             "majorizer_decreasing": np.all(np.diff(sh_raw) < 0.0),
         }.items()}
@@ -354,8 +358,7 @@ class SpectralScalingReport:
 def spectral_scaling_report(levels,
                             alpha: float = 1e-2) -> SpectralScalingReport:
     """Extreme eigenvalues of M, K, and the majorizer per level on ``sine``."""
-    levels = sorted(int(l) for l in levels)
-    check_levels(levels)
+    levels = _levels_to_compare(levels)
     rows = []
     for level in levels:
         inst = make_instance("sine", level, alpha=alpha)
@@ -389,7 +392,7 @@ def lumped_mass_comparison_check(levels, samples: int = 1000,
     Runs on random full nodal vectors; counts violations beyond a relative
     roundoff slack of 1e-12.
     """
-    check_levels(levels)
+    levels = check_levels(levels)
     rng = np.random.default_rng(seed)
     out = {"gamma": gamma, "levels": {}, "violations": 0}
     for level in levels:
@@ -402,7 +405,7 @@ def lumped_mass_comparison_check(levels, samples: int = 1000,
             slack = 1e-12 * max(zm, zw)
             if zw < zm - slack or zw > gamma * zm + slack:
                 nviol += 1
-        out["levels"][int(level)] = nviol
+        out["levels"][level] = nviol
         out["violations"] += nviol
     out["passed"] = out["violations"] == 0
     return out
@@ -415,8 +418,7 @@ def l1_gap_check(levels, samples: int = 1000, seed: int = 0) -> dict:
     nonnegative (up to roundoff) and bounded by ``C h ||z||_{H1}`` with C
     fitted at the coarsest level and reused at finer ones.
     """
-    levels = sorted(int(l) for l in levels)
-    check_levels(levels)
+    levels = _levels_to_compare(levels)
     rng = np.random.default_rng(seed)
     out = {"levels": {}, "fit_level": levels[0]}
     c_fit = 0.0
@@ -458,8 +460,7 @@ def operator_bound_check(levels, alpha: float = 1e-2) -> dict:
     windows are fitted on the coarsest pair of levels with a 25 percent
     margin and checked on the rest, so fewer than three levels never pass.
     """
-    levels = sorted(int(l) for l in levels)
-    check_levels(levels)
+    levels = sorted(check_levels(levels))
     rows = []
     for level in levels:
         inst = make_instance("sine", level, alpha=alpha)

@@ -5,7 +5,9 @@ two right triangles along the lower-left to upper-right diagonal.  All
 triangles are congruent, so the family is quasi-uniform with
 level-independent shape constants, and meshes of different levels are
 nested: piecewise linear interpolation from a coarse level to a finer one
-is exact.
+is exact.  :func:`prolongate_nodal` computes it one level at a time by
+midpoint refinement, so it composes exactly across levels and keeps the
+range of the coarse values.
 
 Nodes are ordered lexicographically in (y, x); triangles are oriented
 counterclockwise.
@@ -84,12 +86,13 @@ def check_level(level: int) -> None:
         )
 
 
-def check_levels(levels) -> None:
-    """Reject a repeated level, then each level :func:`check_level` rejects."""
+def check_levels(levels) -> list[int]:
+    """Reject a repeated level or one :func:`check_level` rejects; as ints."""
     if len(set(levels)) < len(levels):
         raise InputError(f"levels must be distinct, got {levels}")
     for level in levels:
         check_level(level)
+    return [int(level) for level in levels]
 
 
 def build_unit_square_mesh(level: int) -> Mesh:
@@ -140,10 +143,10 @@ def triangle_areas(mesh: Mesh) -> np.ndarray:
 def prolongate_nodal(coarse: Mesh, fine: Mesh, values: np.ndarray) -> np.ndarray:
     """Evaluate a coarse piecewise linear function at the fine mesh nodes.
 
-    ``values`` holds nodal values on ``coarse`` (full node set).  Because the
-    meshes are nested the result represents the same function; the operation
-    reproduces linear functions exactly and is the identity when
-    ``fine.level == coarse.level``.
+    ``values`` holds nodal values on ``coarse`` (full node set).  Each level
+    of midpoint refinement keeps the old nodes and gives each new one the
+    mean of the two ends of the edge it bisects (horizontal, vertical or
+    a-c diagonal), so steps compose exactly and the range is kept.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (coarse.n_nodes,):
@@ -154,36 +157,15 @@ def prolongate_nodal(coarse: Mesh, fine: Mesh, values: np.ndarray) -> np.ndarray
         raise NestingError(
             f"fine level {fine.level} is below coarse level {coarse.level}"
         )
-    if fine.level == coarse.level:
-        return values.copy()
-
-    nc = 2**coarse.level
-    r = 2 ** (fine.level - coarse.level)
-    nf = 2**fine.level
-
-    idx = np.arange((nf + 1) ** 2)
-    i = idx % (nf + 1)
-    j = idx // (nf + 1)
-    qi, si = np.divmod(i, r)
-    qj, sj = np.divmod(j, r)
-    xi = si / r
-    eta = sj / r
-    # clamp the +1 cell indices at the far edge; weights there are zero
-    qi1 = np.minimum(qi + 1, nc)
-    qj1 = np.minimum(qj + 1, nc)
-
-    va = values[qj * (nc + 1) + qi]
-    vb = values[qj * (nc + 1) + qi1]
-    vc = values[qj1 * (nc + 1) + qi1]
-    vd = values[qj1 * (nc + 1) + qi]
-
-    on_lower = xi >= eta
-    out = np.where(
-        on_lower,
-        va * (1.0 - xi) + vb * (xi - eta) + vc * eta,
-        va * (1.0 - eta) + vc * xi + vd * (eta - xi),
-    )
-    return out
+    grid = values.reshape(2**coarse.level + 1, -1)
+    for _ in range(fine.level - coarse.level):
+        out = np.empty((2 * grid.shape[0] - 1,) * 2)
+        out[::2, ::2] = grid
+        out[::2, 1::2] = 0.5 * (grid[:, :-1] + grid[:, 1:])
+        out[1::2, ::2] = 0.5 * (grid[:-1] + grid[1:])
+        out[1::2, 1::2] = 0.5 * (grid[:-1, :-1] + grid[1:, 1:])
+        grid = out
+    return grid.flatten()
 
 
 def mesh_to_dict(mesh: Mesh) -> dict:

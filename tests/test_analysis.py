@@ -346,6 +346,47 @@ def test_check_functions_reject_repeated_levels(check):
         check([3, 3, 4])
 
 
+@pytest.fixture
+def built(monkeypatch):
+    # levels of every mesh or instance the analysis module builds
+    levels = []
+
+    def making(preset, level, **params):
+        levels.append(level)
+        return make_instance(preset, level, **params)
+
+    def building(level):
+        levels.append(level)
+        return build_unit_square_mesh(level)
+
+    monkeypatch.setattr(analysis, "make_instance", making)
+    monkeypatch.setattr(analysis, "build_unit_square_mesh", building)
+    return levels
+
+
+@pytest.mark.parametrize("check", [
+    spectral_scaling_report,
+    lambda levels: lumped_mass_comparison_check(levels, samples=2),
+    lambda levels: l1_gap_check(levels, samples=2),
+    operator_bound_check,
+    lambda levels: mesh_independence_experiment("sine", levels),
+], ids=["spectral", "sandwich", "l1-gap", "operator-bound", "experiment"])
+def test_check_functions_reject_non_integer_levels(check, built):
+    with pytest.raises(TypeError, match="integer"):
+        check([2.5, 3.9, 4.2])
+    assert built == []
+
+
+@pytest.mark.parametrize("check", [
+    spectral_scaling_report,
+    lambda levels: l1_gap_check(levels, samples=2),
+], ids=["spectral", "l1-gap"])
+def test_scaling_checks_need_two_levels(check, built):
+    with pytest.raises(InputError, match="at least two levels"):
+        check([3])
+    assert built == []
+
+
 def test_operator_bound_check():
     out = operator_bound_check([2, 3, 4])
     assert out["passed"]
@@ -443,6 +484,7 @@ def test_mesh_independence_builds_each_level_once(monkeypatch):
     ([2, 3, 4], {"run_max_iters": 0}),
     ([3, 4, 13], {}),
     ([3, 4, 5], {"tau_proxy_level": 13}),
+    ([3], {}),
 ])
 def test_mesh_independence_rejects_bad_input_before_building(
         monkeypatch, levels, kwargs):

@@ -313,10 +313,12 @@ def test_bool_keys_are_the_store_true_flags():
 
 def test_mesh_indep_zero(tmp_path, capsys):
     rc = main(["mesh-indep", "--preset", "zero", "--levels", "3,4,5",
-               "--out", str(tmp_path)])
+               "--tau-proxy-level", "5", "--out", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "passed=True" in out
+    # zero data keeps the start at the optimum, so tau_h is 0 everywhere
+    assert "tau_proxy=0.0 fitted_C=0.0" in out
     csv = (tmp_path / "mesh_indep.csv").read_text().splitlines()
     assert len(csv) == 4
     iters = [int(r.split(",")[3]) for r in csv[1:]]
