@@ -17,12 +17,13 @@ import pathlib
 from pdeabcd import oracle
 from pdeabcd.presets import PRESETS, make_instance
 
+# mesh level of every pinned optimum
+LEVEL = 2
+
 
 def main():
     parser = argparse.ArgumentParser(
         description="recompute and pin certified preset optima")
-    parser.add_argument("--level", type=int, default=2)
-    parser.add_argument("--tol", type=float, default=1e-10)
     parser.add_argument("--out", default=None,
                         help="target path (default: the package data file)")
     args = parser.parse_args()
@@ -35,13 +36,13 @@ def main():
 
     entries = {}
     for name in sorted(PRESETS):
-        prob = make_instance(name, args.level)
-        cert = oracle.certified_optimum(prob, tol=args.tol)
+        prob = make_instance(name, LEVEL)
+        cert = oracle.certified_optimum(prob)
         entries[name] = {
-            "level": args.level,
+            "level": LEVEL,
             "J_star": cert.j_star,
             "iterations": cert.oracle.iterations,
-            "tol": args.tol,
+            "tol": oracle.TOL,
         }
         print(f"{name:8s} J*={cert.j_star!r} "
               f"cross_gap={abs(cert.cross_phi + cert.j_star):.3e} "

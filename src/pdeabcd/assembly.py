@@ -36,14 +36,13 @@ _ELEMENT_MASS_PATTERN = np.array([
 ]) / 12.0
 
 
-def _element_geometry(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Areas and constant basis gradients for a batch of triangles (t, 3, 2)."""
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    area = 0.5 * det
+def _element_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Areas and constant basis gradients of every triangle of ``mesh``."""
+    area = triangle_areas(mesh)
     if np.any(area <= 0):
         raise ValueError("triangle with nonpositive signed area")
+    det = 2.0 * area
+    p = mesh.nodes[mesh.triangles]
     grads = np.empty((p.shape[0], 3, 2))
     # grad of barycentric i is the inward normal of the opposite edge over 2A
     for i in range(3):
@@ -113,8 +112,7 @@ class FemOperators:
 
 def assemble(mesh: Mesh) -> FemOperators:
     """Assemble stiffness, mass, and lumped mass operators on ``mesh``."""
-    p = mesh.nodes[mesh.triangles]
-    area, grads = _element_geometry(p)
+    area, grads = _element_geometry(mesh)
     ke = area[:, None, None] * (grads @ grads.transpose(0, 2, 1))
     me = area[:, None, None] * _ELEMENT_MASS_PATTERN[None]
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import analysis, dual_solver
 from .assembly import dump_operators
 from .dual_solver import DivergenceError, SolverConfig
-from .mesh import InputError, check_levels, dump_mesh
+from .mesh import InputError, dump_mesh
 from .presets import make_instance, preset_names
 
 _BOOL_KEYS = {"check-bound", "dump-mesh", "dump-matrices", "restart",
@@ -301,7 +301,6 @@ def run_mesh_independence(args) -> int:
 def run_checks(args) -> int:
     if len(args.levels) < 3:
         raise InputError("--levels needs at least three levels")
-    check_levels(args.levels)
     if args.samples < 1:
         raise InputError(f"--samples must be >= 1, got {args.samples}")
     seed = _env_seed()

@@ -79,12 +79,12 @@ class ProblemInstance:
 
     def __post_init__(self):
         a, b = self.box
-        if not (a <= 0.0 <= b):
-            raise InputError(f"box [{a}, {b}] must contain 0")
-        if not self.alpha > 0.0:
-            raise InputError(f"alpha must be positive, got {self.alpha}")
-        if not self.beta >= 0.0:
-            raise InputError(f"beta must be nonnegative, got {self.beta}")
+        if not -np.inf < a <= 0.0 <= b < np.inf:
+            raise InputError(f"box [{a}, {b}] must be finite and contain 0")
+        if not 0.0 < self.alpha < np.inf:
+            raise InputError(f"alpha must be in (0, inf), got {self.alpha}")
+        if not 0.0 <= self.beta < np.inf:
+            raise InputError(f"beta must be in [0, inf), got {self.beta}")
         if not self.gamma >= LUMPED_MASS_GAMMA:
             raise InputError(f"gamma must be at least 4, got {self.gamma}")
         if self.ops.n_interior == 0:
@@ -184,8 +184,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.max_iters >= 1:
             raise InputError("max_iters must be at least 1")
-        if not self.tol >= 0:
-            raise InputError(f"tol must be nonnegative, got {self.tol}")
+        if not 0.0 <= self.tol < np.inf:
+            raise InputError(f"tol must be in [0, inf), got {self.tol}")
         if not (self.log_every >= 0 and self.check_every >= 1):
             raise InputError("bad logging or checking cadence")
 

@@ -38,6 +38,8 @@ from .sparse_linalg import factorize_indefinite
 RELAXATION = 1.7
 # iteration cap of one splitting solve
 MAX_ITERS = 200_000
+# residual at which a splitting solve stops; golden.json records it
+TOL = 1e-10
 
 
 class OracleError(RuntimeError):
@@ -65,7 +67,6 @@ class CertifiedOptimum:
     phi_star: float
     u_star: np.ndarray
     z_star: DualIterate
-    kkt_star: float
     cross_phi: float
     oracle: PrimalSolution
 
@@ -93,7 +94,7 @@ def _splitting_factorization(prob: ProblemInstance, rho1: float,
     return factorize_indefinite(A)
 
 
-def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
+def admm_reference(prob: ProblemInstance,
                    z0: DualIterate | None = None) -> PrimalSolution:
     """Solve the consistent-mass primal by consensus operator splitting.
 
@@ -102,7 +103,7 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
     proximal updates, over-relaxed by ``RELAXATION``.  The two penalty
     weights are fixed multiples of alpha and the mean mass diagonal, so the
     3-block system is factorized once per call.  Runs until the worst
-    relative primal or dual residual falls below ``tol``; raises
+    relative primal or dual residual falls below ``TOL``; raises
     :class:`OracleError` when ``MAX_ITERS`` iterations pass first.  The
     returned control is the box copy ``w``, feasible to the letter, and
     ``J`` is ``dual_solver.primal_value`` there.
@@ -172,24 +173,24 @@ def admm_reference(prob: ProblemInstance, tol: float = 1e-10,
         dua2 = rho2 * float(np.abs(w - w_old).max(initial=0.0)) / g_scale
         residual = max(pri1, pri2, dua1, dua2)
         iterations = it
-        if residual <= tol:
+        if residual <= TOL:
             break
 
-    if residual > tol:
+    if residual > TOL:
         raise OracleError(
             f"splitting solve stalled at residual {residual:.3e} "
-            f"after {iterations} iterations (tol {tol:.1e})"
+            f"after {iterations} iterations (tol {TOL:.1e})"
         )
     return PrimalSolution(u=w, J=dual_solver.primal_value(prob, w),
                           iterations=iterations)
 
 
-def certified_optimum(prob: ProblemInstance, tol: float = 1e-10,
+def certified_optimum(prob: ProblemInstance,
                       z0: DualIterate | None = None) -> CertifiedOptimum:
     """Optimal value certified by two independent routes.
 
     First a dual run of at most 100k sweeps to KKT residual 1e-9, warm
-    started from ``z0`` if given, then the splitting oracle to ``tol``,
+    started from ``z0`` if given, then the splitting oracle to ``TOL``,
     started at the splitting point of that run's final iterate (see
     :func:`admm_reference`).  Accepts only when ``|Phi(z_final) + J*| <=
     1e-7 (1 + |J*|)``; disagreement raises
@@ -206,7 +207,7 @@ def certified_optimum(prob: ProblemInstance, tol: float = 1e-10,
     config = SolverConfig(max_iters=100_000, tol=1e-9,
                           log_every=0, check_every=5, restart=True)
     run = dual_solver.solve(prob, config, z0=z0)
-    sol = admm_reference(prob, tol=tol, z0=run.final)
+    sol = admm_reference(prob, z0=run.final)
     j_star = sol.J
     cross_phi = dual_solver.dual_objective(prob, *run.final.blocks())
     gap = abs(cross_phi + j_star)
@@ -220,7 +221,6 @@ def certified_optimum(prob: ProblemInstance, tol: float = 1e-10,
         phi_star=-j_star,
         u_star=sol.u,
         z_star=run.final,
-        kkt_star=float(run.kkt[-1]),
         cross_phi=cross_phi,
         oracle=sol,
     )

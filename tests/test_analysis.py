@@ -314,13 +314,14 @@ def test_spectral_scaling_report_small_levels():
     assert max(vals) <= 2.0 * min(vals)
 
 
-def test_lumped_mass_comparison_check(seed):
+def test_lumped_mass_comparison_check(seed, monkeypatch):
     out = lumped_mass_comparison_check([2, 3], samples=200, seed=seed)
     assert out["passed"]
     assert out["violations"] == 0
     # factor gamma=2 is too tight for this mesh family
-    bad = lumped_mass_comparison_check([2, 3], samples=200, gamma=2.0,
-                                       seed=seed)
+    monkeypatch.setattr(analysis, "LUMPED_MASS_GAMMA", 2.0)
+    bad = lumped_mass_comparison_check([2, 3], samples=200, seed=seed)
+    assert bad["gamma"] == 2.0
     assert not bad["passed"]
     assert bad["violations"] > 0
 

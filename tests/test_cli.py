@@ -165,6 +165,9 @@ def test_usage_errors(capsys):
     ["checks", "--levels", "0,1,2"],
     ["checks", "--levels", "3,4"],
     ["checks", "--levels", "3,3,4"],
+    ["solve", "--preset", "sine", "--level", "2", "--box=-inf,inf"],
+    ["solve", "--preset", "sine", "--level", "2", "--box=-1,inf",
+     "--check-bound"],
 ])
 def test_bad_flag_values_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -192,13 +195,17 @@ def _float_flags():
 
 @pytest.mark.parametrize("command, flag", _float_flags())
 def test_float_flags_reject_nan(command, flag, tmp_path, capsys):
-    argv = [command, *_BOUNDED_ARGS[command], flag, "nan",
-            "--out", str(tmp_path)]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    # an infinite value is refused alike: every float rule asks for a
+    # finite value
+    for value in ("nan", "inf"):
+        argv = [command, *_BOUNDED_ARGS[command], flag, value,
+                "--out", str(tmp_path)]
+        assert main(argv) == 2, value
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), \
+            captured.err
 
 
 def test_mesh_indep_builds_coarsest_once(monkeypatch, capsys):
@@ -353,9 +360,7 @@ def test_checks_pass(tmp_path, capsys):
 
 def test_checks_bad_gamma_fails(capsys, monkeypatch):
     # gamma = 2 undercuts the lumped-mass constant, so the sandwich fails
-    real = analysis.lumped_mass_comparison_check
-    monkeypatch.setattr(analysis, "lumped_mass_comparison_check",
-                        lambda *args, **kw: real(*args, **kw, gamma=2.0))
+    monkeypatch.setattr(analysis, "LUMPED_MASS_GAMMA", 2.0)
     rc = main(["checks", "--levels", "2,3,4", "--samples", "50"])
     assert rc == 4
     out = capsys.readouterr().out
