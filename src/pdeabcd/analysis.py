@@ -188,28 +188,18 @@ class LevelResult:
 
 @dataclass
 class MeshIndependenceReport:
-    """Iterations-to-accuracy across a level hierarchy."""
+    """Iterations-to-accuracy across a level hierarchy.
+
+    ``median_iters`` is None when every row saturates.
+    """
 
     preset: str
     epsilon: float
     rows: list[LevelResult]
-    median_iters: float
+    median_iters: float | None
     passed: bool
     fitted_c: float | None = None
     tau_proxy: float | None = None
-
-    def csv_lines(self) -> list[str]:
-        """The CSV header and one line per row, without line ends."""
-        return ["level,h,n_interior,iters_to_eps,tau_h,lam_max_Sh,"
-                "phi_star,seconds"] + [
-            f"{r.level},{float(r.h)!r},{r.n_interior},{r.iters_to_eps},"
-            f"{float(r.tau_h)!r},{float(r.lam_max_sh)!r},"
-            f"{float(r.phi_star)!r},{float(r.seconds)!r}"
-            for r in self.rows]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.writelines(f"{line}\n" for line in self.csv_lines())
 
     def to_json_dict(self) -> dict:
         out = asdict(self)
@@ -294,7 +284,7 @@ def mesh_independence_experiment(preset: str, levels, epsilon: float = 1e-6,
         del inst
 
     counts = [r.iters_to_eps for r in rows if not r.saturated]
-    median = float(np.median(counts)) if counts else float("nan")
+    median = float(np.median(counts)) if counts else None
     passed = len(counts) == len(rows) and all(
         abs(c - median) <= 0.2 * median for c in counts)
     fitted_c = None

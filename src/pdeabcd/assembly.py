@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .mesh import Mesh, triangle_areas
@@ -211,20 +210,3 @@ def norms(ops: FemOperators, z: np.ndarray) -> tuple[float, float]:
     mz = float(z @ (ops.M_full @ z))
     kz = float(z @ (ops.K_full @ z))
     return float(np.sqrt(mz)), float(np.sqrt(kz + mz))
-
-
-def dump_operators(ops: FemOperators, outdir) -> list[str]:
-    """Write interior K and M in MatrixMarket format and W as plain text."""
-    import os
-
-    paths = []
-    for name, mat in (("K", ops.K), ("M", ops.M)):
-        path = os.path.join(outdir, f"{name}.mtx")
-        scipy.io.mmwrite(path, sp.coo_matrix(mat))
-        paths.append(path)
-    wpath = os.path.join(outdir, "W.txt")
-    with open(wpath, "w") as fh:
-        for wi in ops.restrict(ops.W_full):
-            fh.write(f"{float(wi)!r}\n")
-    paths.append(wpath)
-    return paths

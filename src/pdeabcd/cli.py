@@ -5,12 +5,20 @@ preset instance and writes a per-iteration CSV plus a JSON summary;
 ``mesh-indep`` measures iterations-to-accuracy across a mesh hierarchy;
 ``checks`` runs the randomized matrix and norm property suites.
 
+This module is the package's one output stage: the library computes and
+returns, and every file is written here, under ``--out``, which is created
+before any work starts.  CSV cells are the ``repr`` of the Python scalar,
+so floats round-trip; JSON is sorted and strict (a NaN or an infinity
+raises instead of being written).
+
 Exit codes: 0 all good, 2 bad input (a value that a rule of the library
-or of this module rejects with ``InputError``), 3 solver divergence, 4 a
-checked criterion failed; any other exception propagates.  Output files
-are byte-identical across repeated runs with the same flags; wall-clock
-columns are only filled under --timing.  The PDEABCD_SEED environment
-variable fixes the seed of the randomized check suites.
+or of this module rejects with ``InputError``, an ``--out`` that cannot be
+created, or ``--dump-mesh``/``--dump-matrices`` without ``--out``), 3
+solver divergence, 4 a checked criterion failed; any other exception
+propagates.  Output files are byte-identical across repeated runs with the
+same flags; wall-clock columns are only filled under --timing.  The
+PDEABCD_SEED environment variable fixes the seed of the randomized check
+suites.
 """
 
 from __future__ import annotations
@@ -21,15 +29,12 @@ import os
 import sys
 
 import numpy as np
+import scipy.io
 
 from . import analysis, dual_solver
-from .assembly import dump_operators
 from .dual_solver import DivergenceError, SolverConfig
-from .mesh import InputError, dump_mesh
+from .mesh import InputError, mesh_to_dict
 from .presets import make_instance, preset_names
-
-_BOOL_KEYS = {"check-bound", "dump-mesh", "dump-matrices", "restart",
-              "timing"}
 
 
 def _parse_box(text: str) -> tuple[float, float]:
@@ -70,12 +75,13 @@ def load_config_tokens(path: str) -> list[str]:
     """Read a plain key=value config file into flag tokens.
 
     Keys mirror the long flags one to one (dashes or underscores); lines
-    starting with '#' and blank lines are skipped.  Boolean keys accept
-    true/false style values.  Each value is emitted as one ``--key=value``
-    token, so a value that starts with '-' is not read as a flag.
-    Command-line flags override the file because file tokens are injected
-    before them.
+    starting with '#' and blank lines are skipped.  The keys of the
+    ``store_true`` flags accept true/false style values.  Each value is
+    emitted as one ``--key=value`` token, so a value that starts with '-'
+    is not read as a flag.  Command-line flags override the file because
+    file tokens are injected before them.
     """
+    bool_keys = _store_true_keys()
     tokens: list[str] = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -90,7 +96,7 @@ def load_config_tokens(path: str) -> list[str]:
             val = val.strip()
             if key == "config":
                 raise InputError(f"{path}:{lineno}: config cannot nest")
-            if key in _BOOL_KEYS:
+            if key in bool_keys:
                 low = val.lower()
                 if low in ("1", "true", "yes", "on"):
                     tokens.append(f"--{key}")
@@ -113,6 +119,15 @@ def _inject_config(argv: list[str]) -> list[str]:
     if known.config is None or not rest:
         return argv
     return [rest[0]] + load_config_tokens(known.config) + rest[1:]
+
+
+def _store_true_keys() -> set[str]:
+    """The long names of every subcommand's ``store_true`` flags."""
+    subs = next(act for act in build_parser()._actions
+                if isinstance(act, argparse._SubParsersAction))
+    return {act.option_strings[0][2:] for sub in subs.choices.values()
+            for act in sub._actions
+            if isinstance(act, argparse._StoreTrueAction)}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -151,9 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="verify the accelerated value bound along the run "
                     "against a certified optimum")
     sv.add_argument("--dump-mesh", action="store_true",
-                    help="write mesh.json next to the run outputs")
+                    help="write mesh.json next to the run outputs "
+                    "(needs --out)")
     sv.add_argument("--dump-matrices", action="store_true",
-                    help="write K.mtx, M.mtx, W.txt next to the run outputs")
+                    help="write K.mtx, M.mtx, W.txt next to the run outputs "
+                    "(needs --out)")
     _add_common(sv)
     sv.set_defaults(func=run_solve)
 
@@ -195,19 +212,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_json(path: str, obj: dict) -> None:
+def _cell(x) -> str:
+    """One CSV cell: the repr of the Python scalar, so floats round-trip."""
+    return repr(x.item() if isinstance(x, np.generic) else x)
+
+
+def _csv(rows, header: str | None = None) -> str:
+    """CSV text with line ends, the header first when given."""
+    lines = [header] if header else []
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _json(obj, indent: int | None = 2) -> str:
+    """Sorted JSON text with a line end; a NaN or infinity raises."""
+    return json.dumps(obj, indent=indent, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
+def _write(outdir: str, name: str, text: str) -> None:
+    path = os.path.join(outdir, name)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _dump_divergence(err: DivergenceError, outdir: str | None) -> str:
-    outdir = outdir or "."
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, "divergence.npz")
-    lam, p, mu = err.iterate.blocks()
-    np.savez(path, k=np.array([err.k]), lam=lam, p=p, mu=mu)
-    return path
+        fh.write(text)
+    print(f"wrote {path}")
 
 
 def run_solve(args) -> int:
@@ -215,6 +242,9 @@ def run_solve(args) -> int:
         raise InputError("--restart cannot be combined with --check-bound: "
                          "the value bound is proven only for the "
                          "unrestarted scheme")
+    if (args.dump_mesh or args.dump_matrices) and not args.out:
+        raise InputError("--dump-mesh and --dump-matrices write files, so "
+                         "they need --out")
     inst = make_instance(args.preset, args.level, alpha=args.alpha,
                          beta=args.beta, box=args.box)
     config = SolverConfig(max_iters=args.max_iters, tol=args.tol,
@@ -250,24 +280,25 @@ def run_solve(args) -> int:
           f"gap={summary['gap']!r}")
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        record_path = os.path.join(args.out, "record.csv")
-        record.to_csv(record_path)
+        _write(args.out, "record.csv", _csv(
+            zip(record.ks, record.phi, record.kkt, record.gap,
+                record.time_s), header="k,phi,kkt,gap,time_s"))
         summary.update(preset=inst.name, level=int(args.level),
                        n_interior=int(inst.n), alpha=inst.alpha,
                        beta=inst.beta, box=list(inst.box), gamma=inst.gamma,
                        tol=args.tol, max_iters=int(args.max_iters))
-        summary_path = os.path.join(args.out, "summary.json")
-        _write_json(summary_path, summary)
-        print(f"wrote {record_path}")
-        print(f"wrote {summary_path}")
+        _write(args.out, "summary.json", _json(summary))
+        ops = inst.ops
         if args.dump_mesh:
-            mesh_path = os.path.join(args.out, "mesh.json")
-            dump_mesh(inst.ops.mesh, mesh_path)
-            print(f"wrote {mesh_path}")
+            _write(args.out, "mesh.json",
+                   _json(mesh_to_dict(ops.mesh), indent=None))
         if args.dump_matrices:
-            for path in dump_operators(inst.ops, args.out):
+            for name, mat in (("K.mtx", ops.K), ("M.mtx", ops.M)):
+                path = os.path.join(args.out, name)
+                scipy.io.mmwrite(path, mat.tocoo())
                 print(f"wrote {path}")
+            _write(args.out, "W.txt",
+                   _csv([w] for w in ops.restrict(ops.W_full)))
 
     return 0 if bound_ok else 4
 
@@ -281,19 +312,19 @@ def run_mesh_independence(args) -> int:
         tau_proxy_level=args.tau_proxy_level, alpha=args.alpha,
         beta=args.beta, box=args.box)
 
-    print("\n".join(report.csv_lines()))
+    table = _csv(((r.level, r.h, r.n_interior, r.iters_to_eps, r.tau_h,
+                   r.lam_max_sh, r.phi_star, r.seconds)
+                  for r in report.rows),
+                 header="level,h,n_interior,iters_to_eps,tau_h,lam_max_Sh,"
+                 "phi_star,seconds")
+    print(table, end="")
     print(f"median_iters={report.median_iters!r} passed={report.passed}")
     if report.fitted_c is not None:
         print(f"tau_proxy={report.tau_proxy!r} fitted_C={report.fitted_c!r}")
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        csv_path = os.path.join(args.out, "mesh_indep.csv")
-        report.to_csv(csv_path)
-        json_path = os.path.join(args.out, "mesh_indep.json")
-        _write_json(json_path, report.to_json_dict())
-        print(f"wrote {csv_path}")
-        print(f"wrote {json_path}")
+        _write(args.out, "mesh_indep.csv", table)
+        _write(args.out, "mesh_indep.json", _json(report.to_json_dict()))
 
     return 0 if report.passed else 4
 
@@ -340,7 +371,6 @@ def run_checks(args) -> int:
           f"samples={args.samples} seed={seed}")
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         payload = {
             "levels": list(args.levels),
             "samples": int(args.samples),
@@ -356,9 +386,7 @@ def run_checks(args) -> int:
             "coupled_operator": opb,
             "passed": bool(all_ok),
         }
-        path = os.path.join(args.out, "checks.json")
-        _write_json(path, payload)
-        print(f"wrote {path}")
+        _write(args.out, "checks.json", _json(payload))
 
     return 0 if all_ok else 4
 
@@ -372,13 +400,21 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
+    if args.out:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as err:
+            print(f"error: --out {args.out}: {err.strerror}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except DivergenceError as err:
-        path = _dump_divergence(err, args.out)
+        path = os.path.join(args.out or ".", "divergence.npz")
+        lam, p, mu = err.iterate.blocks()
+        np.savez(path, k=np.array([err.k]), lam=lam, p=p, mu=mu)
         print(f"divergence at iteration {err.k}: {err}", file=sys.stderr)
         print(f"wrote {path}", file=sys.stderr)
         return 3

@@ -207,14 +207,6 @@ class RunRecord:
     stop_reason: str
     restarts: int = 0
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("k,phi,kkt,gap,time_s\n")
-            for k, phi, kkt, gap, ts in zip(
-                    self.ks, self.phi, self.kkt, self.gap, self.time_s):
-                fh.write(f"{int(k)},{float(phi)!r},{float(kkt)!r},"
-                         f"{float(gap)!r},{float(ts)!r}\n")
-
     def summary(self, prob: ProblemInstance) -> dict:
         u_l2m = float(np.sqrt(self.u @ (prob.ops.M_full @ self.u)))
         y_l2m = float(np.sqrt(self.y @ (prob.ops.M @ self.y)))

@@ -15,7 +15,6 @@ counterclockwise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,10 +175,3 @@ def mesh_to_dict(mesh: Mesh) -> dict:
         "triangles": [[int(v) for v in t] for t in mesh.triangles],
         "boundary": [int(b) for b in mesh.boundary_mask],
     }
-
-
-def dump_mesh(mesh: Mesh, path) -> None:
-    """Write the mesh as JSON to ``path``."""
-    with open(path, "w") as fh:
-        json.dump(mesh_to_dict(mesh), fh, sort_keys=True)
-        fh.write("\n")

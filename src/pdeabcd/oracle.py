@@ -12,8 +12,8 @@ L1 term from the box, so every subproblem is exact -- one sparse symmetric
 indefinite solve, a componentwise soft threshold, a clip.  The
 consistent-mass L1 term keeps this primal an exact conjugate of the dual
 function, which is what makes machine-accuracy cross-checks of the optimal
-values possible.  It has one start, a dual iterate's splitting point (the
-origin's by default), and reports ``dual_solver.primal_value``.
+values possible.  It has one start, a dual iterate's splitting point, and
+reports ``dual_solver.primal_value``.
 
 :func:`certified_optimum` runs a long dual solve, then this oracle started
 at the splitting point of the dual run's final iterate, and accepts only
@@ -95,7 +95,7 @@ def _splitting_factorization(prob: ProblemInstance, rho1: float,
 
 
 def admm_reference(prob: ProblemInstance,
-                   z0: DualIterate | None = None) -> PrimalSolution:
+                   z0: DualIterate) -> PrimalSolution:
     """Solve the consistent-mass primal by consensus operator splitting.
 
     Copies s = M_full u and w = u carry the L1 term and the box indicator;
@@ -108,9 +108,9 @@ def admm_reference(prob: ProblemInstance,
     returned control is the box copy ``w``, feasible to the letter, and
     ``J`` is ``dual_solver.primal_value`` there.
 
-    Starts at the splitting point the dual triple ``z0`` = (lam, p, mu),
-    the origin by default, maps to: u = clip((E p - lam - mu)/alpha, a, b),
-    s = M_full u, w = u, z1 = lam/rho1 and z2 = M_full mu/rho2.  At a
+    Starts at the splitting point the dual triple ``z0`` = (lam, p, mu)
+    maps to: u = clip((E p - lam - mu)/alpha, a, b), s = M_full u, w = u,
+    z1 = lam/rho1 and z2 = M_full mu/rho2.  At a
     fixed point rho1 z1 = lam and rho2 z2 = M_full mu, so a dual optimum
     maps to a point where the splitting stops.  The stopping test bounds
     the distance from optimality whatever the start, so ``z0`` changes
@@ -136,8 +136,6 @@ def admm_reference(prob: ProblemInstance,
     fact = _splitting_factorization(prob, rho1, rho2)
     thresh = beta / rho1
 
-    if z0 is None:
-        z0 = DualIterate.for_instance(prob)
     lam, p, mu = z0.blocks()
     u = np.clip((ops.pad(p) - lam - mu) / alpha, a, b)
     z1 = lam / rho1

@@ -3,6 +3,7 @@ mesh-independence harness."""
 
 import dataclasses
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -27,6 +28,7 @@ from pdeabcd.analysis import (
     verify_complexity_bound,
 )
 from pdeabcd.assembly import assemble
+from pdeabcd.cli import main
 from pdeabcd.dual_solver import (
     DualIterate,
     SolverConfig,
@@ -258,21 +260,28 @@ def test_mesh_independence_zero_preset_single_iteration():
     assert rep.median_iters == 1.0
 
 
-def test_mesh_independence_report_shape_and_csv(tmp_path):
-    rep = mesh_independence_experiment("sine", [3, 4], epsilon=1e-4)
-    assert len(rep.rows) == 2
-    assert rep.rows[0].level == 3
-    assert rep.rows[0].h == pytest.approx(np.sqrt(2.0) / 8.0)
-    assert rep.rows[0].n_interior == 49
-    path = tmp_path / "report.csv"
-    rep.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 3
-    assert "np.float64" not in lines[1]
-    d = rep.to_json_dict()
+def test_mesh_independence_report_shape_and_csv(tmp_path, capsys):
+    assert main(["mesh-indep", "--preset", "sine", "--levels", "2,3,4",
+                 "--eps", "1e-4", "--out", str(tmp_path)]) in (0, 4)
+    text = (tmp_path / "mesh_indep.csv").read_text()
+    # the same table goes to stdout
+    assert capsys.readouterr().out.startswith(text)
+    lines = text.splitlines()
+    assert len(lines) == 4
+    assert "np." not in text
+    d = json.loads((tmp_path / "mesh_indep.json").read_text())
     assert d["preset"] == "sine"
-    assert len(d["rows"]) == 2
-    assert [r["lam_max_converged"] for r in d["rows"]] == [True, False]
+    assert len(d["rows"]) == 3
+    row = d["rows"][1]
+    assert row["level"] == 3
+    assert row["h"] == pytest.approx(np.sqrt(2.0) / 8.0)
+    assert row["n_interior"] == 49
+    assert [r["lam_max_converged"] for r in d["rows"]] == [True, True, False]
+    # each CSV line holds its JSON row, floats exactly
+    keys = lines[0].split(",")
+    for line, row in zip(lines[1:], d["rows"]):
+        assert dict(zip(keys, map(float, line.split(",")))) == \
+            {k: row[k] for k in keys}
 
 
 def test_mesh_independence_saturation_flagged():

@@ -9,6 +9,7 @@ routes share no code.
 
 import numpy as np
 import pytest
+import scipy.io as sio
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,12 +17,12 @@ from hypothesis.extra import numpy as hnp
 
 from pdeabcd.assembly import (
     assemble,
-    dump_operators,
     interpolate_function,
     l1_norm_exact,
     l1h_norm,
     norms,
 )
+from pdeabcd.cli import main
 from pdeabcd.mesh import build_unit_square_mesh, triangle_areas
 
 # ---------------------------------------------------------------------------
@@ -174,16 +175,17 @@ def test_factors_solve(ops3, rng):
 
 
 def test_dump_operators(tmp_path, ops3):
-    paths = dump_operators(ops3, tmp_path)
-    assert len(paths) == 3
-    import scipy.io as sio
-
+    # the operators depend on the mesh alone, so any preset at level 3
+    # dumps those of ops3
+    assert main(["solve", "--preset", "zero", "--level", "3",
+                 "--dump-matrices", "--out", str(tmp_path)]) == 0
     K = sio.mmread(tmp_path / "K.mtx")
     M = sio.mmread(tmp_path / "M.mtx")
     assert (sp.csr_matrix(K) - ops3.K).nnz == 0
     assert (sp.csr_matrix(M) - ops3.M).nnz == 0
-    W = np.loadtxt(tmp_path / "W.txt")
-    assert np.allclose(W, ops3.restrict(ops3.W_full))
+    # one repr per line, so the weights round-trip exactly
+    W = [float(line) for line in (tmp_path / "W.txt").read_text().splitlines()]
+    assert np.array_equal(W, ops3.restrict(ops3.W_full))
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,8 @@ def test_usage_errors(capsys):
     ["solve", "--preset", "sine", "--level", "2", "--box=-inf,inf"],
     ["solve", "--preset", "sine", "--level", "2", "--box=-1,inf",
      "--check-bound"],
+    ["solve", "--preset", "zero", "--level", "2", "--dump-mesh"],
+    ["solve", "--preset", "zero", "--level", "2", "--dump-matrices"],
 ])
 def test_bad_flag_values_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -175,6 +177,29 @@ def test_bad_flag_values_exit_2(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["solve", "--preset", "zero", "--level", "2"], (dual_solver, "solve")),
+    (["mesh-indep", "--preset", "zero", "--levels", "2,3,4"],
+     (analysis, "mesh_independence_experiment")),
+    (["checks"], (analysis, "spectral_scaling_report")),
+])
+def test_bad_out_exits_2_before_any_work(argv, work, tmp_path, capsys,
+                                         monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("ran before --out was made")
+
+    monkeypatch.setattr(*work, broken)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker / "x", blocker):
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"error: --out {out}: "), captured.err
 
 
 # bounded runs of each subcommand, so a flag its rules let through ends soon
@@ -309,13 +334,27 @@ def test_abbreviated_config_flag_never_runs_the_defaults(spelling, tmp_path):
     assert json.loads((out / "summary.json").read_text())["level"] == 3
 
 
-def test_bool_keys_are_the_store_true_flags():
+def test_bool_keys_are_the_store_true_flags(tmp_path, monkeypatch):
+    # every store_true flag written as `key = yes` in a config file sets
+    # its option, and `key = no` leaves it off
+    seen = []
+    for run in ("run_solve", "run_mesh_independence", "run_checks"):
+        monkeypatch.setattr(cli, run, lambda args: seen.append(args) or 0)
+    required = {"solve": ["--preset", "zero"],
+                "mesh-indep": ["--preset", "zero"], "checks": []}
     subs = next(act for act in cli.build_parser()._actions
                 if isinstance(act, argparse._SubParsersAction))
-    flags = {act.option_strings[0][2:]
-             for sub in subs.choices.values() for act in sub._actions
-             if isinstance(act, argparse._StoreTrueAction)}
-    assert cli._BOOL_KEYS == flags
+    flags = [(name, act) for name, sub in subs.choices.items()
+             for act in sub._actions
+             if isinstance(act, argparse._StoreTrueAction)]
+    assert flags
+    cfg = tmp_path / "run.cfg"
+    for command, act in flags:
+        for value, expected in (("yes", True), ("no", False)):
+            cfg.write_text(f"{act.option_strings[0][2:]} = {value}\n")
+            assert main([command, "--config", str(cfg),
+                         *required[command]]) == 0
+            assert getattr(seen.pop(), act.dest) is expected, act.dest
 
 
 def test_mesh_indep_zero(tmp_path, capsys):
@@ -339,9 +378,17 @@ def test_mesh_indep_saturated_still_writes_report(tmp_path, capsys):
                "--eps", "1e-8", "--max-iters", "4", "--out", str(tmp_path)])
     assert rc == 4
     assert (tmp_path / "mesh_indep.csv").exists()
-    assert (tmp_path / "mesh_indep.json").exists()
     out = capsys.readouterr().out
     assert "passed=False" in out
+    assert "median_iters=None" in out
+
+    # strict JSON: no row counts, so the median is null, not a bare NaN
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = (tmp_path / "mesh_indep.json").read_text()
+    rep = json.loads(text, parse_constant=refuse)
+    assert rep["median_iters"] is None
 
 
 def test_checks_pass(tmp_path, capsys):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from pdeabcd.assembly import assemble
+from pdeabcd.cli import main
 from pdeabcd.dual_solver import (
     DivergenceError,
     DualIterate,
@@ -363,17 +364,19 @@ def test_divergence_on_nan_data():
 
 
 def test_record_csv_roundtrip(tmp_path, sine2):
-    run = solve(sine2, SolverConfig(max_iters=30, tol=0.0, log_every=5))
-    path = tmp_path / "record.csv"
-    run.to_csv(path)
-    text = path.read_text().splitlines()
+    run = solve(sine2, SolverConfig(max_iters=30, tol=0.0))
+    assert main(["solve", "--preset", "sine", "--level", "2",
+                 "--max-iters", "30", "--tol", "0", "--out",
+                 str(tmp_path)]) == 0
+    text = (tmp_path / "record.csv").read_text().splitlines()
     assert text[0].split(",") == ["k", "phi", "kkt", "gap", "time_s"]
     assert len(text) == 1 + run.ks.size
-    # floats round-trip exactly through repr
-    k0, phi0 = text[1].split(",")[:2]
-    assert int(k0) == run.ks[0]
-    assert float(phi0) == run.phi[0]
-    assert "np.float64" not in text[1]
+    assert "np." not in "".join(text)
+    # ints stay ints and floats round-trip exactly through repr
+    cols = list(zip(*(line.split(",") for line in text[1:])))
+    assert [int(k) for k in cols[0]] == run.ks.tolist()
+    for col, values in zip(cols[1:], (run.phi, run.kkt, run.gap)):
+        assert np.array_equal([float(v) for v in col], values)
 
 
 def test_summary_keys(sine2):

@@ -1,10 +1,13 @@
 """Mesh construction, geometry invariants, and nodal prolongation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pdeabcd.cli import main
 from pdeabcd.mesh import (
     MAX_LEVEL,
     InputError,
@@ -12,7 +15,6 @@ from pdeabcd.mesh import (
     MeshSizeError,
     NestingError,
     build_unit_square_mesh,
-    dump_mesh,
     mesh_to_dict,
     prolongate_nodal,
     triangle_areas,
@@ -183,11 +185,11 @@ def test_mesh_to_dict_and_dump(tmp_path):
     assert d["level"] == 2
     assert len(d["nodes"]) == mesh.n_nodes
     assert len(d["triangles"]) == mesh.triangles.shape[0]
-    path = tmp_path / "mesh.json"
-    dump_mesh(mesh, path)
-    import json
-
-    with open(path) as fh:
-        back = json.load(fh)
+    # the command line writes the dict as compact sorted JSON
+    assert main(["solve", "--preset", "zero", "--level", "2", "--dump-mesh",
+                 "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "mesh.json").read_text()
+    assert text == json.dumps(d, sort_keys=True) + "\n"
+    back = json.loads(text)
     assert back["level"] == 2
     assert back["nodes"][0] == [0.0, 0.0]

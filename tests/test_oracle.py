@@ -68,7 +68,7 @@ def test_admm_matches_golden(golden):
         # every optimum is pinned at the oracle's one stopping residual
         assert entry["tol"] == oracle.TOL
         inst = make_instance(name, entry["level"])
-        sol = admm_reference(inst)
+        sol = admm_reference(inst, DualIterate.for_instance(inst))
         assert sol.J == pytest.approx(entry["J_star"],
                                       abs=1e-9 * (1.0 + abs(entry["J_star"])))
         assert sol.iterations >= 1
@@ -82,7 +82,7 @@ def test_admm_start_independence(sine2, rng):
     start = DualIterate(rng.uniform(-beta, beta, sine2.n_full),
                         rng.standard_normal(sine2.n),
                         rng.standard_normal(sine2.n_full))
-    s1 = admm_reference(sine2)
+    s1 = admm_reference(sine2, DualIterate.for_instance(sine2))
     s2 = admm_reference(sine2, z0=start)
     assert s1.J == pytest.approx(s2.J, abs=1e-9 * (1.0 + abs(s1.J)))
     assert np.abs(s1.u - s2.u).max() < 1e-6
@@ -97,19 +97,19 @@ def test_admm_solves_the_state_equation_once(sine2, monkeypatch):
         return real(self, u)
 
     monkeypatch.setattr(ProblemInstance, "state", counting)
-    admm_reference(sine2)
+    admm_reference(sine2, DualIterate.for_instance(sine2))
     assert len(calls) == 1
 
 
 def test_admm_iteration_cap_raises(sine2, monkeypatch):
     monkeypatch.setattr(oracle, "MAX_ITERS", 3)
     with pytest.raises(OracleError):
-        admm_reference(sine2)
+        admm_reference(sine2, DualIterate.for_instance(sine2))
 
 
 def test_admm_optimum_not_improved_by_perturbation(shifted2, rng):
     # no feasible control near the oracle's minimizer has a lower value
-    sol = admm_reference(shifted2)
+    sol = admm_reference(shifted2, DualIterate.for_instance(shifted2))
     floor = sol.J - 1e-9 * (1.0 + abs(sol.J))
     for _ in range(20):
         d = rng.standard_normal(shifted2.n_full)
@@ -125,7 +125,7 @@ def test_control_shrinks_with_alpha():
     norms = []
     for alpha in (1e-3, 1e-2, 1e-1):
         inst = make_instance("sine", 2, alpha=alpha, box=(-100.0, 100.0))
-        sol = admm_reference(inst)
+        sol = admm_reference(inst, DualIterate.for_instance(inst))
         norms.append(float(np.sqrt(sol.u @ (inst.ops.M_full @ sol.u))))
         js.append(sol.J)
     assert norms[0] > norms[1] > norms[2]
@@ -200,7 +200,7 @@ def test_certified_rejects_a_wrong_seed(sine2, monkeypatch):
     monkeypatch.setattr(dual_solver, "solve", halved)
     with pytest.raises(OracleInconsistencyError):
         certified_optimum(sine2)
-    cold = admm_reference(sine2)
+    cold = admm_reference(sine2, DualIterate.for_instance(sine2))
     seeded = admm_reference(sine2, z0=seeds[0])
     assert seeded.J == pytest.approx(cold.J,
                                      abs=1e-9 * (1.0 + abs(cold.J)))
@@ -211,7 +211,7 @@ def test_certified_oracle_is_seeded():
     # of the iterations of a start from zero (5 vs 398 when written)
     inst = make_instance("shifted", 4)
     cert = certified_optimum(inst)
-    cold = admm_reference(inst)
+    cold = admm_reference(inst, DualIterate.for_instance(inst))
     assert cert.oracle.iterations <= cold.iterations / 10
 
 
@@ -242,12 +242,12 @@ def test_admm_factorizes_once(fixture, request, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(oracle, "_splitting_factorization", tracked)
-    admm_reference(prob)
+    admm_reference(prob, DualIterate.for_instance(prob))
     assert len(built) == 1
 
 
 def test_admm_converges_at_small_alpha(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_ITERS", 2000)
     prob = make_instance("sine", 4, alpha=1e-4)
-    sol = admm_reference(prob)
+    sol = admm_reference(prob, DualIterate.for_instance(prob))
     assert np.isfinite(sol.J)
