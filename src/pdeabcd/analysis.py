@@ -101,7 +101,7 @@ def lam_max_majorizer(prob: ProblemInstance) -> tuple[float, bool]:
 
 
 def prolongated_start(coarse_inst: ProblemInstance) -> DualIterate:
-    """One dual sweep from rest on the coarse level: the common start.
+    """One :func:`dual_solver.sweep` from rest on the coarse level: the start.
 
     The sweep output is a P1 triple on the coarse mesh: data adapted (zero
     data keeps the start at the origin, so those runs finish in one
@@ -110,10 +110,9 @@ def prolongated_start(coarse_inst: ProblemInstance) -> DualIterate:
     mu to any finer nested mesh as nodal interpolation of the same
     functions, so they are one fixed function pair across the hierarchy.
     """
-    run = dual_solver.solve(
-        coarse_inst,
-        SolverConfig(max_iters=1, tol=0.0, log_every=0, check_every=1))
-    return run.final
+    origin = np.zeros(coarse_inst.n_full)
+    lam, p, _, mu = dual_solver.sweep(coarse_inst, origin, origin)
+    return DualIterate(lam, p, mu, 1)
 
 
 def prolongate_iterate(src_mesh: Mesh, z: DualIterate,
@@ -380,9 +379,12 @@ def lumped_mass_comparison_check(levels, samples: int = 1000,
 
     ``gamma`` is ``LUMPED_MASS_GAMMA``, read at call time and reported.
     Runs on random full nodal vectors; counts violations beyond a relative
-    roundoff slack of 1e-12.
+    roundoff slack of 1e-12.  No level or no sample raises ``InputError``.
     """
     levels = check_levels(levels)
+    if not (levels and samples >= 1):
+        raise InputError(f"need at least one level and one sample, got "
+                         f"levels={levels}, samples={samples}")
     rng = np.random.default_rng(seed)
     out = {"gamma": LUMPED_MASS_GAMMA, "levels": {}, "violations": 0}
     for level in levels:
@@ -406,9 +408,12 @@ def l1_gap_check(levels, samples: int = 1000, seed: int = 0) -> dict:
 
     For random nodal vectors the gap ``||z||_{l1,W} - ||z||_{L1}`` must be
     nonnegative (up to roundoff) and bounded by ``C h ||z||_{H1}`` with C
-    fitted at the coarsest level and reused at finer ones.
+    fitted at the coarsest level and reused at finer ones.  Fewer than two
+    levels or no sample raises ``InputError``.
     """
     levels = _levels_to_compare(levels)
+    if not samples >= 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     out = {"levels": {}, "fit_level": levels[0]}
     c_fit = 0.0
@@ -449,6 +454,8 @@ def operator_bound_check(levels, alpha: float = 1e-2) -> dict:
     The smallest eigenvalue scales like h^2 and the largest like 1/h^2;
     windows are fitted on the coarsest pair of levels with a 25 percent
     margin and checked on the rest, so fewer than three levels never pass.
+    An alpha so large that the power iteration on G^{-1} underflows to zero
+    raises ``InputError``.
     """
     levels = sorted(check_levels(levels))
     rows = []
@@ -460,9 +467,12 @@ def operator_bound_check(levels, alpha: float = 1e-2) -> dict:
             mv = ops.mass_factor.solve(ops.K @ v)
             return ops.M @ v + alpha * (ops.K @ mv)
 
-        g_max, _ = power_iteration_extremes(g_apply, inst.n)
         ginv_max, _ = power_iteration_extremes(
             lambda v: apply_g_inverse(inst, v), inst.n)
+        if not ginv_max > 0.0:
+            raise InputError(f"alpha {alpha!r} is too large for the "
+                             "coupled-operator check: G^-1 underflows to 0")
+        g_max, _ = power_iteration_extremes(g_apply, inst.n)
         h = ops.mesh.h
         rows.append({
             "level": level,

@@ -13,7 +13,8 @@ raises instead of being written).
 
 Exit codes: 0 all good, 2 bad input (a value that a rule of the library
 or of this module rejects with ``InputError``, an ``--out`` that cannot be
-created, or ``--dump-mesh``/``--dump-matrices`` without ``--out``), 3
+created, or ``--dump-mesh``/``--dump-matrices`` without ``--out``; an
+``--out`` that the refused run created is removed again), 3
 solver divergence, 4 a checked criterion failed; any other exception
 propagates.  Output files are byte-identical across repeated runs with the
 same flags; wall-clock columns are only filled under --timing.  The
@@ -332,8 +333,6 @@ def run_mesh_independence(args) -> int:
 def run_checks(args) -> int:
     if len(args.levels) < 3:
         raise InputError("--levels needs at least three levels")
-    if args.samples < 1:
-        raise InputError(f"--samples must be >= 1, got {args.samples}")
     seed = _env_seed()
 
     # first, so that its first instance rejects a bad --alpha before any
@@ -400,6 +399,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
+    made_out = bool(args.out) and not os.path.exists(args.out)
     if args.out:
         try:
             os.makedirs(args.out, exist_ok=True)
@@ -410,6 +410,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
+        # a refused run leaves no new --out behind
+        if made_out and not os.listdir(args.out):
+            os.rmdir(args.out)
         return 2
     except DivergenceError as err:
         path = os.path.join(args.out or ".", "divergence.npz")

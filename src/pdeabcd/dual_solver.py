@@ -345,6 +345,16 @@ def step_mu(prob: ProblemInstance, lam_new: np.ndarray, p_new: np.ndarray,
     return ops.mass_full_factor.solve(xi)
 
 
+def sweep(prob: ProblemInstance, lam_t: np.ndarray, mu_t: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four steps from the extrapolated ``(lam_t, mu_t)``, returning
+    ``(lam, p, w, mu)`` with the ``w`` of :func:`step_p`."""
+    p_hat = step_phat(prob, lam_t, mu_t)
+    lam = step_lambda(prob, lam_t, mu_t, p_hat)
+    p, w = step_p(prob, lam, mu_t)
+    return lam, p, w, step_mu(prob, lam, p, mu_t)
+
+
 def momentum(t: float) -> tuple[float, float]:
     """Accelerated step-size recurrence: returns (t_next, beta_k)."""
     t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
@@ -368,16 +378,14 @@ def kkt_residual(prob: ProblemInstance, lam, p, mu, u, y) -> float:
     """Relative first-order residual: max of adjoint and two complementarity
     residuals, each normalized by 1 + the scale of its anchor vector."""
     ops = prob.ops
-    a, b = prob.box
-    beta = prob.beta
 
     r_adj = np.linalg.norm(ops.K @ p - ops.M @ (prob.y_d - y))
     r_adj /= 1.0 + np.linalg.norm(prob.m_yd)
 
-    lam_prox = np.clip(lam + (ops.M_full @ u) / ops.W_full, -beta, beta)
+    lam_prox = lambda_kernel(lam, ops.M_full @ u, ops.W_full, prob.beta)
     r_lam = np.linalg.norm(lam - lam_prox) / (1.0 + np.linalg.norm(lam))
 
-    u_prox = np.clip(u + (ops.M_full @ mu) / ops.W_full, a, b)
+    u_prox = np.clip(u + (ops.M_full @ mu) / ops.W_full, *prob.box)
     r_mu = np.linalg.norm(u - u_prox) / (1.0 + np.linalg.norm(u))
 
     return float(max(r_adj, r_lam, r_mu))
@@ -387,14 +395,15 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
           z0: DualIterate | None = None) -> RunRecord:
     """Run the accelerated dual scheme from ``z0`` (zeros by default).
 
-    Each sweep begins with a p-solve, so only the size of ``z0``'s p block
-    is read (a prolongated start carries a zero p).  Logs the dual
-    objective, the KKT residual, and the duality gap at the configured
-    cadence and at the last iteration; stops on the KKT tolerance, on
-    ``phi_target`` when set, or at ``max_iters``.  With ``config.restart``
-    the momentum is reset after every sweep whose step turns against the
-    previous move, and the resets are counted in ``RunRecord.restarts``.
-    Raises :class:`DivergenceError` when iterates become non-finite.
+    Each :func:`sweep` begins with a p-solve, so only the size of ``z0``'s
+    p block is read (a prolongated start carries a zero p).  Logs one row
+    (k, dual objective, KKT residual, duality gap, time) at the configured
+    cadence and at the last sweep, evaluating the objective only for the
+    target test or a row; stops on the KKT tolerance, on ``phi_target``
+    when set, or at ``max_iters``.  ``config.restart`` resets the momentum
+    after every sweep whose step turns against the previous move, counted
+    in ``RunRecord.restarts``.  Non-finite iterates raise
+    :class:`DivergenceError`.
     """
     config = config or SolverConfig()
     if z0 is None:
@@ -411,57 +420,37 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     np.clip(lam_prev, -prob.beta, prob.beta, out=lam_prev)
 
     lam_t, mu_t = lam_prev, mu_prev
-    t = 1.0
-    restarts = 0
+    t, restarts = 1.0, 0
     t0 = time.perf_counter()
-
-    ks: list[int] = []
-    phis: list[float] = []
-    kkts: list[float] = []
-    gaps: list[float] = []
-    times: list[float] = []
-
-    a, b = prob.box
     target = config.phi_target
-    converged = False
     stop_reason = "max_iters"
+    log: list[tuple[int, float, float, float, float]] = []
 
     for k in range(1, config.max_iters + 1):
-        p_hat = step_phat(prob, lam_t, mu_t)
-        lam = step_lambda(prob, lam_t, mu_t, p_hat)
-        p, w = step_p(prob, lam, mu_t)
-        mu = step_mu(prob, lam, p, mu_t)
-
-        if not (np.isfinite(lam).all() and np.isfinite(p).all()
-                and np.isfinite(mu).all()):
+        lam, p, w, mu = sweep(prob, lam_t, mu_t)
+        if not all(np.isfinite(x).all() for x in (lam, p, mu)):
             raise DivergenceError(f"non-finite iterate at k={k}", k,
                                   DualIterate(lam, p, mu, k))
 
-        check_now = (k % config.check_every == 0) or (k == config.max_iters)
-        log_now = config.log_every > 0 and (k % config.log_every == 0)
-
-        phi = None
-        if log_now or target is not None:
+        # max_iters forces a check, and the last sweep is always logged
+        check_now = k % config.check_every == 0 or k == config.max_iters
+        log_now = config.log_every > 0 and k % config.log_every == 0
+        if target is not None:
             phi = dual_objective(prob, lam, p, mu, w)
-        hit_target = target is not None and phi <= target
-        if check_now or log_now or hit_target:
+            if phi <= target:
+                stop_reason = "phi_target"
+        if check_now or log_now or stop_reason != "max_iters":
             u, y = recover_primal(prob, lam, p, mu)
             res = kkt_residual(prob, lam, p, mu, u, y)
-
-        if check_now and res <= config.tol:
-            converged, stop_reason = True, "kkt"
-        elif hit_target:
-            converged, stop_reason = True, "phi_target"
-        last = converged or k == config.max_iters
-        # the last iteration is always logged; max_iters forces a check there
+            if check_now and res <= config.tol:
+                stop_reason = "kkt"
+        last = stop_reason != "max_iters" or k == config.max_iters
         if log_now or last:
-            if phi is None:
+            if target is None:
                 phi = dual_objective(prob, lam, p, mu, w)
-            ks.append(k)
-            phis.append(phi)
-            kkts.append(res)
-            gaps.append(phi + primal_value(prob, np.clip(u, a, b)))
-            times.append(time.perf_counter() - t0 if config.timing else 0.0)
+            log.append((k, phi, res,
+                        phi + primal_value(prob, np.clip(u, *prob.box)),
+                        time.perf_counter() - t0 if config.timing else 0.0))
         if last:
             break
 
@@ -475,17 +464,9 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
         lam_prev, mu_prev = lam, mu
         t = t_next
 
-    return RunRecord(
-        ks=np.asarray(ks, dtype=np.int64),
-        phi=np.asarray(phis, dtype=float),
-        kkt=np.asarray(kkts, dtype=float),
-        gap=np.asarray(gaps, dtype=float),
-        time_s=np.asarray(times, dtype=float),
-        final=DualIterate(lam, p, mu, k),
-        u=u,
-        y=y,
-        converged=converged,
-        iterations=k,
-        stop_reason=stop_reason,
-        restarts=restarts,
-    )
+    ks, *cols = zip(*log)
+    return RunRecord(np.asarray(ks, dtype=np.int64),
+                     *(np.asarray(col, dtype=float) for col in cols),
+                     final=DualIterate(lam, p, mu, k), u=u, y=y,
+                     converged=stop_reason != "max_iters", iterations=k,
+                     stop_reason=stop_reason, restarts=restarts)

@@ -210,6 +210,16 @@ def test_prolongated_start_zero_data_stays_at_origin():
     assert np.all(z0.mu == 0.0)
 
 
+@pytest.mark.parametrize("preset", ["sine", "shifted"])
+def test_prolongated_start_is_the_one_sweep_solve(preset):
+    inst = make_instance(preset, 3)
+    start = prolongated_start(inst)
+    run = solve(inst, SolverConfig(max_iters=1, tol=0.0, log_every=0))
+    assert start.k == run.final.k == 1
+    for got, ref in zip(start.blocks(), run.final.blocks()):
+        assert np.array_equal(got, ref)
+
+
 def test_prolongated_start_feasible_and_deterministic():
     coarse = make_instance("sine", 2)
     fine = make_instance("sine", 4)
@@ -346,6 +356,21 @@ def test_l1_gap_check(seed):
 
 
 @pytest.mark.parametrize("check", [
+    lumped_mass_comparison_check,
+    l1_gap_check,
+], ids=["sandwich", "l1-gap"])
+def test_sampling_checks_refuse_no_samples(check, built):
+    with pytest.raises(InputError, match="samples"):
+        check([2, 3, 4], samples=0)
+    assert built == []
+
+
+def test_sandwich_check_refuses_no_level():
+    with pytest.raises(InputError, match="at least one level"):
+        lumped_mass_comparison_check([], samples=10)
+
+
+@pytest.mark.parametrize("check", [
     spectral_scaling_report,
     lambda levels: lumped_mass_comparison_check(levels, samples=2),
     lambda levels: l1_gap_check(levels, samples=2),
@@ -402,6 +427,12 @@ def test_operator_bound_check():
     assert out["passed"]
     # two levels only fit the windows and leave no level to check
     assert operator_bound_check([3, 4])["passed"] is False
+
+
+def test_operator_bound_check_refuses_underflowing_alpha():
+    # the p-solve's answer to b/alpha underflows, so G^-1 reads as zero
+    with pytest.raises(InputError, match="too large"):
+        operator_bound_check([2, 3, 4], alpha=1e200)
 
 
 def test_tau_h_at_level_positive():

@@ -170,6 +170,7 @@ def test_usage_errors(capsys):
      "--check-bound"],
     ["solve", "--preset", "zero", "--level", "2", "--dump-mesh"],
     ["solve", "--preset", "zero", "--level", "2", "--dump-matrices"],
+    ["checks", "--levels", "2,3,4", "--samples", "5", "--alpha", "1e200"],
 ])
 def test_bad_flag_values_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -200,6 +201,19 @@ def test_bad_out_exits_2_before_any_work(argv, work, tmp_path, capsys,
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(
             f"error: --out {out}: "), captured.err
+
+
+def test_refused_run_leaves_no_new_out(tmp_path, capsys):
+    argv = ["solve", "--preset", "sine", "--level", "2", "--alpha", "0"]
+    new = tmp_path / "new"
+    assert main([*argv, "--out", str(new)]) == 2
+    assert not new.exists()
+    # a directory that was there before the run stays, even when empty
+    old = tmp_path / "old"
+    old.mkdir()
+    assert main([*argv, "--out", str(old)]) == 2
+    assert old.is_dir()
+    assert capsys.readouterr().err.count("error: ") == 2
 
 
 # bounded runs of each subcommand, so a flag its rules let through ends soon

@@ -31,6 +31,7 @@ from pdeabcd.dual_solver import (
     step_p,
     step_phat,
     support_box,
+    sweep,
 )
 from pdeabcd.mesh import InputError, build_unit_square_mesh
 from pdeabcd.presets import make_instance
@@ -262,6 +263,23 @@ def test_sweep_steps_shapes(sine2):
     assert mu.shape == (sine2.n_full,)
 
 
+@pytest.mark.parametrize("sweeps", [0, 4])
+def test_sweep_is_the_four_steps(sine2, sweeps):
+    # from the origin and from the extrapolated point after a few sweeps
+    lam_t = mu_t = np.zeros(sine2.n_full)
+    if sweeps:
+        run = solve(sine2, SolverConfig(max_iters=sweeps, tol=0.0,
+                                        log_every=0))
+        lam_t, mu_t = 1.5 * run.final.lam, 0.5 * run.final.mu
+    lam, p, w, mu = sweep(sine2, lam_t, mu_t)
+    p_hat = step_phat(sine2, lam_t, mu_t)
+    lam_ref = step_lambda(sine2, lam_t, mu_t, p_hat)
+    p_ref, w_ref = step_p(sine2, lam_ref, mu_t)
+    mu_ref = step_mu(sine2, lam_ref, p_ref, mu_t)
+    for got, ref in ((lam, lam_ref), (p, p_ref), (w, w_ref), (mu, mu_ref)):
+        assert np.array_equal(got, ref)
+
+
 def test_recover_primal_identities(sine2, rng):
     lam = np.clip(rng.standard_normal(sine2.n_full), -sine2.beta, sine2.beta)
     p = rng.standard_normal(sine2.n)
@@ -312,6 +330,10 @@ def test_phi_decreases_from_rest(sine2):
 def test_logging_cadence(sine2):
     run = solve(sine2, SolverConfig(max_iters=10, tol=0.0, log_every=3))
     assert list(run.ks) == [3, 6, 9, 10]
+    assert run.ks.dtype == np.int64
+    columns = (run.ks, run.phi, run.kkt, run.gap, run.time_s)
+    assert {len(col) for col in columns} == {4}
+    assert all(col.dtype == np.float64 for col in columns[1:])
     run2 = solve(sine2, SolverConfig(max_iters=10, tol=0.0, log_every=0))
     # only the final row is recorded
     assert list(run2.ks) == [10]
