@@ -373,6 +373,12 @@ def spectral_scaling_report(levels,
     return SpectralScalingReport(rows=rows)
 
 
+def check_samples(samples: int) -> None:
+    """The randomized suites' rule: at least one sample, else ``InputError``."""
+    if not samples >= 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
+
+
 def lumped_mass_comparison_check(levels, samples: int = 1000,
                                  seed: int = 0) -> dict:
     """Sandwich check ``||z||_M^2 <= ||z||_W^2 <= gamma ||z||_M^2``.
@@ -382,9 +388,9 @@ def lumped_mass_comparison_check(levels, samples: int = 1000,
     roundoff slack of 1e-12.  No level or no sample raises ``InputError``.
     """
     levels = check_levels(levels)
-    if not (levels and samples >= 1):
-        raise InputError(f"need at least one level and one sample, got "
-                         f"levels={levels}, samples={samples}")
+    if not levels:
+        raise InputError("need at least one level")
+    check_samples(samples)
     rng = np.random.default_rng(seed)
     out = {"gamma": LUMPED_MASS_GAMMA, "levels": {}, "violations": 0}
     for level in levels:
@@ -412,8 +418,7 @@ def l1_gap_check(levels, samples: int = 1000, seed: int = 0) -> dict:
     levels or no sample raises ``InputError``.
     """
     levels = _levels_to_compare(levels)
-    if not samples >= 1:
-        raise InputError(f"samples must be >= 1, got {samples}")
+    check_samples(samples)
     rng = np.random.default_rng(seed)
     out = {"levels": {}, "fit_level": levels[0]}
     c_fit = 0.0
@@ -454,8 +459,9 @@ def operator_bound_check(levels, alpha: float = 1e-2) -> dict:
     The smallest eigenvalue scales like h^2 and the largest like 1/h^2;
     windows are fitted on the coarsest pair of levels with a 25 percent
     margin and checked on the rest, so fewer than three levels never pass.
-    An alpha so large that the power iteration on G^{-1} underflows to zero
-    raises ``InputError``.
+    An alpha so large that the power iteration on G^{-1} underflows to zero,
+    or that the estimate of lam_max(G) is not positive and finite, raises
+    ``InputError``.
     """
     levels = sorted(check_levels(levels))
     rows = []
@@ -472,7 +478,13 @@ def operator_bound_check(levels, alpha: float = 1e-2) -> dict:
         if not ginv_max > 0.0:
             raise InputError(f"alpha {alpha!r} is too large for the "
                              "coupled-operator check: G^-1 underflows to 0")
-        g_max, _ = power_iteration_extremes(g_apply, inst.n)
+        # at such an alpha the iterates of G overflow; refused just below
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_max, _ = power_iteration_extremes(g_apply, inst.n)
+        if not 0.0 < g_max < np.inf:
+            raise InputError(f"alpha {alpha!r} is too large for the "
+                             "coupled-operator check: the estimate of "
+                             f"lam_max(G) is {g_max!r}")
         h = ops.mesh.h
         rows.append({
             "level": level,

@@ -335,8 +335,10 @@ def run_checks(args) -> int:
         raise InputError("--levels needs at least three levels")
     seed = _env_seed()
 
-    # first, so that its first instance rejects a bad --alpha before any
-    # sampling; each check seeds its own generator, so order is free
+    # the --alpha rule, then the sampling suites' --samples rule, before
+    # any work; each check seeds its own generator, so their order is free
+    dual_solver.check_alpha(args.alpha)
+    analysis.check_samples(args.samples)
     spectral = analysis.spectral_scaling_report(args.levels, alpha=args.alpha)
     spect = spectral.checks()
     sandwich = analysis.lumped_mass_comparison_check(

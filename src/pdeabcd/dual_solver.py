@@ -34,11 +34,25 @@ L1 term, and support_box(M_full mu) that of the box indicator, both under
 the M_full pairing that also weights the coupling term.  primal_value uses
 the matching discretization, so phi + primal_value is a genuine duality
 gap, certified against an independent primal solver (oracle module).
+
+A sweep reads only the previous iterate, never its diagnostics (two state
+solves, the KKT residual, the dual value and the gap).  From
+``OVERLAP_MIN_N`` interior unknowns (level 7 and up) ``solve`` takes them
+on a worker thread while the next sweep runs; below that the hand-offs
+cost more than the sweeps, and the same loop runs them at once.  The
+worker's first job builds the ``K`` factor (``stiffness_factor``), while
+the sweeps touch only the p-solve and the ``M_full`` factor, so no factor
+is ever wanted by both threads before it exists.  The diagnostics take
+their dot products and norms by numpy's own summation loop, not BLAS: a
+threaded BLAS dot product on a long vector keeps the BLAS thread pool
+spinning on the second core, which is the one the worker needs.
 """
 
 from __future__ import annotations
 
+import contextvars
 import time
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,6 +70,12 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.k = k
         self.iterate = iterate
+
+
+def check_alpha(alpha: float) -> None:
+    """The rule for the control cost weight: alpha in (0, inf)."""
+    if not 0.0 < alpha < np.inf:
+        raise InputError(f"alpha must be in (0, inf), got {alpha}")
 
 
 @dataclass
@@ -81,8 +101,7 @@ class ProblemInstance:
         a, b = self.box
         if not -np.inf < a <= 0.0 <= b < np.inf:
             raise InputError(f"box [{a}, {b}] must be finite and contain 0")
-        if not 0.0 < self.alpha < np.inf:
-            raise InputError(f"alpha must be in (0, inf), got {self.alpha}")
+        check_alpha(self.alpha)
         if not 0.0 <= self.beta < np.inf:
             raise InputError(f"beta must be in [0, inf), got {self.beta}")
         if not self.gamma >= LUMPED_MASS_GAMMA:
@@ -225,6 +244,20 @@ class RunRecord:
         }
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` summed by numpy's own loop rather than BLAS.
+
+    A threaded BLAS ``ddot`` on a long vector leaves the BLAS thread pool
+    spinning on the core that the diagnostics of a large ``solve`` run on.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm through :func:`_dot`."""
+    return float(np.sqrt(_dot(v, v)))
+
+
 def support_box(s: np.ndarray, a: float, b: float) -> float:
     """Support function of the box [a, b]^n at s."""
     s = np.asarray(s, dtype=float)
@@ -251,11 +284,11 @@ def dual_objective(prob: ProblemInstance, lam, p, mu, w=None) -> float:
     if w is None:
         w = ops.mass_factor.solve(kp)
     coupling = lam + mu - ops.pad(p)
-    val = 0.5 * float((kp - prob.m_yd) @ (w - prob.y_d))
-    val += 0.5 / prob.alpha * float(coupling @ (ops.M_full @ coupling))
-    val += float(prob.m_yr @ p)
+    val = 0.5 * _dot(kp - prob.m_yd, w - prob.y_d)
+    val += 0.5 / prob.alpha * _dot(coupling, ops.M_full @ coupling)
+    val += _dot(prob.m_yr, p)
     val += support_box(ops.M_full @ mu, *prob.box)
-    val -= 0.5 * float(prob.y_d @ prob.m_yd)
+    val -= 0.5 * _dot(prob.y_d, prob.m_yd)
     return val
 
 
@@ -271,9 +304,9 @@ def primal_value(prob: ProblemInstance, u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     ops = prob.ops
     diff = prob.state(u) - prob.y_d
-    val = 0.5 * float(diff @ (ops.M @ diff))
+    val = 0.5 * _dot(diff, ops.M @ diff)
     m_u = ops.M_full @ u
-    val += 0.5 * prob.alpha * float(u @ m_u)
+    val += 0.5 * prob.alpha * _dot(u, m_u)
     val += prob.beta * float(np.abs(m_u).sum())
     return val
 
@@ -379,16 +412,73 @@ def kkt_residual(prob: ProblemInstance, lam, p, mu, u, y) -> float:
     residuals, each normalized by 1 + the scale of its anchor vector."""
     ops = prob.ops
 
-    r_adj = np.linalg.norm(ops.K @ p - ops.M @ (prob.y_d - y))
-    r_adj /= 1.0 + np.linalg.norm(prob.m_yd)
+    r_adj = _norm(ops.K @ p - ops.M @ (prob.y_d - y))
+    r_adj /= 1.0 + _norm(prob.m_yd)
 
     lam_prox = lambda_kernel(lam, ops.M_full @ u, ops.W_full, prob.beta)
-    r_lam = np.linalg.norm(lam - lam_prox) / (1.0 + np.linalg.norm(lam))
+    r_lam = _norm(lam - lam_prox) / (1.0 + _norm(lam))
 
     u_prox = np.clip(u + (ops.M_full @ mu) / ops.W_full, *prob.box)
-    r_mu = np.linalg.norm(u - u_prox) / (1.0 + np.linalg.norm(u))
+    r_mu = _norm(u - u_prox) / (1.0 + _norm(u))
 
-    return float(max(r_adj, r_lam, r_mu))
+    return max(r_adj, r_lam, r_mu)
+
+
+# instances with at least this many interior unknowns (level 7 and up) take
+# each sweep's diagnostics on a worker thread beside the next sweep; below
+# it, hand-offs between the threads cost more than sub-millisecond sweeps
+OVERLAP_MIN_N = 10_000
+
+
+class _InlineExecutor(Executor):
+    """Runs each submitted call at once, in the caller's thread."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _due(config: SolverConfig, k: int) -> tuple[bool, bool]:
+    """Whether sweep ``k`` is checked against ``tol``, and whether it is
+    logged; ``max_iters`` forces a check, and so the last row."""
+    check_now = k % config.check_every == 0 or k == config.max_iters
+    log_now = config.log_every > 0 and k % config.log_every == 0
+    return check_now, log_now
+
+
+def _diagnose(prob: ProblemInstance, config: SolverConfig, k: int, lam, p, w,
+              mu, t0: float):
+    """The stop tests and the log row of sweep ``k``.
+
+    Returns ``(stop_reason, row, u, y)``: ``stop_reason`` is None while the
+    run goes on, ``row`` is None when the sweep is not logged, and ``u, y``
+    are None when no KKT residual was taken.  The objective is evaluated
+    only for the target test or a row.
+    """
+    check_now, log_now = _due(config, k)
+    target = config.phi_target
+    stop_reason = row = u = y = None
+    if target is not None:
+        phi = dual_objective(prob, lam, p, mu, w)
+        if phi <= target:
+            stop_reason = "phi_target"
+    if check_now or log_now or stop_reason is not None:
+        u, y = recover_primal(prob, lam, p, mu)
+        res = kkt_residual(prob, lam, p, mu, u, y)
+        if check_now and res <= config.tol:
+            stop_reason = "kkt"
+    if stop_reason is None and k == config.max_iters:
+        stop_reason = "max_iters"
+    if log_now or stop_reason is not None:
+        if target is None:
+            phi = dual_objective(prob, lam, p, mu, w)
+        row = (k, phi, res, phi + primal_value(prob, np.clip(u, *prob.box)),
+               time.perf_counter() - t0 if config.timing else 0.0)
+    return stop_reason, row, u, y
 
 
 def solve(prob: ProblemInstance, config: SolverConfig | None = None,
@@ -398,12 +488,17 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     Each :func:`sweep` begins with a p-solve, so only the size of ``z0``'s
     p block is read (a prolongated start carries a zero p).  Logs one row
     (k, dual objective, KKT residual, duality gap, time) at the configured
-    cadence and at the last sweep, evaluating the objective only for the
-    target test or a row; stops on the KKT tolerance, on ``phi_target``
-    when set, or at ``max_iters``.  ``config.restart`` resets the momentum
-    after every sweep whose step turns against the previous move, counted
-    in ``RunRecord.restarts``.  Non-finite iterates raise
+    cadence and at the last sweep; stops on the KKT tolerance, on
+    ``phi_target`` when set, or at ``max_iters``.  ``config.restart`` resets
+    the momentum after every sweep whose step turns against the previous
+    move, counted in ``RunRecord.restarts``.  Non-finite iterates raise
     :class:`DivergenceError`.
+
+    A sweep that is checked or logged hands its diagnostics to a job.  From
+    ``OVERLAP_MIN_N`` interior unknowns the job runs on a one-thread pool
+    owned by the call while this thread takes the next sweep, which is
+    dropped when the job ends the run; smaller instances run the job at
+    once.  Both paths return the same record, bit for bit.
     """
     config = config or SolverConfig()
     if z0 is None:
@@ -422,48 +517,51 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     lam_t, mu_t = lam_prev, mu_prev
     t, restarts = 1.0, 0
     t0 = time.perf_counter()
-    target = config.phi_target
-    stop_reason = "max_iters"
     log: list[tuple[int, float, float, float, float]] = []
+    ahead = None  # sweep k, when taken beside the diagnostics of sweep k-1
+    pool = (ThreadPoolExecutor(1, "pdeabcd-diagnostics")
+            if prob.n >= OVERLAP_MIN_N else _InlineExecutor())
 
-    for k in range(1, config.max_iters + 1):
-        lam, p, w, mu = sweep(prob, lam_t, mu_t)
-        if not all(np.isfinite(x).all() for x in (lam, p, mu)):
-            raise DivergenceError(f"non-finite iterate at k={k}", k,
-                                  DualIterate(lam, p, mu, k))
+    with pool:
+        for k in range(1, config.max_iters + 1):
+            lam, p, w, mu = sweep(prob, lam_t, mu_t) if ahead is None \
+                else ahead
+            ahead = None
+            if not all(np.isfinite(x).all() for x in (lam, p, mu)):
+                raise DivergenceError(f"non-finite iterate at k={k}", k,
+                                      DualIterate(lam, p, mu, k))
+            job = None
+            if config.phi_target is not None or any(_due(config, k)):
+                # the caller's context carries its numpy error state
+                job = pool.submit(contextvars.copy_context().run, _diagnose,
+                                  prob, config, k, lam, p, w, mu, t0)
 
-        # max_iters forces a check, and the last sweep is always logged
-        check_now = k % config.check_every == 0 or k == config.max_iters
-        log_now = config.log_every > 0 and k % config.log_every == 0
-        if target is not None:
-            phi = dual_objective(prob, lam, p, mu, w)
-            if phi <= target:
-                stop_reason = "phi_target"
-        if check_now or log_now or stop_reason != "max_iters":
-            u, y = recover_primal(prob, lam, p, mu)
-            res = kkt_residual(prob, lam, p, mu, u, y)
-            if check_now and res <= config.tol:
-                stop_reason = "kkt"
-        last = stop_reason != "max_iters" or k == config.max_iters
-        if log_now or last:
-            if target is None:
-                phi = dual_objective(prob, lam, p, mu, w)
-            log.append((k, phi, res,
-                        phi + primal_value(prob, np.clip(u, *prob.box)),
-                        time.perf_counter() - t0 if config.timing else 0.0))
-        if last:
-            break
+            # the next extrapolation, taken before the job says whether
+            # this sweep is the last
+            restarted = config.restart and \
+                _dot(lam_t - lam, lam - lam_prev) \
+                + _dot(mu_t - mu, mu - mu_prev) > 0.0
+            if restarted:
+                t = 1.0
+                restarts += 1
+            t_next, beta_k = momentum(t)
+            lam_t = lam + beta_k * (lam - lam_prev)
+            mu_t = mu + beta_k * (mu - mu_prev)
+            lam_prev, mu_prev = lam, mu
+            t = t_next
 
-        if config.restart and float((lam_t - lam) @ (lam - lam_prev)) \
-                + float((mu_t - mu) @ (mu - mu_prev)) > 0.0:
-            t = 1.0
-            restarts += 1
-        t_next, beta_k = momentum(t)
-        lam_t = lam + beta_k * (lam - lam_prev)
-        mu_t = mu + beta_k * (mu - mu_prev)
-        lam_prev, mu_prev = lam, mu
-        t = t_next
+            if job is None:
+                continue
+            if not job.done() and k < config.max_iters:
+                ahead = sweep(prob, lam_t, mu_t)
+            stop_reason, row, u, y = job.result()
+            if row is not None:
+                log.append(row)
+            if stop_reason is not None:
+                break
 
+    # a restart after the last sweep starts no sweep
+    restarts -= restarted
     ks, *cols = zip(*log)
     return RunRecord(np.asarray(ks, dtype=np.int64),
                      *(np.asarray(col, dtype=float) for col in cols),

@@ -435,6 +435,13 @@ def test_operator_bound_check_refuses_underflowing_alpha():
         operator_bound_check([2, 3, 4], alpha=1e200)
 
 
+def test_operator_bound_check_refuses_overflowing_alpha():
+    # G^-1 still reads positive, but the iterates of G overflow at level 4
+    # and its estimate collapses to 0
+    with pytest.raises(InputError, match=r"lam_max\(G\) is 0\.0"):
+        operator_bound_check([2, 3, 4], alpha=1e150)
+
+
 def test_tau_h_at_level_positive():
     # the tau proxy route: prolongated start, reference optimum, tau_h
     tau = mesh_independence_experiment("sine", [2, 3],

@@ -171,6 +171,7 @@ def test_usage_errors(capsys):
     ["solve", "--preset", "zero", "--level", "2", "--dump-mesh"],
     ["solve", "--preset", "zero", "--level", "2", "--dump-matrices"],
     ["checks", "--levels", "2,3,4", "--samples", "5", "--alpha", "1e200"],
+    ["checks", "--levels", "2,3,4", "--samples", "5", "--alpha", "1e150"],
 ])
 def test_bad_flag_values_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -436,6 +437,19 @@ def test_checks_rejects_alpha_before_sampling(monkeypatch, capsys):
 
     monkeypatch.setattr(analysis, "lumped_mass_comparison_check", sampled)
     assert main(["checks", "--alpha", "0", "--levels", "2,3,4,5,6"]) == 2
+
+
+def test_checks_rejects_samples_before_any_work(monkeypatch, capsys):
+    def reported(*args, **kwargs):
+        raise AssertionError("ran before the samples rule")
+
+    monkeypatch.setattr(analysis, "spectral_scaling_report", reported)
+    assert main(["checks", "--levels", "2,3,4", "--samples", "0"]) == 2
+    assert "samples" in capsys.readouterr().err
+    # a bad --alpha is still the first refusal
+    assert main(["checks", "--levels", "2,3,4", "--samples", "0",
+                 "--alpha", "0"]) == 2
+    assert "alpha" in capsys.readouterr().err
 
 
 def test_solve_restart_flag(tmp_path, capsys):

@@ -3,14 +3,18 @@
 The two componentwise kernels are checked against brute-force scalar
 minimization of the subproblems they claim to solve; the sweep is checked
 for its fixed point at a certified optimum, arithmetic identities of the
-primal recovery, bitwise determinism, and the divergence guard.
+primal recovery, bitwise determinism, and the divergence guard; runs whose
+diagnostics go to a worker thread are checked against inline ones, bit for
+bit.
 """
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
+from pdeabcd import dual_solver
 from pdeabcd.assembly import assemble
 from pdeabcd.cli import main
 from pdeabcd.dual_solver import (
@@ -202,6 +206,32 @@ def test_restart_never_takes_more_sweeps(preset, level):
     assert plain.converged and restarted.converged
     assert plain.restarts == 0 and restarted.restarts > 0
     assert restarted.iterations <= plain.iterations
+
+
+def test_restarted_runs_match_a_loop_of_sweeps():
+    # the reference loop; a run that ends on sweep k takes the restart tests
+    # after sweeps 1..k-1 only, also when the test after k would fire
+    inst = make_instance("shifted", 3)
+    lam_prev = mu_prev = lam_t = mu_t = np.zeros(inst.n_full)
+    t, fired, iterates = 1.0, [], {}
+    for k in range(1, 80):
+        lam, p, _, mu = sweep(inst, lam_t, mu_t)
+        iterates[k] = (lam, p, mu)
+        if np.einsum("i,i->", lam_t - lam, lam - lam_prev) \
+                + np.einsum("i,i->", mu_t - mu, mu - mu_prev) > 0.0:
+            t = 1.0
+            fired.append(k)
+        t_next, beta_k = momentum(t)
+        lam_t = lam + beta_k * (lam - lam_prev)
+        mu_t = mu + beta_k * (mu - mu_prev)
+        lam_prev, mu_prev, t = lam, mu, t_next
+    assert len(fired) >= 2
+    for last in (fired[1], fired[1] + 1):
+        run = solve(inst, SolverConfig(max_iters=last, tol=0.0, log_every=0,
+                                       restart=True))
+        assert run.restarts == sum(k < last for k in fired)
+        for x, y in zip(run.final.blocks(), iterates[last]):
+            assert np.array_equal(x, y)
 
 
 def test_momentum_recurrence():
@@ -423,3 +453,99 @@ def test_kkt_residual_zero_at_certified_optimum(certified_sine2):
     z = cert.z_star
     u, y = recover_primal(inst, z.lam, z.p, z.mu)
     assert kkt_residual(inst, z.lam, z.p, z.mu, u, y) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# diagnostics on a worker thread beside the next sweep
+
+
+def _assert_same_record(a, b):
+    for name in ("ks", "phi", "kkt", "gap", "time_s", "u", "y"):
+        assert np.array_equal(getattr(a, name), getattr(b, name),
+                              equal_nan=True), name
+    for x, y in zip(a.final.blocks(), b.final.blocks()):
+        assert np.array_equal(x, y)
+    assert (a.final.k, a.iterations, a.stop_reason, a.restarts,
+            a.converged) == (b.final.k, b.iterations, b.stop_reason,
+                             b.restarts, b.converged)
+
+
+def _overlapped(monkeypatch, call):
+    """``call()`` with every instance overlapped, checking that its
+    diagnostics ran off the main thread and that no thread outlived it."""
+    monkeypatch.setattr(dual_solver, "OVERLAP_MIN_N", 0)
+    threads = set()
+    residual = dual_solver.kkt_residual
+
+    def traced(*args):
+        threads.add(threading.current_thread())
+        return residual(*args)
+
+    monkeypatch.setattr(dual_solver, "kkt_residual", traced)
+    before = threading.active_count()
+    try:
+        return call()
+    finally:
+        assert threading.active_count() == before
+        assert threads and threading.main_thread() not in threads
+
+
+@pytest.mark.parametrize("case, stop", [
+    (lambda cert: (make_instance("sine", 3), SolverConfig()), "kkt"),
+    (lambda cert: (make_instance("shifted", 3),
+                   SolverConfig(restart=True, check_every=5, log_every=0)),
+     "kkt"),
+    (lambda cert: (cert[0], SolverConfig(max_iters=5000, tol=0.0,
+                                         phi_target=cert[1].phi_star + 1e-3)),
+     "phi_target"),
+    (lambda cert: (make_instance("sine", 3),
+                   SolverConfig(max_iters=17, tol=0.0, log_every=3)),
+     "max_iters"),
+], ids=["kkt", "restarted", "phi-target", "max-iters"])
+def test_overlapped_run_equals_inline_run(case, stop, certified_sine2,
+                                          monkeypatch):
+    inst, config = case(certified_sine2)
+    inline = solve(inst, config)
+    assert inline.stop_reason == stop
+    if config.restart:
+        assert inline.restarts > 0
+    overlapped = _overlapped(monkeypatch, lambda: solve(inst, config))
+    _assert_same_record(inline, overlapped)
+
+
+def test_overlapped_divergence_has_the_inline_k(sine2, monkeypatch):
+    step_mu = dual_solver.step_mu
+
+    def diverge():
+        calls = []
+
+        def poisoned(*args):
+            calls.append(None)
+            mu = step_mu(*args)
+            return mu * np.nan if len(calls) >= 5 else mu
+
+        monkeypatch.setattr(dual_solver, "step_mu", poisoned)
+        with pytest.raises(DivergenceError) as exc:
+            solve(sine2, SolverConfig(max_iters=100, tol=0.0))
+        return exc.value.k
+
+    assert diverge() == 5
+    assert _overlapped(monkeypatch, diverge) == 5
+
+
+def test_overlapped_diagnostics_keep_the_callers_error_state(sine2,
+                                                            monkeypatch):
+    # a residual that overflows on the way: np.errstate must silence the
+    # worker thread as it silences the caller's
+    residual = dual_solver.kkt_residual
+
+    def overflowing(*args):
+        return residual(*args) + 0.0 * (np.float64(1e308) * 10.0)
+
+    monkeypatch.setattr(dual_solver, "kkt_residual", overflowing)
+    config = SolverConfig(max_iters=5, tol=0.0)
+    with np.errstate(all="ignore"):
+        inline = solve(sine2, config)
+        overlapped = _overlapped(monkeypatch, lambda: solve(sine2, config))
+    assert np.isnan(inline.kkt).all()
+    _assert_same_record(inline, overlapped)
