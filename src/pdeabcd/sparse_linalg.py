@@ -13,6 +13,13 @@ the p-solve by ``dual_solver.ProblemInstance.psolve``.  A dual solve
 builds the p-solve, ``M_full`` and ``K`` factors; the factor of ``M`` is
 built only by dual values taken without the p-solve's multiplier (the
 oracle's certificate) and by the spectral checks.
+
+A :class:`Factorization` holds SuperLU's own storage and nothing else.
+Its ``fill_nnz`` is ``SuperLU.nnz``, the entries SuperLU stores for both
+triangles, supernodal padding included.  The ``L`` and ``U`` attributes of
+scipy's ``SuperLU`` are never read: the first read builds CSC copies of
+both triangles and the object keeps them as long as it lives, which would
+store every factor twice.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._dsolve import _superlu
 
 
 class DefinitenessError(ValueError):
@@ -39,7 +47,11 @@ def canonicalize(matrix) -> sp.csr_matrix:
 
 @dataclass
 class Factorization:
-    """Direct factorization handle with a triangular-solve entry point."""
+    """Direct factorization handle with a triangular-solve entry point.
+
+    ``_lu`` is the ``SuperLU`` object and holds the only copy of the factor;
+    ``fill_nnz`` is its ``nnz``.
+    """
 
     kind: str
     fill_nnz: int
@@ -50,36 +62,62 @@ class Factorization:
         return self._lu.solve(b)
 
 
+def _triangle_diagonal(arrays, shape) -> np.ndarray:
+    return sp.csc_array(arrays, shape=shape).diagonal()
+
+
+def _splu_with_pivots(csc, options: dict):
+    """``splu(csc, **options)`` and the diagonal of its ``U``.
+
+    SuperLU's pivots are readable only through ``SuperLU.U``, whose first
+    read converts both triangles to CSC and caches them on the object.  So
+    this factors through the entry point ``splu`` itself calls, after
+    ``splu``'s own input preparation, and passes a CSC constructor that
+    keeps only each triangle's diagonal: the copies exist while the
+    diagonal is read, and the object caches two vectors of length n.
+    """
+    csc.sum_duplicates()
+    csc = csc.astype(np.promote_types(csc.dtype, np.float32), copy=False)
+    n = csc.shape[0]
+    if max(n, csc.nnz) > np.iinfo(np.intc).max:
+        raise ValueError(f"matrix of order {n} with {csc.nnz} entries is too "
+                         "large for SuperLU's 32-bit indices")
+    lu = _superlu.gstrf(n, csc.nnz, csc.data,
+                        csc.indices.astype(np.intc, copy=False),
+                        csc.indptr.astype(np.intc, copy=False),
+                        csc_construct_func=_triangle_diagonal, ilu=False,
+                        options=options)
+    # the diagonal _triangle_diagonal kept, not a triangle
+    return lu, lu.U
+
+
 def factorize_spd(matrix) -> Factorization:
     """Factor a real SPD matrix, or a complex symmetric one with SPD real part.
 
     Pivoting is suppressed (symmetric mode).  The Hermitian part of such a
     matrix, ``Re(A)``, stays positive definite in every Schur complement, so
     the pivots have positive real parts; a non-positive real pivot raises
-    :class:`DefinitenessError`.
+    :class:`DefinitenessError`.  The pivots are read without keeping a copy
+    of either triangle (:func:`_splu_with_pivots`), so the factor holds only
+    SuperLU's storage, ``fill_nnz`` entries.
     """
     csc = sp.csc_matrix(matrix)
     if csc.shape[0] != csc.shape[1]:
         raise ValueError(f"matrix is {csc.shape}, expected square")
-    lu = spla.splu(
-        csc,
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    pivots = lu.U.diagonal()
+    lu, pivots = _splu_with_pivots(csc, {"ColPerm": "MMD_AT_PLUS_A",
+                                         "DiagPivotThresh": 0.0,
+                                         "SymmetricMode": True})
     smallest = pivots.real.min()
     if not np.all(np.isfinite(pivots)) or smallest <= 0.0:
         raise DefinitenessError(
             f"matrix is not positive definite (smallest real pivot {smallest:.3e})")
-    return Factorization("spd", lu.L.nnz + lu.U.nnz, lu)
+    return Factorization("spd", lu.nnz, lu)
 
 
 def factorize_indefinite(matrix) -> Factorization:
     """Factor a general sparse matrix with partial pivoting."""
-    csc = sp.csc_matrix(matrix)
-    lu = spla.splu(csc)
-    return Factorization("indefinite", lu.L.nnz + lu.U.nnz, lu)
+    lu = spla.splu(sp.csc_matrix(matrix))
+    return Factorization("indefinite", lu.nnz, lu)
 
 
 class AugmentedSolver:

@@ -1,8 +1,11 @@
 """Factorization wrappers and the complex-symmetric p-solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from pdeabcd import dual_solver, sparse_linalg
 from pdeabcd.analysis import compute_tau_h, lam_max_majorizer
@@ -63,6 +66,9 @@ def test_factorize_spd_rejects_indefinite():
     for A in (sp.diags([1.0, -1.0, 2.0]).tocsc(), -ops.K + 1j * ops.M):
         with pytest.raises(DefinitenessError):
             factorize_spd(A)
+    # the message reports the smallest real pivot
+    with pytest.raises(DefinitenessError, match=r"smallest real pivot -4\.000e\+00"):
+        factorize_spd(-ops.K + 1j * ops.M)
 
 
 def test_factorize_spd_rejects_singular():
@@ -81,6 +87,52 @@ def test_factorize_indefinite_saddle(rng):
     b = rng.standard_normal(n + 1)
     x = fact.solve(b)
     assert np.allclose(S @ x, b, atol=1e-9)
+
+
+def _saddle(ops):
+    return sp.bmat([[ops.M, ops.K], [ops.K, None]], format="csc")
+
+
+def test_factors_keep_no_copy_of_their_triangles():
+    """A factor holds SuperLU's storage only, not CSC copies of L and U.
+
+    numpy reports its buffers to tracemalloc and SuperLU's own storage is
+    not traced, so what a live factor keeps is what it copied.  CSC copies
+    of both triangles would keep about 18-20 bytes per stored entry.
+    """
+    ops = assemble(build_unit_square_mesh(5))
+    for factorize, A in ((factorize_spd, ops.K + 10j * ops.M),
+                         (factorize_indefinite, _saddle(ops))):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fact = factorize(A)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 * fact.fill_nnz, (fact.kind, kept, fact.fill_nnz)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6, 7])
+def test_fill_nnz_counts_superlu_storage(level):
+    """``fill_nnz`` is ``SuperLU.nnz`` of scipy's ``splu`` with the same options.
+
+    For the solver's SPD factors at levels 3-7 that is also ``L.nnz + U.nnz``;
+    SuperLU's count includes stored padding, so at level 2 it is larger.
+    """
+    inst = make_instance("sine", level)
+    ops = inst.ops
+    factors = ((ops.M, ops.mass_factor), (ops.M_full, ops.mass_full_factor),
+               (ops.K, ops.stiffness_factor),
+               (ops.K + 1j * inst.psolve.s * ops.M, inst.psolve._fact))
+    for A, fact in factors:
+        lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        assert fact.fill_nnz == lu.nnz
+        if level >= 3:
+            assert fact.fill_nnz == lu.L.nnz + lu.U.nnz
+    assert (factorize_indefinite(_saddle(ops)).fill_nnz
+            == spla.splu(_saddle(ops)).nnz)
 
 
 @pytest.mark.parametrize("level", [3, 5])
