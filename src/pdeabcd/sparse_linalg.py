@@ -67,7 +67,8 @@ def _triangle_diagonal(arrays, shape) -> np.ndarray:
 
 
 def _splu_with_pivots(csc, options: dict):
-    """``splu(csc, **options)`` and the diagonal of its ``U``.
+    """Factor ``csc`` as ``splu`` does with SuperLU ``options``; return the
+    factor and the diagonal of its ``U``.
 
     SuperLU's pivots are readable only through ``SuperLU.U``, whose first
     read converts both triangles to CSC and caches them on the object.  So
