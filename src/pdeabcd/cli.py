@@ -34,7 +34,7 @@ import scipy.io
 
 from . import analysis, dual_solver
 from .dual_solver import DivergenceError, SolverConfig
-from .mesh import InputError, mesh_to_dict
+from .mesh import InputError, check_alpha, mesh_to_dict
 from .presets import make_instance, preset_names
 
 
@@ -72,17 +72,16 @@ def _env_seed() -> int:
                      f"got {raw!r}")
 
 
-def load_config_tokens(path: str) -> list[str]:
+def load_config_tokens(path: str, bool_keys: set[str]) -> list[str]:
     """Read a plain key=value config file into flag tokens.
 
     Keys mirror the long flags one to one (dashes or underscores); lines
-    starting with '#' and blank lines are skipped.  The keys of the
-    ``store_true`` flags accept true/false style values.  Each value is
-    emitted as one ``--key=value`` token, so a value that starts with '-'
-    is not read as a flag.  Command-line flags override the file because
-    file tokens are injected before them.
+    starting with '#' and blank lines are skipped.  The ``bool_keys``, the
+    names of the ``store_true`` flags, accept true/false style values.
+    Each value is emitted as one ``--key=value`` token, so a value that
+    starts with '-' is not read as a flag.  Command-line flags override
+    the file because file tokens are injected before them.
     """
-    bool_keys = _store_true_keys()
     tokens: list[str] = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -111,7 +110,8 @@ def load_config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _inject_config(argv: list[str]) -> list[str]:
+def _inject_config(argv: list[str],
+                   parser: argparse.ArgumentParser) -> list[str]:
     """Splice config-file tokens after the subcommand; flags win."""
     pre = argparse.ArgumentParser(prog="pdeabcd", add_help=False,
                                   allow_abbrev=False)
@@ -119,12 +119,13 @@ def _inject_config(argv: list[str]) -> list[str]:
     known, rest = pre.parse_known_args(argv)
     if known.config is None or not rest:
         return argv
-    return [rest[0]] + load_config_tokens(known.config) + rest[1:]
+    tokens = load_config_tokens(known.config, _store_true_keys(parser))
+    return [rest[0]] + tokens + rest[1:]
 
 
-def _store_true_keys() -> set[str]:
+def _store_true_keys(parser: argparse.ArgumentParser) -> set[str]:
     """The long names of every subcommand's ``store_true`` flags."""
-    subs = next(act for act in build_parser()._actions
+    subs = next(act for act in parser._actions
                 if isinstance(act, argparse._SubParsersAction))
     return {act.option_strings[0][2:] for sub in subs.choices.values()
             for act in sub._actions
@@ -337,7 +338,7 @@ def run_checks(args) -> int:
 
     # the --alpha rule, then the sampling suites' --samples rule, before
     # any work; each check seeds its own generator, so their order is free
-    dual_solver.check_alpha(args.alpha)
+    check_alpha(args.alpha)
     analysis.check_samples(args.samples)
     spectral = analysis.spectral_scaling_report(args.levels, alpha=args.alpha)
     spect = spectral.checks()
@@ -396,7 +397,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
-        argv = _inject_config(argv)
+        argv = _inject_config(argv, parser)
     except (InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

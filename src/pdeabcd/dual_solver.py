@@ -36,30 +36,34 @@ the matching discretization, so phi + primal_value is a genuine duality
 gap, certified against an independent primal solver (oracle module).
 
 A sweep reads only the previous iterate, never its diagnostics (two state
-solves, the KKT residual, the dual value and the gap).  From
-``OVERLAP_MIN_N`` interior unknowns (level 7 and up) ``solve`` takes them
-on a worker thread while the next sweep runs; below that the hand-offs
-cost more than the sweeps, and the same loop runs them at once.  The
-worker's first job builds the ``K`` factor (``stiffness_factor``), while
-the sweeps touch only the p-solve and the ``M_full`` factor, so no factor
-is ever wanted by both threads before it exists.  The diagnostics take
-their dot products and norms by numpy's own summation loop, not BLAS: a
-threaded BLAS dot product on a long vector keeps the BLAS thread pool
-spinning on the second core, which is the one the worker needs.
+solves, the KKT residual, the dual value and the gap).  ``solve`` calls
+them directly below ``OVERLAP_MIN_N`` interior unknowns; from it on they
+run on a worker thread, under the caller's numpy error state and error
+callback, while the next sweep runs.  The threshold sits between L6 (3,969
+interior unknowns) and L7 (16,129): the worker saves about a fifth of a
+``sine`` L8 solve, but run at every size it slowed the L3-L6
+``mesh-indep`` benchmark (8 of 10 paired runs) and raised its peak memory
+(10 of 10).  The worker's first job builds the ``K`` factor
+(``stiffness_factor``), while the sweeps touch only the p-solve and the
+``M_full`` factor, so no factor is ever wanted by both threads before it
+exists.  The diagnostics take their dot products and norms by numpy's own
+summation loop, not BLAS: a threaded BLAS dot product on a long vector
+keeps the BLAS thread pool spinning on the second core, which is the one
+the worker needs.
 """
 
 from __future__ import annotations
 
-import contextvars
 import time
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .assembly import LUMPED_MASS_GAMMA, FemOperators
-from .mesh import InputError
+from .mesh import InputError, check_alpha
 from .sparse_linalg import AugmentedSolver
 
 
@@ -70,12 +74,6 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.k = k
         self.iterate = iterate
-
-
-def check_alpha(alpha: float) -> None:
-    """The rule for the control cost weight: alpha in (0, inf)."""
-    if not 0.0 < alpha < np.inf:
-        raise InputError(f"alpha must be in (0, inf), got {alpha}")
 
 
 @dataclass
@@ -424,22 +422,9 @@ def kkt_residual(prob: ProblemInstance, lam, p, mu, u, y) -> float:
     return max(r_adj, r_lam, r_mu)
 
 
-# instances with at least this many interior unknowns (level 7 and up) take
-# each sweep's diagnostics on a worker thread beside the next sweep; below
-# it, hand-offs between the threads cost more than sub-millisecond sweeps
+# from this many interior unknowns (level 7 and up) a sweep's diagnostics
+# run on a worker thread beside the next sweep; see the module docstring
 OVERLAP_MIN_N = 10_000
-
-
-class _InlineExecutor(Executor):
-    """Runs each submitted call at once, in the caller's thread."""
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
 
 
 def _due(config: SolverConfig, k: int) -> tuple[bool, bool]:
@@ -450,16 +435,16 @@ def _due(config: SolverConfig, k: int) -> tuple[bool, bool]:
     return check_now, log_now
 
 
-def _diagnose(prob: ProblemInstance, config: SolverConfig, k: int, lam, p, w,
-              mu, t0: float):
-    """The stop tests and the log row of sweep ``k``.
+def _diagnose(prob: ProblemInstance, config: SolverConfig, k: int,
+              check_now: bool, log_now: bool, lam, p, w, mu, t0: float):
+    """The stop tests and the log row of sweep ``k``, with
+    ``(check_now, log_now)`` from :func:`_due`.
 
     Returns ``(stop_reason, row, u, y)``: ``stop_reason`` is None while the
     run goes on, ``row`` is None when the sweep is not logged, and ``u, y``
     are None when no KKT residual was taken.  The objective is evaluated
     only for the target test or a row.
     """
-    check_now, log_now = _due(config, k)
     target = config.phi_target
     stop_reason = row = u = y = None
     if target is not None:
@@ -494,11 +479,12 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     move, counted in ``RunRecord.restarts``.  Non-finite iterates raise
     :class:`DivergenceError`.
 
-    A sweep that is checked or logged hands its diagnostics to a job.  From
-    ``OVERLAP_MIN_N`` interior unknowns the job runs on a one-thread pool
-    owned by the call while this thread takes the next sweep, which is
-    dropped when the job ends the run; smaller instances run the job at
-    once.  Both paths return the same record, bit for bit.
+    A checked or logged sweep is diagnosed by :func:`_diagnose`, called
+    directly below ``OVERLAP_MIN_N`` interior unknowns.  From it on the
+    call runs on a one-thread pool owned by this call, under the caller's
+    numpy error state and error callback, while this thread takes the next
+    sweep, which is dropped when the diagnostics end the run.  Both paths
+    return the same record, bit for bit.
     """
     config = config or SolverConfig()
     if z0 is None:
@@ -520,9 +506,11 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     log: list[tuple[int, float, float, float, float]] = []
     ahead = None  # sweep k, when taken beside the diagnostics of sweep k-1
     pool = (ThreadPoolExecutor(1, "pdeabcd-diagnostics")
-            if prob.n >= OVERLAP_MIN_N else _InlineExecutor())
+            if prob.n >= OVERLAP_MIN_N else None)
+    # the worker's jobs run in the caller's error state and callback
+    errstate = np.errstate(call=np.geterrcall(), **np.geterr())
 
-    with pool:
+    with pool or nullcontext():
         for k in range(1, config.max_iters + 1):
             lam, p, w, mu = sweep(prob, lam_t, mu_t) if ahead is None \
                 else ahead
@@ -530,14 +518,9 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
             if not all(np.isfinite(x).all() for x in (lam, p, mu)):
                 raise DivergenceError(f"non-finite iterate at k={k}", k,
                                       DualIterate(lam, p, mu, k))
-            job = None
-            if config.phi_target is not None or any(_due(config, k)):
-                # the caller's context carries its numpy error state
-                job = pool.submit(contextvars.copy_context().run, _diagnose,
-                                  prob, config, k, lam, p, w, mu, t0)
 
-            # the next extrapolation, taken before the job says whether
-            # this sweep is the last
+            # the next extrapolation, taken before the diagnostics say
+            # whether this sweep is the last
             restarted = config.restart and \
                 _dot(lam_t - lam, lam - lam_prev) \
                 + _dot(mu_t - mu, mu - mu_prev) > 0.0
@@ -550,11 +533,17 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
             lam_prev, mu_prev = lam, mu
             t = t_next
 
-            if job is None:
+            check_now, log_now = _due(config, k)
+            if not (check_now or log_now or config.phi_target is not None):
                 continue
-            if not job.done() and k < config.max_iters:
-                ahead = sweep(prob, lam_t, mu_t)
-            stop_reason, row, u, y = job.result()
+            args = (prob, config, k, check_now, log_now, lam, p, w, mu, t0)
+            if pool is None:
+                stop_reason, row, u, y = _diagnose(*args)
+            else:
+                job = pool.submit(errstate(_diagnose), *args)
+                if not job.done() and k < config.max_iters:
+                    ahead = sweep(prob, lam_t, mu_t)
+                stop_reason, row, u, y = job.result()
             if row is not None:
                 log.append(row)
             if stop_reason is not None:

@@ -26,6 +26,12 @@ class InputError(ValueError):
     """A parameter the caller passed breaks a rule of the library."""
 
 
+def check_alpha(alpha: float) -> None:
+    """The rule for the control cost weight: alpha in (0, inf)."""
+    if not 0.0 < alpha < np.inf:
+        raise InputError(f"alpha must be in (0, inf), got {alpha}")
+
+
 class MeshSizeError(InputError):
     """Requested refinement level exceeds the memory guard."""
 

@@ -31,6 +31,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg._dsolve import _superlu
 
+from .mesh import check_alpha
+
 
 class DefinitenessError(ValueError):
     """Matrix handed to an SPD factorization is not positive definite."""
@@ -136,8 +138,7 @@ class AugmentedSolver:
     """
 
     def __init__(self, K, M, alpha: float):
-        if not alpha > 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
+        check_alpha(alpha)
         self.n = K.shape[0]
         self.s = 1.0 / np.sqrt(alpha)
         self._fact = factorize_spd(K + 1j * self.s * M)

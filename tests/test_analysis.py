@@ -355,6 +355,26 @@ def test_l1_gap_check(seed):
         assert entry["upper_violations"] == 0
 
 
+def test_l1_gap_check_counts_both_violations(monkeypatch, seed):
+    # an exact L1 norm that overshoots the lumped one breaks the lower side
+    # everywhere; one that drops to zero past the fit level breaks the
+    # upper side there
+    exact = analysis.l1_norm_exact
+    monkeypatch.setattr(analysis, "l1_norm_exact",
+                        lambda mesh, z: 2.0 * exact(mesh, z))
+    out = l1_gap_check([2, 3], samples=4, seed=seed)
+    assert not out["passed"]
+    assert [(e["lower_violations"], e["upper_violations"])
+            for e in out["levels"].values()] == [(4, 0), (4, 0)]
+    monkeypatch.setattr(analysis, "l1_norm_exact",
+                        lambda mesh, z: exact(mesh, z) if mesh.level == 2
+                        else 0.0)
+    out = l1_gap_check([2, 3], samples=4, seed=seed)
+    assert not out["passed"]
+    assert [(e["lower_violations"], e["upper_violations"])
+            for e in out["levels"].values()] == [(0, 0), (0, 4)]
+
+
 @pytest.mark.parametrize("check", [
     lumped_mass_comparison_check,
     l1_gap_check,

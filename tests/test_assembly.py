@@ -7,6 +7,8 @@ function over the clipped polygon is evaluated from its vertices.  The two
 routes share no code.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.io as sio
@@ -198,6 +200,22 @@ def test_norms_of_linear_function(ops3):
     # ||x1||_L2^2 = 1/3 and |x1|_H1^2 = 1, both exact for P1
     assert l2 == pytest.approx(np.sqrt(1.0 / 3.0), abs=1e-13)
     assert h1 == pytest.approx(np.sqrt(1.0 + 1.0 / 3.0), abs=1e-13)
+
+
+def test_assemble_rejects_clockwise_triangle():
+    mesh = build_unit_square_mesh(1)
+    triangles = mesh.triangles.copy()
+    triangles[0, [1, 2]] = triangles[0, [2, 1]]
+    with pytest.raises(ValueError, match="nonpositive signed area"):
+        assemble(dataclasses.replace(mesh, triangles=triangles))
+
+
+def test_l1_exact_and_norms_reject_wrong_length(ops3):
+    short = np.ones(ops3.mesh.n_nodes - 1)
+    with pytest.raises(ValueError, match="shape"):
+        l1_norm_exact(ops3.mesh, short)
+    with pytest.raises(ValueError, match="shape"):
+        norms(ops3, short)
 
 
 def test_l1h_requires_positive_weights():

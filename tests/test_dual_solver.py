@@ -549,3 +549,56 @@ def test_overlapped_diagnostics_keep_the_callers_error_state(sine2,
         overlapped = _overlapped(monkeypatch, lambda: solve(sine2, config))
     assert np.isnan(inline.kkt).all()
     _assert_same_record(inline, overlapped)
+
+
+def test_overlapped_diagnostics_call_the_callers_error_callback(
+        sine2, monkeypatch):
+    # the overflow and the invalid product of each residual, taken on the
+    # worker, reach the callback that the caller set
+    residual = dual_solver.kkt_residual
+
+    def overflowing(*args):
+        return residual(*args) + 0.0 * (np.float64(1e308) * 10.0)
+
+    def run():
+        calls = []
+
+        def callback(kind, flag):
+            calls.append((kind, threading.current_thread()))
+
+        with np.errstate(all="call", call=callback):
+            solve(sine2, SolverConfig(max_iters=5, tol=0.0))
+        return calls
+
+    monkeypatch.setattr(dual_solver, "kkt_residual", overflowing)
+    kinds = ["overflow", "invalid value"] * 5
+    inline = run()
+    assert inline == [(kind, threading.main_thread()) for kind in kinds]
+    overlapped = _overlapped(monkeypatch, run)
+    assert [kind for kind, _ in overlapped] == kinds
+    assert threading.main_thread() not in {t for _, t in overlapped}
+
+
+def test_exception_in_diagnostics_passes_out_of_solve_unchanged(
+        sine2, monkeypatch):
+    # a fault in the third diagnostics job leaves solve as it was raised,
+    # on both paths, and the worker does not outlive it
+    residual = dual_solver.kkt_residual
+    fault = RuntimeError("diagnostics fault")
+    seen = []
+
+    def failing(prob, lam, p, mu, u, y):
+        if len(seen) == 2:
+            raise fault
+        seen.append(None)
+        return residual(prob, lam, p, mu, u, y)
+
+    def run():
+        seen.clear()
+        with pytest.raises(RuntimeError) as exc:
+            solve(sine2, SolverConfig(max_iters=10, tol=0.0))
+        return exc.value, len(seen)
+
+    monkeypatch.setattr(dual_solver, "kkt_residual", failing)
+    assert run() == (fault, 2)
+    assert _overlapped(monkeypatch, run) == (fault, 2)

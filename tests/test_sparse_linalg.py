@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from pdeabcd import dual_solver, sparse_linalg
 from pdeabcd.analysis import compute_tau_h, lam_max_majorizer
 from pdeabcd.assembly import assemble
-from pdeabcd.mesh import build_unit_square_mesh
+from pdeabcd.mesh import InputError, build_unit_square_mesh
 from pdeabcd.presets import make_instance
 from pdeabcd.sparse_linalg import (
     AugmentedSolver,
@@ -75,6 +75,11 @@ def test_factorize_spd_rejects_singular():
     A = sp.diags([1.0, 0.0, 2.0]).tocsc()
     with pytest.raises((DefinitenessError, RuntimeError)):
         factorize_spd(A)
+
+
+def test_factorize_spd_rejects_non_square():
+    with pytest.raises(ValueError, match="expected square"):
+        factorize_spd(sp.identity(4, format="csr")[:3])
 
 
 def test_factorize_indefinite_saddle(rng):
@@ -159,6 +164,21 @@ def test_augmented_solver_with_multiplier(rng):
     assert np.abs(r1).max() < 1e-10 * (1.0 + np.abs(b).max())
     assert np.abs(r2).max() < 1e-10 * (1.0 + np.abs(b).max())
     assert np.allclose(x, aug.solve(b), atol=1e-12)
+
+
+def test_augmented_solver_rejects_wrong_length_rhs():
+    ops = assemble(build_unit_square_mesh(2))
+    aug = AugmentedSolver(ops.K, ops.M, 0.05)
+    with pytest.raises(ValueError, match="rhs has shape"):
+        aug.solve(np.ones(ops.n_interior + 1))
+
+
+@pytest.mark.parametrize("alpha", [0.0, np.inf, np.nan])
+def test_augmented_solver_applies_the_alpha_rule(alpha):
+    # infinity would give s = 0, and every solve would return NaN
+    ops = assemble(build_unit_square_mesh(2))
+    with pytest.raises(InputError, match=r"alpha must be in \(0, inf\)"):
+        AugmentedSolver(ops.K, ops.M, alpha)
 
 
 def test_dual_solver_never_factors_an_indefinite_matrix(monkeypatch):
