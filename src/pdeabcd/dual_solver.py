@@ -24,9 +24,12 @@ closed-form lam update, p-solve again), a closed-form mu update in a lumped
 metric, and extrapolation with the classic accelerated t-sequence.  The
 second p-solve also yields w = M^{-1} K p, which gives the first term of
 Phi with no solve of its own, so a run factors only the p-solve, M_full
-(the mu update) and K (the primal state), never the interior M.  The
-value gap decays like 4 tau / (k+1)^2 with tau the weighted squared
-distance from the start to an optimum (analysis.compute_tau_h).
+(the mu update) and K (the primal state), never the interior M.  From
+GRID_MIN_N interior unknowns on (level 7 and up) the p-solves and the state
+solves run by fast sine transforms (sparse_linalg.GridSolver), and M_full
+is the only factor.  The value gap decays like 4 tau / (k+1)^2 with tau
+the weighted squared distance from the start to an optimum
+(analysis.compute_tau_h).
 
 Phi is the exact Fenchel dual of the primal above: delta_box(lam) with the
 componentwise bound beta is the conjugate constraint of the consistent-mass
@@ -37,19 +40,22 @@ gap, certified against an independent primal solver (oracle module).
 
 A sweep reads only the previous iterate, never its diagnostics (two state
 solves, the KKT residual, the dual value and the gap).  ``solve`` calls
-them directly below ``OVERLAP_MIN_N`` interior unknowns; from it on they
-run on a worker thread, under the caller's numpy error state and error
+them directly below ``GRID_MIN_N`` interior unknowns; from it on they run
+on a worker thread, under the caller's numpy error state and error
 callback, while the next sweep runs.  The threshold sits between L6 (3,969
-interior unknowns) and L7 (16,129): the worker saves about a fifth of a
-``sine`` L8 solve, but run at every size it slowed the L3-L6
-``mesh-indep`` benchmark (8 of 10 paired runs) and raised its peak memory
-(10 of 10).  The worker's first job builds the ``K`` factor
-(``stiffness_factor``), while the sweeps touch only the p-solve and the
-``M_full`` factor, so no factor is ever wanted by both threads before it
-exists.  The diagnostics take their dot products and norms by numpy's own
+interior unknowns) and L7 (16,129), for both of its uses.  The worker saved
+about a fifth of a ``sine`` L8 solve on the factored path, but run at every
+size it slowed the L3-L6 ``mesh-indep`` benchmark (8 of 10 paired runs)
+and raised its peak memory (10 of 10).  At L6 a grid p-solve takes
+0.7-2.6 ms (alpha 1e-2 to 1e-8) against the factor's 0.34 ms, so below
+the threshold the factors stay.  From the threshold on, this thread's p-solves and the worker's
+state solves share one ``GridSolver``, which no solve changes; ``solve``
+builds it before the worker exists, so the two threads never race to
+build it, and the only factor, ``M_full``'s, is used by this thread
+alone.  The diagnostics take their dot products and norms by numpy's own
 summation loop, not BLAS: a threaded BLAS dot product on a long vector
 keeps the BLAS thread pool spinning on the second core, which is the one
-the worker needs.
+the worker needs, and its sum depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ import numpy as np
 
 from .assembly import LUMPED_MASS_GAMMA, FemOperators
 from .mesh import InputError, check_alpha
-from .sparse_linalg import AugmentedSolver
+from .sparse_linalg import AugmentedSolver, GridSolver
 
 
 class DivergenceError(RuntimeError):
@@ -123,15 +129,38 @@ class ProblemInstance:
         """Full node count (control and multiplier blocks)."""
         return self.ops.mesh.n_nodes
 
+    @property
+    def on_grid(self) -> bool:
+        """Whether the instance has ``GRID_MIN_N`` interior unknowns or more
+        (level 7 and up): then its p-solves and state solves run by fast
+        sine transforms, and :func:`solve` overlaps its diagnostics."""
+        return self.n >= GRID_MIN_N
+
     @cached_property
-    def psolve(self) -> AugmentedSolver:
-        """Solver for ``(K M^{-1} K + M/alpha) p = b``, factored on first use."""
+    def grid(self) -> GridSolver | None:
+        """The fast-transform solver of an instance :attr:`on_grid`, else
+        None; decided and built on first read."""
+        if not self.on_grid:
+            return None
+        ops = self.ops
+        return GridSolver(ops.K, ops.M, ops.mesh.level, self.alpha)
+
+    @cached_property
+    def psolve(self) -> AugmentedSolver | GridSolver:
+        """Solver for ``(K M^{-1} K + M/alpha) p = b``: the grid solver, or
+        below ``GRID_MIN_N`` a SuperLU factor built on first use."""
+        if self.grid is not None:
+            return self.grid
         return AugmentedSolver(self.ops.K, self.ops.M, self.alpha)
 
     def state(self, u: np.ndarray) -> np.ndarray:
-        """The state of control ``u``: solves ``K y = M_int (u + y_r)``."""
+        """The state of control ``u``: solves ``K y = M_int (u + y_r)``, by
+        the grid solver or the ``K`` factor."""
         ops = self.ops
-        return ops.stiffness_factor.solve(ops.mass_interior_rows(u + self.y_r))
+        rhs = ops.mass_interior_rows(u + self.y_r)
+        if self.grid is not None:
+            return self.grid.solve_stiffness(rhs)
+        return ops.stiffness_factor.solve(rhs)
 
     @cached_property
     def m_yd(self) -> np.ndarray:
@@ -225,8 +254,8 @@ class RunRecord:
     restarts: int = 0
 
     def summary(self, prob: ProblemInstance) -> dict:
-        u_l2m = float(np.sqrt(self.u @ (prob.ops.M_full @ self.u)))
-        y_l2m = float(np.sqrt(self.y @ (prob.ops.M @ self.y)))
+        u_l2m = float(np.sqrt(_dot(self.u, prob.ops.M_full @ self.u)))
+        y_l2m = float(np.sqrt(_dot(self.y, prob.ops.M @ self.y)))
         return {
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
@@ -422,9 +451,11 @@ def kkt_residual(prob: ProblemInstance, lam, p, mu, u, y) -> float:
     return max(r_adj, r_lam, r_mu)
 
 
-# from this many interior unknowns (level 7 and up) a sweep's diagnostics
-# run on a worker thread beside the next sweep; see the module docstring
-OVERLAP_MIN_N = 10_000
+# from this many interior unknowns (level 7 and up) an instance solves by
+# fast sine transforms and a sweep's diagnostics run on a worker thread
+# beside the next sweep; read only by ProblemInstance.on_grid, see the
+# module docstring
+GRID_MIN_N = 10_000
 
 
 def _due(config: SolverConfig, k: int) -> tuple[bool, bool]:
@@ -480,7 +511,7 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     :class:`DivergenceError`.
 
     A checked or logged sweep is diagnosed by :func:`_diagnose`, called
-    directly below ``OVERLAP_MIN_N`` interior unknowns.  From it on the
+    directly below ``GRID_MIN_N`` interior unknowns.  From it on the
     call runs on a one-thread pool owned by this call, under the caller's
     numpy error state and error callback, while this thread takes the next
     sweep, which is dropped when the diagnostics end the run.  Both paths
@@ -505,8 +536,12 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     t0 = time.perf_counter()
     log: list[tuple[int, float, float, float, float]] = []
     ahead = None  # sweep k, when taken beside the diagnostics of sweep k-1
-    pool = (ThreadPoolExecutor(1, "pdeabcd-diagnostics")
-            if prob.n >= OVERLAP_MIN_N else None)
+    pool = None
+    if prob.on_grid:
+        # this thread's p-solves and the worker's state solves share the
+        # grid solver: it is built before the worker exists
+        prob.grid
+        pool = ThreadPoolExecutor(1, "pdeabcd-diagnostics")
     # the worker's jobs run in the caller's error state and callback
     errstate = np.errstate(call=np.geterrcall(), **np.geterr())
 

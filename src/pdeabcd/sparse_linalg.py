@@ -1,18 +1,23 @@
-"""Sparse direct solves, the complex-symmetric p-solve, and eigenvalue
-estimates.
+"""Sparse direct solves, the complex-symmetric p-solve, fast-transform
+solves on the dyadic grid, and eigenvalue estimates.
 
 Storage and factorizations are backed by scipy.sparse (CSR matrices, SuperLU
 factorizations); this module pins down the contracts the solver relies on:
 definiteness checking for symmetric factorizations with a positive definite
 real part, a solver for ``(K M^{-1} K + (1/alpha) M) p = b`` that never
-forms ``M^{-1}`` explicitly, and deterministic power iteration for extreme
-eigenvalues.  The factorizations are held by their users: the SPD factors
-of ``M``, ``M_full`` and ``K`` by the cached properties ``mass_factor``,
-``mass_full_factor`` and ``stiffness_factor`` of ``assembly.FemOperators``,
-the p-solve by ``dual_solver.ProblemInstance.psolve``.  A dual solve
-builds the p-solve, ``M_full`` and ``K`` factors; the factor of ``M`` is
-built only by dual values taken without the p-solve's multiplier (the
-oracle's certificate) and by the spectral checks.
+forms ``M^{-1}`` explicitly, either factored (:class:`AugmentedSolver`) or
+by sine transforms (:class:`GridSolver`), and deterministic power iteration
+for extreme eigenvalues.  The factorizations are held by their users: the
+SPD factors of ``M``, ``M_full`` and ``K`` by the cached properties
+``mass_factor``, ``mass_full_factor`` and ``stiffness_factor`` of
+``assembly.FemOperators``, the p-solve by
+``dual_solver.ProblemInstance.psolve``.  Below ``dual_solver.GRID_MIN_N``
+interior unknowns (level 6 and down) a dual solve builds the p-solve,
+``M_full`` and ``K`` factors.  From it on (level 7 and up) it builds only
+the ``M_full`` factor: its p-solves and state solves go through the
+instance's :class:`GridSolver`.  The factor of ``M`` is built only by dual
+values taken without the p-solve's multiplier (the oracle's certificate)
+and by the spectral checks.
 
 A :class:`Factorization` holds SuperLU's own storage and nothing else.
 Its ``fill_nnz`` is ``SuperLU.nnz``, the entries SuperLU stores for both
@@ -25,6 +30,7 @@ store every factor twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -152,6 +158,139 @@ class AugmentedSolver:
         if b.shape != (self.n,):
             raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},)")
         x = self._fact.solve(b)
+        return -x.imag / self.s, x.real
+
+
+# a grid p-solve stops at this backward error (2**-51) and returns after
+# GRID_STEP_CAP corrections only at GRID_BERR_MAX or below; see GridSolver
+GRID_BERR_STOP = 2.0 * np.finfo(float).eps
+GRID_BERR_MAX = 1e-12
+GRID_STEP_CAP = 64
+
+
+def _grid_stencils(v: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 5-point Laplacian and the 7-point stencil (6 at the centre; 1 at
+    E, W, N, S, NE and SW) applied to ``v`` on the ``m x m`` grid, in (y, x)
+    order with zero boundary values."""
+    g = np.zeros((m + 2, m + 2))
+    g[1:-1, 1:-1] = v.reshape(m, m)
+    centre = g[1:-1, 1:-1]
+    cross = g[1:-1, 2:] + g[1:-1, :-2] + g[2:, 1:-1] + g[:-2, 1:-1]
+    five = 4.0 * centre - cross
+    seven = 6.0 * centre + cross + g[2:, 2:] + g[:-2, :-2]
+    return five.ravel(), seven.ravel()
+
+
+class GridSolver:
+    """Solves with ``K`` and ``K + i s M`` by fast sine transforms.
+
+    On the level-``level`` mesh of ``mesh.build_unit_square_mesh``, with
+    ``m = 2^level - 1`` interior nodes per side and cell width
+    ``c = 2^-level``, ``K`` is the 5-point Laplacian and ``M`` is ``c^2/12``
+    times the 7-point stencil with 6 at the centre and 1 at E, W, N, S, NE
+    and SW.  Both are checked on construction: ``K @ v`` and ``M @ v`` must
+    match the stencils for one fixed ``v``, and any other operator is
+    refused with ``ValueError``.
+
+    The orthonormal 2-D DST-I diagonalizes ``K``, with eigenvalues
+    ``4 - 2 cos t_i - 2 cos t_j``, ``t_k = k pi / (m + 1)``, so
+    :meth:`solve_stiffness` is two transforms and a division, exact up to
+    roundoff (Buzbee, Golub and Nielson, 1970).  It also diagonalizes
+    ``M~ = c^2/12 (6 I + T_x + T_y + T_x T_y / 2)``, ``T`` the sum of the
+    two 1-D shifts: the average of ``M`` over both diagonal orientations,
+    with eigenvalues ``c^2/12 (4 + 2 (1 + cos t_i)(1 + cos t_j)) >= c^2/3``.
+    ``M - M~`` is ``c^2/24`` times the product of the two skew differences,
+    so ``||M - M~||_2 <= c^2/6``.
+
+    The p-solve ``(K + i s M) x = b``, ``s = 1/sqrt(alpha)``, takes
+    Richardson steps preconditioned with ``P = K + i s M~`` (Chan and Ng,
+    1996): ``x = P^-1 b``, then ``x += P^-1 (b - (K + i s M) x)``.  The error
+    maps by ``P^-1 i s (M~ - M)``; ``P`` is normal with ``|P| >= s c^2/3``,
+    so each step at least halves the error's 2-norm, for every alpha and
+    level.  The solve stops once the backward error
+    ``|r|_inf / (|K + i s M|_inf |x|_inf + |b|_inf)`` is at most
+    ``GRID_BERR_STOP``.  After ``GRID_STEP_CAP`` corrections it returns
+    only an answer within ``GRID_BERR_MAX`` and raises ``RuntimeError``
+    otherwise.  At levels 7 and 8 it stops after 2 corrections at alpha
+    1e-2, 6-9 at 1e-8 and at most 32 at 1e-16.
+
+    :meth:`solve` and :meth:`solve_with_multiplier` keep the contract of
+    :class:`AugmentedSolver`.  The object is not changed by a solve, so two
+    threads may solve with it at once.  ``scipy.fft`` is imported by the
+    constructor: at module level it would lengthen every import of the
+    package, and only instances from ``dual_solver.GRID_MIN_N`` interior
+    unknowns on use it.
+    """
+
+    def __init__(self, K, M, level: int, alpha: float):
+        from scipy.fft import dstn
+
+        check_alpha(alpha)
+        m = 2**level - 1
+        self.n = m * m
+        if K.shape != (self.n, self.n) or M.shape != (self.n, self.n):
+            raise ValueError(f"K is {K.shape} and M is {M.shape}, expected "
+                             f"{(self.n, self.n)} at level {level}")
+        c2 = 4.0 ** -level
+        v = np.random.default_rng(0).standard_normal(self.n)
+        five, seven = _grid_stencils(v, m)
+        v_inf = np.abs(v).max()
+        if np.abs(K @ v - five).max() > 1e-12 * v_inf:
+            raise ValueError(f"K is not the 5-point Laplacian of the level-"
+                             f"{level} grid")
+        if np.abs(M @ v - c2 / 12.0 * seven).max() > 1e-12 * c2 * v_inf:
+            raise ValueError(f"M is not the P1 mass matrix of the level-"
+                             f"{level} grid")
+        self._m = m
+        self.s = 1.0 / np.sqrt(alpha)
+        self._dst = partial(dstn, type=1, norm="ortho")
+        cos = np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
+        ci, cj = cos[:, None], cos[None, :]
+        k_eig = 4.0 - 2.0 * ci - 2.0 * cj
+        m_eig = c2 / 12.0 * (6.0 + 2.0 * ci + 2.0 * cj + 2.0 * ci * cj)
+        self._k_inv = 1.0 / k_eig
+        self._p_inv = 1.0 / (k_eig + 1j * self.s * m_eig)
+        self._A = (K + 1j * self.s * M).tocsr()
+        self._a_inf = float(abs(self._A).sum(axis=1).max())
+
+    def _rhs(self, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        if b.shape != (self.n,):
+            raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},)")
+        return b
+
+    def _diagonal_solve(self, eig_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``S diag(eig_inv) S v`` with ``S`` the 2-D DST-I."""
+        m = self._m
+        return self._dst(self._dst(v.reshape(m, m)) * eig_inv).ravel()
+
+    def solve_stiffness(self, f: np.ndarray) -> np.ndarray:
+        """``K^-1 f``, exact up to roundoff."""
+        return self._diagonal_solve(self._k_inv, self._rhs(f))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        p, _ = self.solve_with_multiplier(b)
+        return p
+
+    def solve_with_multiplier(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        b = self._rhs(b)
+        b_inf = np.abs(b).max()
+        x = self._diagonal_solve(self._p_inv, b)
+        steps = 0
+        while True:
+            r = b - self._A @ x
+            r_inf = np.abs(r).max()
+            berr = r_inf / (self._a_inf * np.abs(x).max() + b_inf) \
+                if r_inf else 0.0
+            # a NaN ends the loop and is returned, as a factor's solve would
+            if not (berr > GRID_BERR_STOP and steps < GRID_STEP_CAP):
+                break
+            x += self._diagonal_solve(self._p_inv, r)
+            steps += 1
+        if berr > GRID_BERR_MAX:
+            raise RuntimeError(f"grid p-solve stopped at backward error "
+                               f"{berr:.3e} after {steps} corrections; at "
+                               f"most {GRID_BERR_MAX:g} is accepted")
         return -x.imag / self.s, x.real
 
 

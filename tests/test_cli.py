@@ -13,7 +13,7 @@ import pytest
 from pdeabcd import analysis, cli, dual_solver, presets
 from pdeabcd.cli import main
 
-# in-process invocations keep the suite fast; two subprocess smoke tests
+# in-process invocations keep the suite fast; two subprocess tests
 # exercise the real entry point
 
 
@@ -502,3 +502,20 @@ def test_module_entrypoint_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "converged=True" in proc.stdout
     assert (tmp_path / "summary.json").exists()
+
+
+def test_level7_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A level-7 solve writes the same bytes under one and two BLAS threads."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdeabcd.cli", "solve", "--preset",
+             "shifted", "--level", "7", "--max-iters", "8", "--out",
+             str(out)], capture_output=True, text=True, cwd=root, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("record.csv", "summary.json")])
+    assert outputs[0] == outputs[1]

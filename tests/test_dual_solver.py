@@ -473,7 +473,7 @@ def _assert_same_record(a, b):
 def _overlapped(monkeypatch, call):
     """``call()`` with every instance overlapped, checking that its
     diagnostics ran off the main thread and that no thread outlived it."""
-    monkeypatch.setattr(dual_solver, "OVERLAP_MIN_N", 0)
+    monkeypatch.setattr(dual_solver, "GRID_MIN_N", 0)
     threads = set()
     residual = dual_solver.kkt_residual
 

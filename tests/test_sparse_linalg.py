@@ -1,5 +1,8 @@
-"""Factorization wrappers and the complex-symmetric p-solve."""
+"""Factorization wrappers, the complex-symmetric p-solve and the grid
+solver."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,7 @@ from pdeabcd.presets import make_instance
 from pdeabcd.sparse_linalg import (
     AugmentedSolver,
     DefinitenessError,
+    GridSolver,
     canonicalize,
     factorize_indefinite,
     factorize_spd,
@@ -127,9 +131,11 @@ def test_fill_nnz_counts_superlu_storage(level):
     """
     inst = make_instance("sine", level)
     ops = inst.ops
+    # the instance's own p-solve is a grid solver from level 7 on
+    aug = AugmentedSolver(ops.K, ops.M, inst.alpha)
     factors = ((ops.M, ops.mass_factor), (ops.M_full, ops.mass_full_factor),
                (ops.K, ops.stiffness_factor),
-               (ops.K + 1j * inst.psolve.s * ops.M, inst.psolve._fact))
+               (ops.K + 1j * aug.s * ops.M, aug._fact))
     for A, fact in factors:
         lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -216,6 +222,137 @@ def test_operators_own_their_factorizations(monkeypatch):
     assert a.psolve is not b.psolve
     assert a.psolve.s != b.psolve.s
     assert len(built) == 2
+
+
+@pytest.fixture(scope="module")
+def ops7():
+    return assemble(build_unit_square_mesh(7))
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 1e-2, 1e2])
+def test_grid_solver_matches_augmented_solver(rng, ops7, alpha):
+    """The grid p-solve meets the factor's residual bound and its answer."""
+    ops = ops7
+    grid = GridSolver(ops.K, ops.M, 7, alpha)
+    aug = AugmentedSolver(ops.K, ops.M, alpha)
+    b = rng.standard_normal(ops.n_interior)
+    bound = 1e-9 * (1.0 + np.abs(b).max())
+    x, w = grid.solve_with_multiplier(b)
+    lhs = ops.K @ ops.mass_factor.solve(ops.K @ x) + (ops.M @ x) / alpha
+    assert np.abs(lhs - b).max() < bound
+    assert np.abs((ops.M @ x) / alpha + ops.K @ w - b).max() < bound
+    assert np.abs(ops.K @ x - ops.M @ w).max() < bound
+    x_lu, w_lu = aug.solve_with_multiplier(b)
+    assert np.abs(x - x_lu).max() <= 1e-9 * np.abs(x_lu).max()
+    assert np.abs(w - w_lu).max() <= 1e-9 * np.abs(w_lu).max()
+    assert np.array_equal(grid.solve(b), x)
+
+
+def test_grid_solver_stiffness_solve(rng, ops7):
+    grid = GridSolver(ops7.K, ops7.M, 7, 1e-2)
+    f = rng.standard_normal(ops7.n_interior)
+    y = grid.solve_stiffness(f)
+    assert np.abs(ops7.K @ y - f).max() < 1e-9 * (1.0 + np.abs(f).max())
+    assert np.allclose(y, ops7.stiffness_factor.solve(f), rtol=0.0,
+                       atol=1e-12 * np.abs(y).max())
+
+
+def test_grid_solver_refuses_other_operators():
+    ops = assemble(build_unit_square_mesh(3))
+    K, M = ops.K, ops.M
+    lumped = sp.diags(ops.restrict(ops.W_full)).tocsr()
+    bent = K.copy()
+    bent[5, 6] += 1e-6
+    with pytest.raises(ValueError, match="5-point Laplacian"):
+        GridSolver(bent, M, 3, 1e-2)
+    with pytest.raises(ValueError, match="5-point Laplacian"):
+        GridSolver(K + M, M, 3, 1e-2)
+    with pytest.raises(ValueError, match="mass matrix"):
+        GridSolver(K, lumped, 3, 1e-2)
+    # cells cut along the other diagonal: the same K, M coupled NW and SE
+    mirror = np.arange(K.shape[0]).reshape(7, 7)[:, ::-1].ravel()
+    assert (K[mirror][:, mirror] != K).nnz == 0
+    with pytest.raises(ValueError, match="mass matrix"):
+        GridSolver(K, M[mirror][:, mirror], 3, 1e-2)
+    with pytest.raises(ValueError, match="expected"):
+        GridSolver(K, M, 4, 1e-2)
+    with pytest.raises(InputError, match="alpha"):
+        GridSolver(K, M, 3, 0.0)
+
+
+def test_grid_solver_raises_at_its_step_cap(rng, monkeypatch):
+    ops = assemble(build_unit_square_mesh(3))
+    grid = GridSolver(ops.K, ops.M, 3, 1e-8)
+    b = rng.standard_normal(ops.n_interior)
+    assert np.isfinite(grid.solve(b)).all()
+    monkeypatch.setattr(sparse_linalg, "GRID_STEP_CAP", 2)
+    with pytest.raises(RuntimeError, match="after 2 corrections"):
+        grid.solve(b)
+
+
+def test_grid_solver_zero_and_nan_rhs():
+    ops = assemble(build_unit_square_mesh(3))
+    grid = GridSolver(ops.K, ops.M, 3, 1e-2)
+    p, w = grid.solve_with_multiplier(np.zeros(ops.n_interior))
+    assert not p.any() and not w.any()
+    # NaN in, NaN out, as with a factor, so solve's guard sees it
+    b = np.ones(ops.n_interior)
+    b[3] = np.nan
+    assert np.isnan(grid.solve(b)).all()
+    with pytest.raises(ValueError, match="rhs has shape"):
+        grid.solve(np.ones(ops.n_interior + 1))
+
+
+def test_grid_solver_shared_by_threads_gives_the_serial_answers(rng):
+    """``solve`` shares one grid solver between its sweeps and its worker."""
+    ops = assemble(build_unit_square_mesh(5))
+    grid = GridSolver(ops.K, ops.M, 5, 1e-3)
+    rhs = rng.standard_normal((8, ops.n_interior))
+    serial = [(grid.solve_with_multiplier(b), grid.solve_stiffness(b))
+              for b in rhs]
+    results = {}
+
+    def work(i):
+        b = rhs[i % len(rhs)]
+        results[i] = [(grid.solve_with_multiplier(b), grid.solve_stiffness(b))
+                      for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, runs in results.items():
+        (p0, w0), y0 = serial[i % len(rhs)]
+        for (p, w), y in runs:
+            assert np.array_equal(p, p0) and np.array_equal(w, w0)
+            assert np.array_equal(y, y0)
+    assert len(results) == 8
+
+
+def test_grid_solve_factors_only_the_full_mass_matrix(monkeypatch):
+    """From level 7 a dual solve's p-solves and state solves take no factor."""
+    factored = []
+
+    def recording(matrix):
+        factored.append(matrix)
+        return factorize_spd(matrix)
+
+    from pdeabcd import assembly
+    monkeypatch.setattr(sparse_linalg, "factorize_spd", recording)
+    monkeypatch.setattr(assembly, "factorize_spd", recording)
+    inst = make_instance("sine", 7)
+    record = dual_solver.solve(inst, dual_solver.SolverConfig(tol=1e-6))
+    assert record.converged
+    assert len(factored) == 1
+    assert (factored[0] != inst.ops.M_full).nnz == 0
+    assert inst.psolve is inst.grid
 
 
 def test_power_iteration_diagonal():
