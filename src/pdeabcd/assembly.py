@@ -64,9 +64,9 @@ class FemOperators:
     ``stiffness_factor``: each is built on first read and kept for the life
     of the operators.  The p-solve depends on alpha, so the problem instance
     owns it (``ProblemInstance.psolve``).  From ``dual_solver.GRID_MIN_N``
-    interior unknowns on, the instance's state solves and p-solves use
-    ``ProblemInstance.grid`` instead, so a dual solve there reads only
-    ``mass_full_factor``; the oracle and the checks still read the others.
+    interior unknowns on, the instance's state solves, p-solves and
+    ``M_full`` solves use ``ProblemInstance.grid`` instead, so a dual solve
+    there reads none of these factors; the oracle and the checks still do.
     """
 
     mesh: Mesh

@@ -26,10 +26,10 @@ second p-solve also yields w = M^{-1} K p, which gives the first term of
 Phi with no solve of its own, so a run factors only the p-solve, M_full
 (the mu update) and K (the primal state), never the interior M.  From
 GRID_MIN_N interior unknowns on (level 7 and up) the p-solves and the state
-solves run by fast sine transforms (sparse_linalg.GridSolver), and M_full
-is the only factor.  The value gap decays like 4 tau / (k+1)^2 with tau
-the weighted squared distance from the start to an optimum
-(analysis.compute_tau_h).
+solves run by fast sine transforms and the M_full solves by Chebyshev
+semi-iteration (sparse_linalg.GridSolver), so a run factors nothing.  The
+value gap decays like 4 tau / (k+1)^2 with tau the weighted squared
+distance from the start to an optimum (analysis.compute_tau_h).
 
 Phi is the exact Fenchel dual of the primal above: delta_box(lam) with the
 componentwise bound beta is the conjugate constraint of the consistent-mass
@@ -48,14 +48,14 @@ about a fifth of a ``sine`` L8 solve on the factored path, but run at every
 size it slowed the L3-L6 ``mesh-indep`` benchmark (8 of 10 paired runs)
 and raised its peak memory (10 of 10).  At L6 a grid p-solve takes
 0.7-2.6 ms (alpha 1e-2 to 1e-8) against the factor's 0.34 ms, so below
-the threshold the factors stay.  From the threshold on, this thread's p-solves and the worker's
-state solves share one ``GridSolver``, which no solve changes; ``solve``
-builds it before the worker exists, so the two threads never race to
-build it, and the only factor, ``M_full``'s, is used by this thread
-alone.  The diagnostics take their dot products and norms by numpy's own
-summation loop, not BLAS: a threaded BLAS dot product on a long vector
-keeps the BLAS thread pool spinning on the second core, which is the one
-the worker needs, and its sum depends on the BLAS thread count.
+the threshold the factors stay.  From the threshold on, this thread's
+p-solves and mass solves and the worker's state solves share one
+``GridSolver``, which no solve changes; ``solve`` builds it before the
+worker exists, so the two threads never race to build it.  The
+diagnostics take their dot products and norms by numpy's own summation
+loop, not BLAS: a threaded BLAS dot product on a long vector keeps the
+BLAS thread pool spinning on the second core, which is the one the worker
+needs, and its sum depends on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ class ProblemInstance:
     def on_grid(self) -> bool:
         """Whether the instance has ``GRID_MIN_N`` interior unknowns or more
         (level 7 and up): then its p-solves and state solves run by fast
-        sine transforms, and :func:`solve` overlaps its diagnostics."""
+        sine transforms, its ``M_full`` solves by Chebyshev semi-iteration,
+        and :func:`solve` overlaps its diagnostics."""
         return self.n >= GRID_MIN_N
 
     @cached_property
@@ -143,7 +144,8 @@ class ProblemInstance:
         if not self.on_grid:
             return None
         ops = self.ops
-        return GridSolver(ops.K, ops.M, ops.mesh.level, self.alpha)
+        return GridSolver(ops.K, ops.M, ops.M_full, ops.W_full,
+                          ops.mesh.level, self.alpha)
 
     @cached_property
     def psolve(self) -> AugmentedSolver | GridSolver:
@@ -396,12 +398,15 @@ def step_mu(prob: ProblemInstance, lam_new: np.ndarray, p_new: np.ndarray,
 
     The subproblem is a proximal step on the box support function composed
     with M; in the variable xi = M mu it separates componentwise, so xi
-    follows from one projection and mu from one mass solve.
+    follows from one projection and mu from one mass solve: by the grid
+    solver, started at ``mu_t``, or the ``M_full`` factor.
     """
     ops = prob.ops
     v = ops.M_full @ mu_t \
         + (ops.W_full * (ops.pad(p_new) - lam_new - mu_t)) / prob.gamma
     xi = mu_xi_kernel(v, ops.W_full, *prob.box, prob.alpha, prob.gamma)
+    if prob.grid is not None:
+        return prob.grid.solve_mass_full(xi, mu_t)
     return ops.mass_full_factor.solve(xi)
 
 
@@ -515,7 +520,8 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     call runs on a one-thread pool owned by this call, under the caller's
     numpy error state and error callback, while this thread takes the next
     sweep, which is dropped when the diagnostics end the run.  Both paths
-    return the same record, bit for bit.
+    return the same record, bit for bit.  From ``GRID_MIN_N`` on every
+    solve goes through ``prob.grid``, so the run builds no factorization.
     """
     config = config or SolverConfig()
     if z0 is None:

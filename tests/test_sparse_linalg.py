@@ -229,11 +229,16 @@ def ops7():
     return assemble(build_unit_square_mesh(7))
 
 
+def _grid(ops, alpha):
+    return GridSolver(ops.K, ops.M, ops.M_full, ops.W_full, ops.mesh.level,
+                      alpha)
+
+
 @pytest.mark.parametrize("alpha", [1e-8, 1e-2, 1e2])
 def test_grid_solver_matches_augmented_solver(rng, ops7, alpha):
     """The grid p-solve meets the factor's residual bound and its answer."""
     ops = ops7
-    grid = GridSolver(ops.K, ops.M, 7, alpha)
+    grid = _grid(ops, alpha)
     aug = AugmentedSolver(ops.K, ops.M, alpha)
     b = rng.standard_normal(ops.n_interior)
     bound = 1e-9 * (1.0 + np.abs(b).max())
@@ -249,7 +254,7 @@ def test_grid_solver_matches_augmented_solver(rng, ops7, alpha):
 
 
 def test_grid_solver_stiffness_solve(rng, ops7):
-    grid = GridSolver(ops7.K, ops7.M, 7, 1e-2)
+    grid = _grid(ops7, 1e-2)
     f = rng.standard_normal(ops7.n_interior)
     y = grid.solve_stiffness(f)
     assert np.abs(ops7.K @ y - f).max() < 1e-9 * (1.0 + np.abs(f).max())
@@ -259,40 +264,58 @@ def test_grid_solver_stiffness_solve(rng, ops7):
 
 def test_grid_solver_refuses_other_operators():
     ops = assemble(build_unit_square_mesh(3))
-    K, M = ops.K, ops.M
-    lumped = sp.diags(ops.restrict(ops.W_full)).tocsr()
+    K, M, Mf, W = ops.K, ops.M, ops.M_full, ops.W_full
+    lumped = sp.diags(ops.restrict(W)).tocsr()
     bent = K.copy()
     bent[5, 6] += 1e-6
     with pytest.raises(ValueError, match="5-point Laplacian"):
-        GridSolver(bent, M, 3, 1e-2)
+        GridSolver(bent, M, Mf, W, 3, 1e-2)
     with pytest.raises(ValueError, match="5-point Laplacian"):
-        GridSolver(K + M, M, 3, 1e-2)
+        GridSolver(K + M, M, Mf, W, 3, 1e-2)
     with pytest.raises(ValueError, match="mass matrix"):
-        GridSolver(K, lumped, 3, 1e-2)
+        GridSolver(K, lumped, Mf, W, 3, 1e-2)
     # cells cut along the other diagonal: the same K, M coupled NW and SE
     mirror = np.arange(K.shape[0]).reshape(7, 7)[:, ::-1].ravel()
     assert (K[mirror][:, mirror] != K).nnz == 0
     with pytest.raises(ValueError, match="mass matrix"):
-        GridSolver(K, M[mirror][:, mirror], 3, 1e-2)
+        GridSolver(K, M[mirror][:, mirror], Mf, W, 3, 1e-2)
     with pytest.raises(ValueError, match="expected"):
-        GridSolver(K, M, 4, 1e-2)
+        GridSolver(K, M, Mf, W, 4, 1e-2)
     with pytest.raises(InputError, match="alpha"):
-        GridSolver(K, M, 3, 0.0)
+        GridSolver(K, M, Mf, W, 3, 0.0)
+    # the mass solve's preconditioner must be the row sums of M_full
+    bumped = W.copy()
+    bumped[40] *= 1.01
+    with pytest.raises(ValueError, match="row sums"):
+        GridSolver(K, M, Mf, bumped, 3, 1e-2)
+    with pytest.raises(ValueError, match="expected"):
+        GridSolver(K, M, Mf, W[:-1], 3, 1e-2)
+    wide = Mf.tolil()
+    wide[0, 20] = wide[20, 0] = 1e-3
+    with pytest.raises(ValueError, match="seven diagonals"):
+        GridSolver(K, M, wide.tocsr(), W, 3, 1e-2)
+    with pytest.raises(ValueError, match="expected"):
+        GridSolver(K, M, Mf[:-1, :-1], W[:-1], 3, 1e-2)
 
 
 def test_grid_solver_raises_at_its_step_cap(rng, monkeypatch):
     ops = assemble(build_unit_square_mesh(3))
-    grid = GridSolver(ops.K, ops.M, 3, 1e-8)
+    grid = _grid(ops, 1e-8)
     b = rng.standard_normal(ops.n_interior)
     assert np.isfinite(grid.solve(b)).all()
+    b_full = rng.standard_normal(ops.mesh.n_nodes)
+    x0 = np.zeros_like(b_full)
+    assert np.isfinite(grid.solve_mass_full(b_full, x0)).all()
     monkeypatch.setattr(sparse_linalg, "GRID_STEP_CAP", 2)
     with pytest.raises(RuntimeError, match="after 2 corrections"):
         grid.solve(b)
+    with pytest.raises(RuntimeError, match="after 2 steps"):
+        grid.solve_mass_full(b_full, x0)
 
 
 def test_grid_solver_zero_and_nan_rhs():
     ops = assemble(build_unit_square_mesh(3))
-    grid = GridSolver(ops.K, ops.M, 3, 1e-2)
+    grid = _grid(ops, 1e-2)
     p, w = grid.solve_with_multiplier(np.zeros(ops.n_interior))
     assert not p.any() and not w.any()
     # NaN in, NaN out, as with a factor, so solve's guard sees it
@@ -301,12 +324,25 @@ def test_grid_solver_zero_and_nan_rhs():
     assert np.isnan(grid.solve(b)).all()
     with pytest.raises(ValueError, match="rhs has shape"):
         grid.solve(np.ones(ops.n_interior + 1))
+    # the mass solve, from a start that is not its answer
+    n = ops.mesh.n_nodes
+    x0 = np.linspace(-1.0, 1.0, n)
+    assert not grid.solve_mass_full(np.zeros(n), x0).any()
+    b = np.ones(n)
+    b[3] = np.nan
+    assert np.isnan(grid.solve_mass_full(b, x0)).all()
+    x0[5] = np.nan
+    assert np.isnan(grid.solve_mass_full(np.ones(n), x0)).all()
+    with pytest.raises(ValueError, match="rhs has shape"):
+        grid.solve_mass_full(np.ones(ops.n_interior), np.zeros(n))
+    with pytest.raises(ValueError, match="rhs has shape"):
+        grid.solve_mass_full(np.ones(n), np.zeros(n + 1))
 
 
 def test_grid_solver_shared_by_threads_gives_the_serial_answers(rng):
     """``solve`` shares one grid solver between its sweeps and its worker."""
     ops = assemble(build_unit_square_mesh(5))
-    grid = GridSolver(ops.K, ops.M, 5, 1e-3)
+    grid = _grid(ops, 1e-3)
     rhs = rng.standard_normal((8, ops.n_interior))
     serial = [(grid.solve_with_multiplier(b), grid.solve_stiffness(b))
               for b in rhs]
@@ -336,8 +372,32 @@ def test_grid_solver_shared_by_threads_gives_the_serial_answers(rng):
     assert len(results) == 8
 
 
-def test_grid_solve_factors_only_the_full_mass_matrix(monkeypatch):
-    """From level 7 a dual solve's p-solves and state solves take no factor."""
+@pytest.mark.parametrize("level", [3, 5, 7])
+def test_grid_mass_solve_matches_the_factor(rng, ops7, level, monkeypatch):
+    """From zero and from a warm start, the Chebyshev ``M_full`` solve meets
+    the backward-error stop and agrees with the factor's answer, within the
+    same number of steps at every level."""
+    # the error bound 2 / (3^k + 3^-k) falls below 2^-52 at k = 34
+    monkeypatch.setattr(sparse_linalg, "GRID_STEP_CAP", 36)
+    ops = ops7 if level == 7 else assemble(build_unit_square_mesh(level))
+    grid = _grid(ops, 1e-2)
+    b = rng.standard_normal(ops.mesh.n_nodes)
+    x_lu = ops.mass_full_factor.solve(b)
+    for x0 in (np.zeros_like(b), x_lu + 1e-3 * rng.standard_normal(b.size)):
+        x = grid.solve_mass_full(b, x0)
+        berr = np.abs(b - ops.M_full @ x).max() / (
+            ops.W_full.max() * np.abs(x).max() + np.abs(b).max())
+        assert berr <= sparse_linalg.GRID_BERR_STOP
+        # M_full's condition number is at most 4 max(W) / min(W) = 24
+        assert np.abs(x - x_lu).max() <= 1e-13 * np.abs(x_lu).max()
+        # the start is copied, never written
+        assert not np.shares_memory(x, x0)
+
+
+def test_grid_solve_builds_no_factorization(monkeypatch):
+    """From level 7 a dual solve takes its p-solves, state solves and mass
+    solves without a factor: it never calls ``factorize_spd`` and never
+    reads ``mass_full_factor``."""
     factored = []
 
     def recording(matrix):
@@ -345,13 +405,18 @@ def test_grid_solve_factors_only_the_full_mass_matrix(monkeypatch):
         return factorize_spd(matrix)
 
     from pdeabcd import assembly
+
+    def refuse(ops):
+        raise AssertionError("mass_full_factor read")
+
     monkeypatch.setattr(sparse_linalg, "factorize_spd", recording)
     monkeypatch.setattr(assembly, "factorize_spd", recording)
+    monkeypatch.setattr(assembly.FemOperators, "mass_full_factor",
+                        property(refuse))
     inst = make_instance("sine", 7)
     record = dual_solver.solve(inst, dual_solver.SolverConfig(tol=1e-6))
     assert record.converged
-    assert len(factored) == 1
-    assert (factored[0] != inst.ops.M_full).nnz == 0
+    assert factored == []
     assert inst.psolve is inst.grid
 
 
