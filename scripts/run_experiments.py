@@ -6,27 +6,18 @@ disk: per-preset solves with the decay-bound check, the mesh-independence
 study, and the discretization checks.  Results land under results/
 (override with --results).  Exit status is nonzero when any stage fails,
 so the script doubles as a smoke test for a fresh checkout.
-
-Each stage runs with one BLAS/OpenMP thread: the last bits of some results
-depend on the thread count, and the committed results/ were made this way.
 """
 
 import argparse
-import os
 import pathlib
 import subprocess
 import sys
 
 
-SINGLE_THREAD = {name: "1" for name in (
-    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-
-
 def run(argv, outdir):
     print("+", " ".join(argv))
     proc = subprocess.run([sys.executable, "-m", "pdeabcd.cli", *argv,
-                           "--out", str(outdir)],
-                          env={**os.environ, **SINGLE_THREAD})
+                           "--out", str(outdir)])
     return proc.returncode
 
 

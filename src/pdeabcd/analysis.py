@@ -27,7 +27,7 @@ from .dual_solver import DualIterate, ProblemInstance, RunRecord, SolverConfig
 from .mesh import (InputError, Mesh, build_unit_square_mesh, check_level,
                    check_levels, prolongate_nodal)
 from .presets import make_instance
-from .sparse_linalg import power_iteration_extremes
+from .sparse_linalg import dot, power_iteration_extremes
 
 ORACLE_CAP = 4000
 
@@ -62,7 +62,7 @@ def compute_tau_h(prob: ProblemInstance, z0: DualIterate,
     s_lam, s_mu = majorizer_blocks(prob)
     d = z0.lam - z_star.lam
     e = z0.mu - z_star.mu
-    return 0.5 * max(float(d @ s_lam(d)) + float(e @ s_mu(e)), 0.0)
+    return 0.5 * max(dot(d, s_lam(d)) + dot(e, s_mu(e)), 0.0)
 
 
 def verify_complexity_bound(record: RunRecord, tau_h: float, phi_star: float,
@@ -398,8 +398,8 @@ def lumped_mass_comparison_check(levels, samples: int = 1000,
         nviol = 0
         for _ in range(samples):
             z = rng.standard_normal(ops.mesh.n_nodes)
-            zm = float(z @ (ops.M_full @ z))
-            zw = float(z @ (ops.W_full * z))
+            zm = dot(z, ops.M_full @ z)
+            zw = dot(z, ops.W_full * z)
             slack = 1e-12 * max(zm, zw)
             if zw < zm - slack or zw > LUMPED_MASS_GAMMA * zm + slack:
                 nviol += 1

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh, triangle_areas
-from .sparse_linalg import Factorization, canonicalize, factorize_spd
+from .sparse_linalg import Factorization, canonicalize, dot, factorize_spd
 
 # lumped-mass comparison constant of the mesh family: z'Wz <= 4 z'Mz for
 # P1 triangles in the plane
@@ -161,7 +161,7 @@ def l1h_norm(W: np.ndarray, u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     if np.any(W <= 0):
         raise ValueError("lumped mass weights must be positive")
-    return float(np.abs(u) @ W)
+    return dot(np.abs(u), W)
 
 
 def l1_norm_exact(mesh: Mesh, u: np.ndarray) -> float:
@@ -210,6 +210,6 @@ def norms(ops: FemOperators, z: np.ndarray) -> tuple[float, float]:
     z = np.asarray(z, dtype=float)
     if z.shape != (ops.mesh.n_nodes,):
         raise ValueError(f"vector has shape {z.shape}, expected full node set")
-    mz = float(z @ (ops.M_full @ z))
-    kz = float(z @ (ops.K_full @ z))
+    mz = dot(z, ops.M_full @ z)
+    kz = dot(z, ops.K_full @ z)
     return float(np.sqrt(mz)), float(np.sqrt(kz + mz))

@@ -43,19 +43,17 @@ solves, the KKT residual, the dual value and the gap).  ``solve`` calls
 them directly below ``GRID_MIN_N`` interior unknowns; from it on they run
 on a worker thread, under the caller's numpy error state and error
 callback, while the next sweep runs.  The threshold sits between L6 (3,969
-interior unknowns) and L7 (16,129), for both of its uses.  The worker saved
-about a fifth of a ``sine`` L8 solve on the factored path, but run at every
-size it slowed the L3-L6 ``mesh-indep`` benchmark (8 of 10 paired runs)
-and raised its peak memory (10 of 10).  At L6 a grid p-solve takes
-0.7-2.6 ms (alpha 1e-2 to 1e-8) against the factor's 0.34 ms, so below
-the threshold the factors stay.  From the threshold on, this thread's
-p-solves and mass solves and the worker's state solves share one
-``GridSolver``, which no solve changes; ``solve`` builds it before the
-worker exists, so the two threads never race to build it.  The
-diagnostics take their dot products and norms by numpy's own summation
-loop, not BLAS: a threaded BLAS dot product on a long vector keeps the
-BLAS thread pool spinning on the second core, which is the one the worker
-needs, and its sum depends on the BLAS thread count.
+interior unknowns) and L7 (16,129), for both of its uses.  The worker cut
+a ``sine`` L8 solve on the grid path from 2.19 s to 1.84 s (median of 8
+paired runs, faster in all 8), but run at every size it slowed the L3-L6
+``mesh-indep`` benchmark (8 of 10 paired runs) and raised its peak memory
+(10 of 10).  At L6 a grid p-solve takes 0.7-2.6 ms (alpha 1e-2 to 1e-8)
+against the factor's 0.34 ms, so below the threshold the factors stay.
+From the threshold on, this thread's p-solves and mass solves and the
+worker's state solves share one ``GridSolver``, which no solve changes;
+``solve`` builds it before the worker exists, so the two threads never
+race to build it.  Every dot product and norm goes through
+``sparse_linalg.dot`` and ``norm``, which sum without BLAS.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ import numpy as np
 
 from .assembly import LUMPED_MASS_GAMMA, FemOperators
 from .mesh import InputError, check_alpha
-from .sparse_linalg import AugmentedSolver, GridSolver
+from .sparse_linalg import AugmentedSolver, GridSolver, dot, norm
 
 
 class DivergenceError(RuntimeError):
@@ -256,8 +254,8 @@ class RunRecord:
     restarts: int = 0
 
     def summary(self, prob: ProblemInstance) -> dict:
-        u_l2m = float(np.sqrt(_dot(self.u, prob.ops.M_full @ self.u)))
-        y_l2m = float(np.sqrt(_dot(self.y, prob.ops.M @ self.y)))
+        u_l2m = float(np.sqrt(dot(self.u, prob.ops.M_full @ self.u)))
+        y_l2m = float(np.sqrt(dot(self.y, prob.ops.M @ self.y)))
         return {
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
@@ -271,20 +269,6 @@ class RunRecord:
             "y_l2M": y_l2m,
             "y_linf": float(np.abs(self.y).max()) if self.y.size else 0.0,
         }
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """``a . b`` summed by numpy's own loop rather than BLAS.
-
-    A threaded BLAS ``ddot`` on a long vector leaves the BLAS thread pool
-    spinning on the core that the diagnostics of a large ``solve`` run on.
-    """
-    return float(np.einsum("i,i->", a, b))
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm through :func:`_dot`."""
-    return float(np.sqrt(_dot(v, v)))
 
 
 def support_box(s: np.ndarray, a: float, b: float) -> float:
@@ -313,11 +297,11 @@ def dual_objective(prob: ProblemInstance, lam, p, mu, w=None) -> float:
     if w is None:
         w = ops.mass_factor.solve(kp)
     coupling = lam + mu - ops.pad(p)
-    val = 0.5 * _dot(kp - prob.m_yd, w - prob.y_d)
-    val += 0.5 / prob.alpha * _dot(coupling, ops.M_full @ coupling)
-    val += _dot(prob.m_yr, p)
+    val = 0.5 * dot(kp - prob.m_yd, w - prob.y_d)
+    val += 0.5 / prob.alpha * dot(coupling, ops.M_full @ coupling)
+    val += dot(prob.m_yr, p)
     val += support_box(ops.M_full @ mu, *prob.box)
-    val -= 0.5 * _dot(prob.y_d, prob.m_yd)
+    val -= 0.5 * dot(prob.y_d, prob.m_yd)
     return val
 
 
@@ -333,9 +317,9 @@ def primal_value(prob: ProblemInstance, u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     ops = prob.ops
     diff = prob.state(u) - prob.y_d
-    val = 0.5 * _dot(diff, ops.M @ diff)
+    val = 0.5 * dot(diff, ops.M @ diff)
     m_u = ops.M_full @ u
-    val += 0.5 * prob.alpha * _dot(u, m_u)
+    val += 0.5 * prob.alpha * dot(u, m_u)
     val += prob.beta * float(np.abs(m_u).sum())
     return val
 
@@ -444,14 +428,14 @@ def kkt_residual(prob: ProblemInstance, lam, p, mu, u, y) -> float:
     residuals, each normalized by 1 + the scale of its anchor vector."""
     ops = prob.ops
 
-    r_adj = _norm(ops.K @ p - ops.M @ (prob.y_d - y))
-    r_adj /= 1.0 + _norm(prob.m_yd)
+    r_adj = norm(ops.K @ p - ops.M @ (prob.y_d - y))
+    r_adj /= 1.0 + norm(prob.m_yd)
 
     lam_prox = lambda_kernel(lam, ops.M_full @ u, ops.W_full, prob.beta)
-    r_lam = _norm(lam - lam_prox) / (1.0 + _norm(lam))
+    r_lam = norm(lam - lam_prox) / (1.0 + norm(lam))
 
     u_prox = np.clip(u + (ops.M_full @ mu) / ops.W_full, *prob.box)
-    r_mu = _norm(u - u_prox) / (1.0 + _norm(u))
+    r_mu = norm(u - u_prox) / (1.0 + norm(u))
 
     return max(r_adj, r_lam, r_mu)
 
@@ -563,8 +547,8 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
             # the next extrapolation, taken before the diagnostics say
             # whether this sweep is the last
             restarted = config.restart and \
-                _dot(lam_t - lam, lam - lam_prev) \
-                + _dot(mu_t - mu, mu - mu_prev) > 0.0
+                dot(lam_t - lam, lam - lam_prev) \
+                + dot(mu_t - mu, mu - mu_prev) > 0.0
             if restarted:
                 t = 1.0
                 restarts += 1

@@ -1,5 +1,6 @@
 """Sparse direct solves, the complex-symmetric p-solve, fast-transform and
-Chebyshev solves on the dyadic grid, and eigenvalue estimates.
+Chebyshev solves on the dyadic grid, eigenvalue estimates, and the one
+dot product and norm that every reported number is summed with.
 
 Storage and factorizations are backed by scipy.sparse (CSR matrices, SuperLU
 factorizations); this module pins down the contracts the solver relies on:
@@ -382,6 +383,24 @@ class GridSolver:
         return x
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``a . b`` summed by numpy's own loop rather than BLAS.
+
+    Every reduction whose value reaches an output goes through here (or
+    :func:`norm`), for two reasons.  The sum does not depend on the BLAS
+    thread count: a threaded BLAS ``ddot`` splits a long vector among its
+    threads, so its last bits change with ``OPENBLAS_NUM_THREADS``.  And it
+    leaves no BLAS thread pool spinning on the core that the diagnostics
+    worker of a large ``dual_solver.solve`` runs on.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
+def norm(v: np.ndarray) -> float:
+    """Euclidean norm through :func:`dot`."""
+    return float(np.sqrt(dot(v, v)))
+
+
 def power_iteration_extremes(apply, n: int,
                              iters: int = 2000) -> tuple[float, bool]:
     """Estimate the largest eigenvalue of a symmetric positive operator.
@@ -394,12 +413,12 @@ def power_iteration_extremes(apply, n: int,
     """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v /= norm(v)
     lam = 0.0
     for _ in range(iters):
         w = apply(v)
-        lam_new = float(v @ w)
-        norm_w = np.linalg.norm(w)
+        lam_new = dot(v, w)
+        norm_w = norm(w)
         if norm_w == 0.0:
             return 0.0, True
         v = w / norm_w

@@ -504,18 +504,24 @@ def test_module_entrypoint_subprocess(tmp_path):
     assert (tmp_path / "summary.json").exists()
 
 
-def test_level7_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """A level-7 solve writes the same bytes under one and two BLAS threads."""
+@pytest.mark.parametrize("argv, names", [
+    (["solve", "--preset", "shifted", "--level", "7", "--max-iters", "8"],
+     ("record.csv", "summary.json")),
+    (["mesh-indep", "--preset", "sine", "--levels", "3,4,5",
+      "--tau-proxy-level", "7"], ("mesh_indep.csv", "mesh_indep.json")),
+], ids=["solve", "mesh-indep"])
+def test_level7_outputs_match_under_one_and_two_blas_threads(tmp_path, argv,
+                                                             names):
+    """A level-7 solve, and a mesh-indep run with its tau proxy at level 7,
+    write the same bytes under one and two BLAS threads."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
-            [sys.executable, "-m", "pdeabcd.cli", "solve", "--preset",
-             "shifted", "--level", "7", "--max-iters", "8", "--out",
-             str(out)], capture_output=True, text=True, cwd=root, env=env)
+            [sys.executable, "-m", "pdeabcd.cli", *argv, "--out", str(out)],
+            capture_output=True, text=True, cwd=root, env=env)
         assert proc.returncode == 0, proc.stderr
-        outputs.append([(out / name).read_bytes()
-                        for name in ("record.csv", "summary.json")])
+        outputs.append([(out / name).read_bytes() for name in names])
     assert outputs[0] == outputs[1]
