@@ -111,7 +111,8 @@ def prolongated_start(coarse_inst: ProblemInstance) -> DualIterate:
     functions, so they are one fixed function pair across the hierarchy.
     """
     origin = np.zeros(coarse_inst.n_full)
-    lam, p, _, mu = dual_solver.sweep(coarse_inst, origin, origin)
+    lam, p, _, _, mu = dual_solver.sweep(coarse_inst, origin, origin,
+                                         origin)
     return DualIterate(lam, p, mu, 1)
 
 

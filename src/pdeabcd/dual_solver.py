@@ -39,21 +39,27 @@ the matching discretization, so phi + primal_value is a genuine duality
 gap, certified against an independent primal solver (oracle module).
 
 A sweep reads only the previous iterate, never its diagnostics (two state
-solves, the KKT residual, the dual value and the gap).  ``solve`` calls
-them directly below ``GRID_MIN_N`` interior unknowns; from it on they run
-on a worker thread, under the caller's numpy error state and error
-callback, while the next sweep runs.  The threshold sits between L6 (3,969
-interior unknowns) and L7 (16,129), for both of its uses.  The worker cut
-a ``sine`` L8 solve on the grid path from 2.19 s to 1.84 s (median of 8
-paired runs, faster in all 8), but run at every size it slowed the L3-L6
-``mesh-indep`` benchmark (8 of 10 paired runs) and raised its peak memory
-(10 of 10).  At L6 a grid p-solve takes 0.7-2.6 ms (alpha 1e-2 to 1e-8)
-against the factor's 0.34 ms, so below the threshold the factors stay.
-From the threshold on, this thread's p-solves and mass solves and the
-worker's state solves share one ``GridSolver``, which no solve changes;
-``solve`` builds it before the worker exists, so the two threads never
-race to build it.  Every dot product and norm goes through
-``sparse_linalg.dot`` and ``norm``, which sum without BLAS.
+solves, the KKT residual, the dual value and the gap), and its (lam, p)
+block reads mu only through ``xi_t = M_full mu_t``, which ``solve``
+carries beside ``lam_t``.  So a sweep's mass solve (``step_mu``, which
+turns the mu update's ``xi`` into mu) and its diagnostics are one job.
+``solve`` calls the job directly below ``GRID_MIN_N`` interior unknowns;
+from it on the job runs on a worker thread, under the caller's numpy
+error state and error callback, while the next sweep's (lam, p) block
+runs.  The threshold sits between L6 (3,969 interior unknowns) and L7
+(16,129), for both of its uses.  With only the diagnostics on it, the
+worker cut a ``sine`` L8 solve on the grid path from 2.19 s to 1.84 s
+(median of 8 paired runs, faster in all 8); with the mass solve on it
+too, from 1.84 s to 1.29 s (median of 10 paired runs, faster in all 10).
+Run at every size, the diagnostics worker slowed the L3-L6 ``mesh-indep``
+benchmark (8 of 10 paired runs) and raised its peak memory (10 of 10).
+At L6 a grid p-solve takes 0.7-2.6 ms (alpha 1e-2 to 1e-8) against the
+factor's 0.34 ms, so below the threshold the factors stay.  From the
+threshold on, this thread's p-solves and the worker's mass solves and
+state solves share one ``GridSolver``, which no solve changes; ``solve``
+builds it before the worker exists, so the two threads never race to
+build it.  Every dot product and norm goes through ``sparse_linalg.dot``
+and ``norm``, which sum without BLAS.
 """
 
 from __future__ import annotations
@@ -325,16 +331,35 @@ def primal_value(prob: ProblemInstance, u: np.ndarray) -> float:
 
 
 def _p_rhs(prob: ProblemInstance, lam: np.ndarray,
-           mu_t: np.ndarray) -> np.ndarray:
-    """Right side of the p-solve at the multipliers ``lam`` and ``mu_t``."""
-    coupled = prob.ops.mass_interior_rows(lam + mu_t)
-    return prob.p_rhs_data + coupled / prob.alpha
+           xi_t: np.ndarray) -> np.ndarray:
+    """Right side of the p-solve at the multipliers ``lam`` and ``mu_t``,
+    read through ``xi_t = M_full mu_t``."""
+    ops = prob.ops
+    return prob.p_rhs_data + ops.restrict(ops.M_full @ lam + xi_t) / prob.alpha
+
+
+def _phat_xi(prob: ProblemInstance, lam_t: np.ndarray,
+             xi_t: np.ndarray) -> np.ndarray:
+    return prob.psolve.solve(_p_rhs(prob, lam_t, xi_t))
+
+
+def _lambda_xi(prob: ProblemInstance, lam_t: np.ndarray, xi_t: np.ndarray,
+               p_hat: np.ndarray) -> np.ndarray:
+    ops = prob.ops
+    coupled = ops.M_full @ (ops.pad(p_hat) - lam_t) - xi_t
+    return lambda_kernel(lam_t, coupled, ops.W_full, prob.beta)
+
+
+def _p_xi(prob: ProblemInstance, lam_new: np.ndarray,
+          xi_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return prob.psolve.solve_with_multiplier(_p_rhs(prob, lam_new, xi_t))
 
 
 def step_phat(prob: ProblemInstance, lam_t: np.ndarray,
               mu_t: np.ndarray) -> np.ndarray:
-    """First p-solve of the sweep, at the extrapolated lam."""
-    return prob.psolve.solve(_p_rhs(prob, lam_t, mu_t))
+    """First p-solve of the sweep, at the extrapolated lam: the sweep's own
+    step, handed ``xi_t = M_full mu_t``."""
+    return _phat_xi(prob, lam_t, prob.ops.M_full @ mu_t)
 
 
 def lambda_kernel(lam_t, coupled, W, beta: float) -> np.ndarray:
@@ -351,17 +376,26 @@ def lambda_kernel(lam_t, coupled, W, beta: float) -> np.ndarray:
 
 def step_lambda(prob: ProblemInstance, lam_t: np.ndarray, mu_t: np.ndarray,
                 p_hat: np.ndarray) -> np.ndarray:
-    """Closed-form lam update: lumped-metric projection onto the box."""
-    ops = prob.ops
-    coupled = ops.M_full @ (ops.pad(p_hat) - mu_t - lam_t)
-    return lambda_kernel(lam_t, coupled, ops.W_full, prob.beta)
+    """Closed-form lam update, a lumped-metric projection onto the box: the
+    sweep's own step, handed ``xi_t = M_full mu_t``."""
+    return _lambda_xi(prob, lam_t, prob.ops.M_full @ mu_t, p_hat)
 
 
 def step_p(prob: ProblemInstance, lam_new: np.ndarray,
            mu_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Second p-solve of the sweep, at the updated lam: ``(p, w)`` with
-    ``w = M^{-1} K p`` from the same solve, for :func:`dual_objective`."""
-    return prob.psolve.solve_with_multiplier(_p_rhs(prob, lam_new, mu_t))
+    ``w = M^{-1} K p`` from the same solve, for :func:`dual_objective`; the
+    sweep's own step, handed ``xi_t = M_full mu_t``."""
+    return _p_xi(prob, lam_new, prob.ops.M_full @ mu_t)
+
+
+def _lam_p_block(prob: ProblemInstance, lam_t: np.ndarray, xi_t: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (lam, p) block of a sweep: ``(lam, p, w)`` from the p-solve at
+    ``lam_t``, the lam update and the p-solve at the new lam."""
+    p_hat = _phat_xi(prob, lam_t, xi_t)
+    lam = _lambda_xi(prob, lam_t, xi_t, p_hat)
+    return (lam, *_p_xi(prob, lam, xi_t))
 
 
 def mu_xi_kernel(v, W, a: float, b: float, alpha: float,
@@ -376,32 +410,40 @@ def mu_xi_kernel(v, W, a: float, b: float, alpha: float,
     return v - (alpha / gamma) * W * proj
 
 
-def step_mu(prob: ProblemInstance, lam_new: np.ndarray, p_new: np.ndarray,
-            mu_t: np.ndarray) -> np.ndarray:
-    """Closed-form mu update via the lumped-metric proximal map.
-
-    The subproblem is a proximal step on the box support function composed
-    with M; in the variable xi = M mu it separates componentwise, so xi
-    follows from one projection and mu from one mass solve: by the grid
-    solver, started at ``mu_t``, or the ``M_full`` factor.
-    """
+def _xi_step(prob: ProblemInstance, lam_new: np.ndarray, p_new: np.ndarray,
+             mu_t: np.ndarray, xi_t: np.ndarray) -> np.ndarray:
+    """The mu update in ``xi = M_full mu``: one projection by
+    :func:`mu_xi_kernel`."""
     ops = prob.ops
-    v = ops.M_full @ mu_t \
-        + (ops.W_full * (ops.pad(p_new) - lam_new - mu_t)) / prob.gamma
-    xi = mu_xi_kernel(v, ops.W_full, *prob.box, prob.alpha, prob.gamma)
+    v = xi_t + (ops.W_full * (ops.pad(p_new) - lam_new - mu_t)) / prob.gamma
+    return mu_xi_kernel(v, ops.W_full, *prob.box, prob.alpha, prob.gamma)
+
+
+def step_mu(prob: ProblemInstance, xi: np.ndarray,
+            mu_t: np.ndarray) -> np.ndarray:
+    """The new mu from the mu update's ``xi = M_full mu``: one mass solve,
+    by the grid solver started at ``mu_t``, or by the ``M_full`` factor.
+
+    The mu subproblem is a proximal step on the box support function
+    composed with M; in the variable xi it separates componentwise, so the
+    sweep takes xi by one projection and mu by this solve, once a sweep.
+    From ``GRID_MIN_N`` on :func:`solve` runs it on its worker, beside the
+    next sweep's (lam, p) block, which reads xi and not mu.
+    """
     if prob.grid is not None:
         return prob.grid.solve_mass_full(xi, mu_t)
-    return ops.mass_full_factor.solve(xi)
+    return prob.ops.mass_full_factor.solve(xi)
 
 
-def sweep(prob: ProblemInstance, lam_t: np.ndarray, mu_t: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four steps from the extrapolated ``(lam_t, mu_t)``, returning
-    ``(lam, p, w, mu)`` with the ``w`` of :func:`step_p`."""
-    p_hat = step_phat(prob, lam_t, mu_t)
-    lam = step_lambda(prob, lam_t, mu_t, p_hat)
-    p, w = step_p(prob, lam, mu_t)
-    return lam, p, w, step_mu(prob, lam, p, mu_t)
+def sweep(prob: ProblemInstance, lam_t: np.ndarray, mu_t: np.ndarray,
+          xi_t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four steps from the extrapolated ``(lam_t, mu_t)``, with
+    ``xi_t = M_full mu_t`` as :func:`solve` carries it: returns
+    ``(lam, p, w, xi, mu)``, with the ``w`` of :func:`step_p` and the ``xi``
+    of the new mu."""
+    lam, p, w = _lam_p_block(prob, lam_t, xi_t)
+    xi = _xi_step(prob, lam, p, mu_t, xi_t)
+    return lam, p, w, xi, step_mu(prob, xi, mu_t)
 
 
 def momentum(t: float) -> tuple[float, float]:
@@ -441,30 +483,30 @@ def kkt_residual(prob: ProblemInstance, lam, p, mu, u, y) -> float:
 
 
 # from this many interior unknowns (level 7 and up) an instance solves by
-# fast sine transforms and a sweep's diagnostics run on a worker thread
-# beside the next sweep; read only by ProblemInstance.on_grid, see the
-# module docstring
+# fast sine transforms, and a sweep's mass solve and diagnostics run on a
+# worker thread beside the next sweep's (lam, p) block; read only by
+# ProblemInstance.on_grid, see the module docstring
 GRID_MIN_N = 10_000
 
 
-def _due(config: SolverConfig, k: int) -> tuple[bool, bool]:
-    """Whether sweep ``k`` is checked against ``tol``, and whether it is
-    logged; ``max_iters`` forces a check, and so the last row."""
+def _finish(prob: ProblemInstance, config: SolverConfig, k: int, lam, p, w,
+            xi, mu_t, t0: float):
+    """Sweep ``k`` from its ``xi`` on: the new mu by :func:`step_mu`, the
+    divergence check, then the stop tests and the log row when the sweep is
+    checked or logged or a ``phi_target`` is set (``max_iters`` forces a
+    check, and so the last row).
+
+    Returns ``(mu, stop_reason, row, u, y)``: ``stop_reason`` is None while
+    the run goes on, ``row`` is None when the sweep is not logged, and
+    ``u, y`` are None when no KKT residual was taken.  The objective is
+    evaluated only for the target test or a row.
+    """
+    mu = step_mu(prob, xi, mu_t)
+    if not all(np.isfinite(x).all() for x in (lam, p, mu)):
+        raise DivergenceError(f"non-finite iterate at k={k}", k,
+                              DualIterate(lam, p, mu, k))
     check_now = k % config.check_every == 0 or k == config.max_iters
     log_now = config.log_every > 0 and k % config.log_every == 0
-    return check_now, log_now
-
-
-def _diagnose(prob: ProblemInstance, config: SolverConfig, k: int,
-              check_now: bool, log_now: bool, lam, p, w, mu, t0: float):
-    """The stop tests and the log row of sweep ``k``, with
-    ``(check_now, log_now)`` from :func:`_due`.
-
-    Returns ``(stop_reason, row, u, y)``: ``stop_reason`` is None while the
-    run goes on, ``row`` is None when the sweep is not logged, and ``u, y``
-    are None when no KKT residual was taken.  The objective is evaluated
-    only for the target test or a row.
-    """
     target = config.phi_target
     stop_reason = row = u = y = None
     if target is not None:
@@ -483,15 +525,15 @@ def _diagnose(prob: ProblemInstance, config: SolverConfig, k: int,
             phi = dual_objective(prob, lam, p, mu, w)
         row = (k, phi, res, phi + primal_value(prob, np.clip(u, *prob.box)),
                time.perf_counter() - t0 if config.timing else 0.0)
-    return stop_reason, row, u, y
+    return mu, stop_reason, row, u, y
 
 
 def solve(prob: ProblemInstance, config: SolverConfig | None = None,
           z0: DualIterate | None = None) -> RunRecord:
     """Run the accelerated dual scheme from ``z0`` (zeros by default).
 
-    Each :func:`sweep` begins with a p-solve, so only the size of ``z0``'s
-    p block is read (a prolongated start carries a zero p).  Logs one row
+    Each sweep begins with a p-solve, so only the size of ``z0``'s p block
+    is read (a prolongated start carries a zero p).  Logs one row
     (k, dual objective, KKT residual, duality gap, time) at the configured
     cadence and at the last sweep; stops on the KKT tolerance, on
     ``phi_target`` when set, or at ``max_iters``.  ``config.restart`` resets
@@ -499,13 +541,18 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     move, counted in ``RunRecord.restarts``.  Non-finite iterates raise
     :class:`DivergenceError`.
 
-    A checked or logged sweep is diagnosed by :func:`_diagnose`, called
-    directly below ``GRID_MIN_N`` interior unknowns.  From it on the
-    call runs on a one-thread pool owned by this call, under the caller's
-    numpy error state and error callback, while this thread takes the next
-    sweep, which is dropped when the diagnostics end the run.  Both paths
-    return the same record, bit for bit.  From ``GRID_MIN_N`` on every
-    solve goes through ``prob.grid``, so the run builds no factorization.
+    The run takes the steps of :func:`sweep` and carries
+    ``xi_t = xi + beta (xi - xi_prev)`` beside ``lam_t``, so a sweep's
+    (lam, p) block reads ``xi_t`` and not ``mu_t``.  A sweep's mass solve
+    and its diagnostics are one job, :func:`_finish`, called directly below
+    ``GRID_MIN_N`` interior unknowns.  From it on the job runs on a
+    one-thread pool owned by this call, under the caller's numpy error
+    state and error callback, while this thread takes the next sweep's
+    (lam, p) block at the extrapolation that assumes no restart; the block
+    is dropped when the job ends the run, and taken again from ``t = 1``
+    when the restart test fires.  Both paths return the same record, bit
+    for bit.  From ``GRID_MIN_N`` on every solve goes through ``prob.grid``,
+    so the run builds no factorization.
     """
     config = config or SolverConfig()
     if z0 is None:
@@ -522,60 +569,57 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     np.clip(lam_prev, -prob.beta, prob.beta, out=lam_prev)
 
     lam_t, mu_t = lam_prev, mu_prev
+    xi_t = xi_prev = prob.ops.M_full @ mu_prev
     t, restarts = 1.0, 0
     t0 = time.perf_counter()
     log: list[tuple[int, float, float, float, float]] = []
-    ahead = None  # sweep k, when taken beside the diagnostics of sweep k-1
+    block = None  # sweep k's (lam, p) block, when taken beside job k-1
     pool = None
     if prob.on_grid:
-        # this thread's p-solves and the worker's state solves share the
-        # grid solver: it is built before the worker exists
+        # this thread's p-solves and the worker's mass and state solves
+        # share the grid solver: it is built before the worker exists
         prob.grid
-        pool = ThreadPoolExecutor(1, "pdeabcd-diagnostics")
+        pool = ThreadPoolExecutor(1, "pdeabcd-worker")
     # the worker's jobs run in the caller's error state and callback
     errstate = np.errstate(call=np.geterrcall(), **np.geterr())
 
     with pool or nullcontext():
         for k in range(1, config.max_iters + 1):
-            lam, p, w, mu = sweep(prob, lam_t, mu_t) if ahead is None \
-                else ahead
-            ahead = None
-            if not all(np.isfinite(x).all() for x in (lam, p, mu)):
-                raise DivergenceError(f"non-finite iterate at k={k}", k,
-                                      DualIterate(lam, p, mu, k))
-
-            # the next extrapolation, taken before the diagnostics say
-            # whether this sweep is the last
-            restarted = config.restart and \
-                dot(lam_t - lam, lam - lam_prev) \
-                + dot(mu_t - mu, mu - mu_prev) > 0.0
-            if restarted:
-                t = 1.0
-                restarts += 1
+            lam, p, w = _lam_p_block(prob, lam_t, xi_t) if block is None \
+                else block
+            xi = _xi_step(prob, lam, p, mu_t, xi_t)
+            args = (prob, config, k, lam, p, w, xi, mu_t, t0)
+            # the next extrapolation of lam and xi, taken before the job
+            # says whether this sweep is the last or restarts the momentum
             t_next, beta_k = momentum(t)
-            lam_t = lam + beta_k * (lam - lam_prev)
-            mu_t = mu + beta_k * (mu - mu_prev)
-            lam_prev, mu_prev = lam, mu
-            t = t_next
-
-            check_now, log_now = _due(config, k)
-            if not (check_now or log_now or config.phi_target is not None):
-                continue
-            args = (prob, config, k, check_now, log_now, lam, p, w, mu, t0)
+            lam_next = lam + beta_k * (lam - lam_prev)
+            xi_next = xi + beta_k * (xi - xi_prev)
+            block = None
             if pool is None:
-                stop_reason, row, u, y = _diagnose(*args)
+                mu, stop_reason, row, u, y = _finish(*args)
             else:
-                job = pool.submit(errstate(_diagnose), *args)
+                job = pool.submit(errstate(_finish), *args)
                 if not job.done() and k < config.max_iters:
-                    ahead = sweep(prob, lam_t, mu_t)
-                stop_reason, row, u, y = job.result()
+                    block = _lam_p_block(prob, lam_next, xi_next)
+                mu, stop_reason, row, u, y = job.result()
             if row is not None:
                 log.append(row)
             if stop_reason is not None:
                 break
 
-    # a restart after the last sweep starts no sweep
-    restarts -= restarted
+            if config.restart and dot(lam_t - lam, lam - lam_prev) \
+                    + dot(mu_t - mu, mu - mu_prev) > 0.0:
+                # the next block is taken again, from t = 1
+                restarts += 1
+                t_next, beta_k = momentum(1.0)
+                lam_next = lam + beta_k * (lam - lam_prev)
+                xi_next = xi + beta_k * (xi - xi_prev)
+                block = None
+            lam_t, xi_t = lam_next, xi_next
+            mu_t = mu + beta_k * (mu - mu_prev)
+            lam_prev, mu_prev, xi_prev = lam, mu, xi
+            t = t_next
+
     ks, *cols = zip(*log)
     return RunRecord(np.asarray(ks, dtype=np.int64),
                      *(np.asarray(col, dtype=float) for col in cols),

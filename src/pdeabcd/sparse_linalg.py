@@ -229,7 +229,8 @@ class GridSolver:
     ``|M_full|_inf = max(W)``.  The constructor refuses a ``W`` that is not
     ``M_full``'s row sums and an ``M_full`` off the grid's seven diagonals,
     on which it is held (DIA storage; at level 8 its product takes 0.18 ms
-    against 0.24 ms in CSR).  In a dual solve at levels 7 and 8, started
+    against 0.24 ms in CSR).  In a dual solve at levels 7 and 8 it runs on
+    the solve's worker thread, beside the next sweep's p-solves; started
     at the extrapolated mu (zero in the first sweep), it stops after 14-33
     steps.
 
@@ -390,8 +391,8 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     :func:`norm`), for two reasons.  The sum does not depend on the BLAS
     thread count: a threaded BLAS ``ddot`` splits a long vector among its
     threads, so its last bits change with ``OPENBLAS_NUM_THREADS``.  And it
-    leaves no BLAS thread pool spinning on the core that the diagnostics
-    worker of a large ``dual_solver.solve`` runs on.
+    leaves no BLAS thread pool spinning on the core that the worker of a
+    large ``dual_solver.solve`` (its mass solves and diagnostics) runs on.
     """
     return float(np.einsum("i,i->", a, b))
 

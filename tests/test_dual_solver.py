@@ -4,8 +4,8 @@ The two componentwise kernels are checked against brute-force scalar
 minimization of the subproblems they claim to solve; the sweep is checked
 for its fixed point at a certified optimum, arithmetic identities of the
 primal recovery, bitwise determinism, and the divergence guard; runs whose
-diagnostics go to a worker thread are checked against inline ones, bit for
-bit.
+mass solves and diagnostics go to a worker thread are checked against
+inline ones, bit for bit.
 """
 
 import dataclasses
@@ -213,9 +213,10 @@ def test_restarted_runs_match_a_loop_of_sweeps():
     # after sweeps 1..k-1 only, also when the test after k would fire
     inst = make_instance("shifted", 3)
     lam_prev = mu_prev = lam_t = mu_t = np.zeros(inst.n_full)
+    xi_prev = xi_t = inst.ops.M_full @ mu_t
     t, fired, iterates = 1.0, [], {}
     for k in range(1, 80):
-        lam, p, _, mu = sweep(inst, lam_t, mu_t)
+        lam, p, _, xi, mu = sweep(inst, lam_t, mu_t, xi_t)
         iterates[k] = (lam, p, mu)
         if np.einsum("i,i->", lam_t - lam, lam - lam_prev) \
                 + np.einsum("i,i->", mu_t - mu, mu - mu_prev) > 0.0:
@@ -224,7 +225,8 @@ def test_restarted_runs_match_a_loop_of_sweeps():
         t_next, beta_k = momentum(t)
         lam_t = lam + beta_k * (lam - lam_prev)
         mu_t = mu + beta_k * (mu - mu_prev)
-        lam_prev, mu_prev, t = lam, mu, t_next
+        xi_t = xi + beta_k * (xi - xi_prev)
+        lam_prev, mu_prev, xi_prev, t = lam, mu, xi, t_next
     assert len(fired) >= 2
     for last in (fired[1], fired[1] + 1):
         run = solve(inst, SolverConfig(max_iters=last, tol=0.0, log_every=0,
@@ -281,6 +283,13 @@ def test_start_p_block_does_not_enter(sine2, rng):
 # sweep behavior
 
 
+def _xi_reference(prob, lam, p, mu_t):
+    """The mu update's ``xi = M_full mu`` at ``mu_t`` itself."""
+    ops = prob.ops
+    v = ops.M_full @ mu_t + ops.W_full * (ops.pad(p) - lam - mu_t) / prob.gamma
+    return mu_xi_kernel(v, ops.W_full, *prob.box, prob.alpha, prob.gamma)
+
+
 def test_sweep_steps_shapes(sine2):
     z = DualIterate.for_instance(sine2)
     p_hat = step_phat(sine2, z.lam, z.mu)
@@ -289,25 +298,32 @@ def test_sweep_steps_shapes(sine2):
     assert lam.shape == (sine2.n_full,)
     assert np.abs(lam).max() <= sine2.beta
     p, _ = step_p(sine2, lam, z.mu)
-    mu = step_mu(sine2, lam, p, z.mu)
+    mu = step_mu(sine2, _xi_reference(sine2, lam, p, z.mu), z.mu)
     assert mu.shape == (sine2.n_full,)
 
 
 @pytest.mark.parametrize("sweeps", [0, 4])
 def test_sweep_is_the_four_steps(sine2, sweeps):
-    # from the origin and from the extrapolated point after a few sweeps
+    # from the origin and from the extrapolated point after a few sweeps;
+    # at xi_t = M_full mu_t the sweep is the gate's steps, bit for bit
     lam_t = mu_t = np.zeros(sine2.n_full)
     if sweeps:
         run = solve(sine2, SolverConfig(max_iters=sweeps, tol=0.0,
                                         log_every=0))
         lam_t, mu_t = 1.5 * run.final.lam, 0.5 * run.final.mu
-    lam, p, w, mu = sweep(sine2, lam_t, mu_t)
+    xi_t = sine2.ops.M_full @ mu_t
+    lam, p, w, xi, mu = sweep(sine2, lam_t, mu_t, xi_t)
     p_hat = step_phat(sine2, lam_t, mu_t)
     lam_ref = step_lambda(sine2, lam_t, mu_t, p_hat)
     p_ref, w_ref = step_p(sine2, lam_ref, mu_t)
-    mu_ref = step_mu(sine2, lam_ref, p_ref, mu_t)
-    for got, ref in ((lam, lam_ref), (p, p_ref), (w, w_ref), (mu, mu_ref)):
+    xi_ref = _xi_reference(sine2, lam_ref, p_ref, mu_t)
+    mu_ref = step_mu(sine2, xi_ref, mu_t)
+    for got, ref in ((lam, lam_ref), (p, p_ref), (w, w_ref), (xi, xi_ref),
+                     (mu, mu_ref)):
         assert np.array_equal(got, ref)
+    # step_mu solves M_full mu = xi
+    r = np.abs(sine2.ops.M_full @ mu - xi).max()
+    assert r <= 1e-14 * (np.abs(xi).max() + 1.0)
 
 
 def test_recover_primal_identities(sine2, rng):
@@ -456,7 +472,7 @@ def test_kkt_residual_zero_at_certified_optimum(certified_sine2):
 
 
 # ---------------------------------------------------------------------------
-# diagnostics on a worker thread beside the next sweep
+# mass solves and diagnostics on a worker thread beside the next sweep
 
 
 def _assert_same_record(a, b):
@@ -513,24 +529,90 @@ def test_overlapped_run_equals_inline_run(case, stop, certified_sine2,
     _assert_same_record(inline, overlapped)
 
 
-def test_overlapped_divergence_has_the_inline_k(sine2, monkeypatch):
+@pytest.mark.parametrize("case, stop", [
+    (lambda: (make_instance("sine", 3), SolverConfig()), "kkt"),
+    (lambda: (make_instance("shifted", 3),
+              SolverConfig(restart=True, check_every=5, log_every=0)),
+     "kkt"),
+], ids=["kkt", "restarted"])
+def test_blocks_taken_beside_held_jobs_equal_the_inline_run(case, stop,
+                                                            monkeypatch):
+    # each job waits until this thread has taken the next sweep's (lam, p)
+    # block, so every block after the first is taken beside a job: it
+    # stands, is taken again after a restart, or is dropped after the last
+    # sweep
+    inst, config = case()
+    inline = solve(inst, config)
+    assert inline.stop_reason == stop
+    assert (inline.restarts > 0) == config.restart
+    lam_p_block = dual_solver._lam_p_block
+    xi_step = dual_solver._xi_step
     step_mu = dual_solver.step_mu
+    taken = threading.Event()
+    blocks = []
+
+    def block(*args):
+        out = lam_p_block(*args)
+        blocks.append(threading.current_thread())
+        taken.set()
+        return out
+
+    def xi(*args):
+        taken.clear()
+        return xi_step(*args)
+
+    def held(*args):
+        if not taken.wait(timeout=30):
+            raise AssertionError("no block was taken beside the job")
+        return step_mu(*args)
+
+    monkeypatch.setattr(dual_solver, "_lam_p_block", block)
+    monkeypatch.setattr(dual_solver, "_xi_step", xi)
+    monkeypatch.setattr(dual_solver, "step_mu", held)
+    overlapped = _overlapped(monkeypatch, lambda: solve(inst, config))
+    _assert_same_record(inline, overlapped)
+    # one block a sweep, one after the last, and one more per restart
+    assert len(blocks) == overlapped.iterations + 1 + overlapped.restarts
+    assert set(blocks) == {threading.main_thread()}
+
+
+def _divergence_k(sine2, monkeypatch, target, poison):
+    """The ``k`` of the DivergenceError when ``poison`` spoils the output of
+    ``dual_solver.<target>`` from its fifth call on, inline and with every
+    job on the worker."""
+    original = getattr(dual_solver, target)
 
     def diverge():
         calls = []
 
         def poisoned(*args):
             calls.append(None)
-            mu = step_mu(*args)
-            return mu * np.nan if len(calls) >= 5 else mu
+            out = original(*args)
+            return poison(out) if len(calls) >= 5 else out
 
-        monkeypatch.setattr(dual_solver, "step_mu", poisoned)
+        monkeypatch.setattr(dual_solver, target, poisoned)
         with pytest.raises(DivergenceError) as exc:
             solve(sine2, SolverConfig(max_iters=100, tol=0.0))
         return exc.value.k
 
-    assert diverge() == 5
-    assert _overlapped(monkeypatch, diverge) == 5
+    return diverge(), _overlapped(monkeypatch, diverge)
+
+
+def test_overlapped_divergence_has_the_inline_k(sine2, monkeypatch):
+    # a NaN mu_5 from the job's mass solve
+    assert _divergence_k(sine2, monkeypatch, "step_mu",
+                         lambda mu: mu * np.nan) == (5, 5)
+
+
+def test_overlapped_lam_divergence_has_the_inline_k(sine2, monkeypatch):
+    # a NaN lam_5 from the (lam, p) block, which the worker's job checks
+    # once mu_4 has passed
+    def poison(block):
+        lam, p, w = block
+        return lam * np.nan, p, w
+
+    assert _divergence_k(sine2, monkeypatch, "_lam_p_block",
+                         poison) == (5, 5)
 
 
 def test_overlapped_diagnostics_keep_the_callers_error_state(sine2,

@@ -340,18 +340,24 @@ def test_grid_solver_zero_and_nan_rhs():
 
 
 def test_grid_solver_shared_by_threads_gives_the_serial_answers(rng):
-    """``solve`` shares one grid solver between its sweeps and its worker."""
+    """``solve`` shares one grid solver between its sweeps (p-solves) and
+    its worker (mass solves and state solves)."""
     ops = assemble(build_unit_square_mesh(5))
     grid = _grid(ops, 1e-3)
     rhs = rng.standard_normal((8, ops.n_interior))
-    serial = [(grid.solve_with_multiplier(b), grid.solve_stiffness(b))
-              for b in rhs]
+    rhs_full = rng.standard_normal((8, ops.mesh.n_nodes))
+    x0 = np.zeros(ops.mesh.n_nodes)
+
+    def solves(i):
+        b = rhs[i % len(rhs)]
+        return (grid.solve_with_multiplier(b), grid.solve_stiffness(b),
+                grid.solve_mass_full(rhs_full[i % len(rhs)], x0))
+
+    serial = [solves(i) for i in range(len(rhs))]
     results = {}
 
     def work(i):
-        b = rhs[i % len(rhs)]
-        results[i] = [(grid.solve_with_multiplier(b), grid.solve_stiffness(b))
-                      for _ in range(5)]
+        results[i] = [solves(i) for _ in range(5)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -365,10 +371,10 @@ def test_grid_solver_shared_by_threads_gives_the_serial_answers(rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for i, runs in results.items():
-        (p0, w0), y0 = serial[i % len(rhs)]
-        for (p, w), y in runs:
+        (p0, w0), y0, m0 = serial[i % len(rhs)]
+        for (p, w), y, m in runs:
             assert np.array_equal(p, p0) and np.array_equal(w, w0)
-            assert np.array_equal(y, y0)
+            assert np.array_equal(y, y0) and np.array_equal(m, m0)
     assert len(results) == 8
 
 
