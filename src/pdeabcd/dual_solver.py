@@ -47,19 +47,18 @@ turns the mu update's ``xi`` into mu) and its diagnostics are one job.
 from it on the job runs on a worker thread, under the caller's numpy
 error state and error callback, while the next sweep's (lam, p) block
 runs.  The threshold sits between L6 (3,969 interior unknowns) and L7
-(16,129), for both of its uses.  With only the diagnostics on it, the
-worker cut a ``sine`` L8 solve on the grid path from 2.19 s to 1.84 s
-(median of 8 paired runs, faster in all 8); with the mass solve on it
-too, from 1.84 s to 1.29 s (median of 10 paired runs, faster in all 10).
-Run at every size, the diagnostics worker slowed the L3-L6 ``mesh-indep``
-benchmark (8 of 10 paired runs) and raised its peak memory (10 of 10).
-At L6 a grid p-solve takes 0.7-2.6 ms (alpha 1e-2 to 1e-8) against the
-factor's 0.34 ms, so below the threshold the factors stay.  From the
-threshold on, this thread's p-solves and the worker's mass solves and
-state solves share one ``GridSolver``, which no solve changes; ``solve``
-builds it before the worker exists, so the two threads never race to
-build it.  Every dot product and norm goes through ``sparse_linalg.dot``
-and ``norm``, which sum without BLAS.
+(16,129), for both of its uses.  Run at every size, the diagnostics
+worker slowed the L3-L6 ``mesh-indep`` benchmark (8 of 10 paired runs)
+and raised its peak memory (10 of 10).  At L6 a grid p-solve takes
+0.7-2.6 ms (alpha 1e-2 to 1e-8) against the factor's 0.34 ms, so below
+the threshold the factors stay.  From the threshold on, this thread's
+p-solves and the worker's mass solves and state solves share one
+``GridSolver``, which no solve changes; ``solve`` builds it before the
+worker exists, so the two threads never race to build it.  The second
+p-solve of a block starts from the first's ``(p, w)``, which a grid
+solve iterates from and a factor's ignores; the block stays a function
+of ``(lam_t, xi_t)`` alone.  Every dot product and norm goes through
+``sparse_linalg.dot`` and ``norm``, which sum without BLAS.
 """
 
 from __future__ import annotations
@@ -338,9 +337,11 @@ def _p_rhs(prob: ProblemInstance, lam: np.ndarray,
     return prob.p_rhs_data + ops.restrict(ops.M_full @ lam + xi_t) / prob.alpha
 
 
-def _phat_xi(prob: ProblemInstance, lam_t: np.ndarray,
-             xi_t: np.ndarray) -> np.ndarray:
-    return prob.psolve.solve(_p_rhs(prob, lam_t, xi_t))
+def _p_solve(prob: ProblemInstance, lam: np.ndarray, xi_t: np.ndarray,
+             start=None) -> tuple[np.ndarray, np.ndarray]:
+    """``(p, w)`` of the p-solve at ``lam`` and ``xi_t``, from ``start``,
+    the ``(p, w)`` of an earlier p-solve, when one is given."""
+    return prob.psolve.solve_with_multiplier(_p_rhs(prob, lam, xi_t), start)
 
 
 def _lambda_xi(prob: ProblemInstance, lam_t: np.ndarray, xi_t: np.ndarray,
@@ -350,16 +351,11 @@ def _lambda_xi(prob: ProblemInstance, lam_t: np.ndarray, xi_t: np.ndarray,
     return lambda_kernel(lam_t, coupled, ops.W_full, prob.beta)
 
 
-def _p_xi(prob: ProblemInstance, lam_new: np.ndarray,
-          xi_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return prob.psolve.solve_with_multiplier(_p_rhs(prob, lam_new, xi_t))
-
-
 def step_phat(prob: ProblemInstance, lam_t: np.ndarray,
               mu_t: np.ndarray) -> np.ndarray:
     """First p-solve of the sweep, at the extrapolated lam: the sweep's own
     step, handed ``xi_t = M_full mu_t``."""
-    return _phat_xi(prob, lam_t, prob.ops.M_full @ mu_t)
+    return _p_solve(prob, lam_t, prob.ops.M_full @ mu_t)[0]
 
 
 def lambda_kernel(lam_t, coupled, W, beta: float) -> np.ndarray:
@@ -386,16 +382,17 @@ def step_p(prob: ProblemInstance, lam_new: np.ndarray,
     """Second p-solve of the sweep, at the updated lam: ``(p, w)`` with
     ``w = M^{-1} K p`` from the same solve, for :func:`dual_objective`; the
     sweep's own step, handed ``xi_t = M_full mu_t``."""
-    return _p_xi(prob, lam_new, prob.ops.M_full @ mu_t)
+    return _p_solve(prob, lam_new, prob.ops.M_full @ mu_t)
 
 
 def _lam_p_block(prob: ProblemInstance, lam_t: np.ndarray, xi_t: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (lam, p) block of a sweep: ``(lam, p, w)`` from the p-solve at
-    ``lam_t``, the lam update and the p-solve at the new lam."""
-    p_hat = _phat_xi(prob, lam_t, xi_t)
-    lam = _lambda_xi(prob, lam_t, xi_t, p_hat)
-    return (lam, *_p_xi(prob, lam, xi_t))
+    ``lam_t``, the lam update and the p-solve at the new lam, started from
+    the first p-solve's ``(p, w)``."""
+    first = _p_solve(prob, lam_t, xi_t)
+    lam = _lambda_xi(prob, lam_t, xi_t, first[0])
+    return (lam, *_p_solve(prob, lam, xi_t, first))
 
 
 def mu_xi_kernel(v, W, a: float, b: float, alpha: float,

@@ -139,10 +139,12 @@ class AugmentedSolver:
     ``(K + i s M) x = b`` read ``K Re(x) - s M Im(x) = b`` and
     ``K Im(x) + s M Re(x) = 0``, so ``p = -Im(x)/s`` and
     ``w = Re(x) = M^{-1} K p`` exactly.  K and sM are SPD, so elimination
-    without pivoting is stable (Higham, 1998).  The dual sweep reads ``p``
-    from its first p-solve (:meth:`solve`) and ``(p, w)`` from its second
-    (:meth:`solve_with_multiplier`), where ``w`` gives the dual value with
-    no factor of ``M``; ``analysis.apply_g_inverse`` uses :meth:`solve`.
+    without pivoting is stable (Higham, 1998).  The dual sweep takes
+    ``(p, w)`` from both of its p-solves (:meth:`solve_with_multiplier`):
+    ``w`` of the second gives the dual value with no factor of ``M``, and
+    the pair of the first is the ``start`` of the second, which a direct
+    solve ignores and :class:`GridSolver` iterates from.
+    ``analysis.apply_g_inverse`` uses :meth:`solve`.
     """
 
     def __init__(self, K, M, alpha: float):
@@ -155,7 +157,9 @@ class AugmentedSolver:
         p, _ = self.solve_with_multiplier(b)
         return p
 
-    def solve_with_multiplier(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve_with_multiplier(self, b: np.ndarray, start=None
+                              ) -> tuple[np.ndarray, np.ndarray]:
+        """``(p, w)`` for the right side ``b``; ``start`` is ignored."""
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},)")
@@ -215,8 +219,11 @@ class GridSolver:
     ``|r|_inf / (|K + i s M|_inf |x|_inf + |b|_inf)`` is at most
     ``GRID_BERR_STOP``.  After ``GRID_STEP_CAP`` corrections it returns
     only an answer within ``GRID_BERR_MAX`` and raises ``RuntimeError``
-    otherwise.  At levels 7 and 8 it stops after 2 corrections at alpha
-    1e-2, 6-9 at 1e-8 and at most 32 at 1e-16.
+    otherwise.  Given the ``(p, w)`` of an earlier solve as ``start``, the
+    loop begins at that solve's ``x = w - i s p`` in place of ``P^-1 b``;
+    the stop and the cap are the same, so a warm answer is as exact as a
+    cold one.  The dual sweep starts its second p-solve from its first,
+    whose right side differs only by the lam update's term.
 
     :meth:`solve_mass_full` solves ``M_full x = b`` on the full node set,
     with ``W`` the lumped mass.  For P1 triangles ``W/4 <= M_full <= W``
@@ -228,11 +235,9 @@ class GridSolver:
     ``M_full`` has nonnegative entries and row sums ``W``, so
     ``|M_full|_inf = max(W)``.  The constructor refuses a ``W`` that is not
     ``M_full``'s row sums and an ``M_full`` off the grid's seven diagonals,
-    on which it is held (DIA storage; at level 8 its product takes 0.18 ms
-    against 0.24 ms in CSR).  In a dual solve at levels 7 and 8 it runs on
-    the solve's worker thread, beside the next sweep's p-solves; started
-    at the extrapolated mu (zero in the first sweep), it stops after 14-33
-    steps.
+    on which it is held in DIA storage, whose product is faster than
+    CSR's.  In a dual solve it runs on the solve's worker thread, beside
+    the next sweep's p-solves, started at the extrapolated mu.
 
     :meth:`solve` and :meth:`solve_with_multiplier` keep the contract of
     :class:`AugmentedSolver`.  The object is not changed by a solve, so two
@@ -311,10 +316,22 @@ class GridSolver:
         p, _ = self.solve_with_multiplier(b)
         return p
 
-    def solve_with_multiplier(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve_with_multiplier(self, b: np.ndarray, start=None
+                              ) -> tuple[np.ndarray, np.ndarray]:
+        """``(p, w)`` for the right side ``b``, iterated from ``start``, the
+        ``(p, w)`` of an earlier solve, when one is given."""
         b = self._rhs(b)
+        if start is not None:
+            p0, w0 = (self._rhs(v) for v in start)
         b_inf = np.abs(b).max()
-        x = self._diagonal_solve(self._p_inv, b)
+        if not b_inf:
+            # zero in, zero out, as a factor's solve gives, from any start:
+            # iterated from a nonzero one the backward error never falls
+            return np.zeros(self.n), np.zeros(self.n)
+        if start is None:
+            x = self._diagonal_solve(self._p_inv, b)
+        else:
+            x = w0 - 1j * self.s * p0
         steps = 0
         while True:
             r = b - self._A @ x
@@ -326,6 +343,11 @@ class GridSolver:
                 break
             x += self._diagonal_solve(self._p_inv, r)
             steps += 1
+        if berr != berr:
+            # NaN in, NaN out, as a factor's solve gives, also from a start
+            # that holds a NaN the loop never spread
+            nan = np.full(self.n, np.nan)
+            return nan, nan.copy()
         if berr > GRID_BERR_MAX:
             raise RuntimeError(f"grid p-solve stopped at backward error "
                                f"{berr:.3e} after {steps} corrections; at "
@@ -336,7 +358,7 @@ class GridSolver:
                        out: np.ndarray) -> None:
         """``out = b - M_full x``, by scipy's DIA kernel, which adds
         ``-M_full x`` into ``out`` in place: ``b - M_full @ x`` allocates
-        the product and takes about a third longer at level 8."""
+        the product and is slower."""
         neg = self._neg_mass_full
         np.copyto(out, b)
         dia_matvec(self.n_full, self.n_full, neg.offsets.size,

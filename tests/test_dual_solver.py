@@ -39,6 +39,7 @@ from pdeabcd.dual_solver import (
 )
 from pdeabcd.mesh import InputError, build_unit_square_mesh
 from pdeabcd.presets import make_instance
+from pdeabcd.sparse_linalg import GridSolver
 
 
 def _grid_min(f, lo, hi, n=4001, rounds=3):
@@ -324,6 +325,35 @@ def test_sweep_is_the_four_steps(sine2, sweeps):
     # step_mu solves M_full mu = xi
     r = np.abs(sine2.ops.M_full @ mu - xi).max()
     assert r <= 1e-14 * (np.abs(xi).max() + 1.0)
+
+
+def test_sweeps_warm_start_their_second_grid_p_solve(monkeypatch):
+    """From level 7 a sweep starts its second p-solve from the first's
+    ``(p, w)``, so a run takes fewer sine-transform solves with the p-solve
+    preconditioner than with every p-solve started cold."""
+    inst = make_instance("sine", 7)
+    config = SolverConfig(max_iters=10, tol=0.0, log_every=0)
+    diagonal_solve = GridSolver._diagonal_solve
+    solve_with_multiplier = GridSolver.solve_with_multiplier
+    calls = []
+
+    def counted(self, eig_inv, v):
+        if eig_inv is self._p_inv:
+            calls.append(None)
+        return diagonal_solve(self, eig_inv, v)
+
+    def cold(self, b, start=None):
+        return solve_with_multiplier(self, b)
+
+    monkeypatch.setattr(GridSolver, "_diagonal_solve", counted)
+    warm = solve(inst, config)
+    warm_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(GridSolver, "solve_with_multiplier", cold)
+    cold_run = solve(inst, config)
+    assert 0 < warm_calls < len(calls)
+    # the same sweeps, to roundoff
+    assert np.allclose(warm.phi, cold_run.phi, rtol=1e-12, atol=0.0)
 
 
 def test_recover_primal_identities(sine2, rng):

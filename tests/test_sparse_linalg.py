@@ -170,6 +170,10 @@ def test_augmented_solver_with_multiplier(rng):
     assert np.abs(r1).max() < 1e-10 * (1.0 + np.abs(b).max())
     assert np.abs(r2).max() < 1e-10 * (1.0 + np.abs(b).max())
     assert np.allclose(x, aug.solve(b), atol=1e-12)
+    # a direct solve ignores the start the sweep hands its second p-solve
+    for start in ((x + 1.0, y), (np.full(3, np.nan), y)):
+        x_s, y_s = aug.solve_with_multiplier(b, start)
+        assert np.array_equal(x_s, x) and np.array_equal(y_s, y)
 
 
 def test_augmented_solver_rejects_wrong_length_rhs():
@@ -316,14 +320,25 @@ def test_grid_solver_raises_at_its_step_cap(rng, monkeypatch):
 def test_grid_solver_zero_and_nan_rhs():
     ops = assemble(build_unit_square_mesh(3))
     grid = _grid(ops, 1e-2)
-    p, w = grid.solve_with_multiplier(np.zeros(ops.n_interior))
-    assert not p.any() and not w.any()
-    # NaN in, NaN out, as with a factor, so solve's guard sees it
-    b = np.ones(ops.n_interior)
+    n = ops.n_interior
+    # zero in, zero out, also from a start that is not its answer
+    start = grid.solve_with_multiplier(np.linspace(-1.0, 1.0, n))
+    for args in ((), (start,)):
+        p, w = grid.solve_with_multiplier(np.zeros(n), *args)
+        assert not p.any() and not w.any()
+    # NaN in, NaN out, as with a factor, so solve's guard sees it, also
+    # from a start that holds a NaN
+    b = np.ones(n)
     b[3] = np.nan
     assert np.isnan(grid.solve(b)).all()
+    p0 = start[0].copy()
+    p0[5] = np.nan
+    for v in grid.solve_with_multiplier(np.ones(n), (p0, start[1])):
+        assert np.isnan(v).all()
     with pytest.raises(ValueError, match="rhs has shape"):
-        grid.solve(np.ones(ops.n_interior + 1))
+        grid.solve(np.ones(n + 1))
+    with pytest.raises(ValueError, match="rhs has shape"):
+        grid.solve_with_multiplier(np.ones(n), (start[0], np.zeros(n + 1)))
     # the mass solve, from a start that is not its answer
     n = ops.mesh.n_nodes
     x0 = np.linspace(-1.0, 1.0, n)
@@ -398,6 +413,33 @@ def test_grid_mass_solve_matches_the_factor(rng, ops7, level, monkeypatch):
         assert np.abs(x - x_lu).max() <= 1e-13 * np.abs(x_lu).max()
         # the start is copied, never written
         assert not np.shares_memory(x, x0)
+
+
+@pytest.mark.parametrize("level", [3, 5, 7])
+@pytest.mark.parametrize("alpha", [1e-2, 1e-8])
+def test_grid_warm_p_solve_matches_the_cold_one(rng, ops7, level, alpha):
+    """Started from the answer for a neighbouring right side, as a sweep
+    starts its second p-solve, the grid p-solve meets the backward-error
+    stop and agrees with the cold solve and with the factor's answer."""
+    ops = ops7 if level == 7 else assemble(build_unit_square_mesh(level))
+    grid = _grid(ops, alpha)
+    s = grid.s
+    b_near = rng.standard_normal(ops.n_interior)
+    b = b_near + 1e-2 * rng.standard_normal(ops.n_interior)
+    p, w = grid.solve_with_multiplier(b, grid.solve_with_multiplier(b_near))
+    # x = w - i s p solves (K + i s M) x = b; rebuilt from p = -Im(x)/s,
+    # its imaginary part is rounded twice more, which can add about eps
+    # to the backward error the solve stopped at
+    A = ops.K + 1j * s * ops.M
+    x = w - 1j * s * p
+    berr = np.abs(b - A @ x).max() / (
+        abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
+    assert berr <= sparse_linalg.GRID_BERR_STOP + np.finfo(float).eps
+    for p_ref, w_ref in (grid.solve_with_multiplier(b),
+                         AugmentedSolver(ops.K, ops.M, alpha)
+                         .solve_with_multiplier(b)):
+        x_ref = w_ref - 1j * s * p_ref
+        assert np.abs(x - x_ref).max() <= 1e-13 * np.abs(x_ref).max()
 
 
 def test_grid_solve_builds_no_factorization(monkeypatch):
