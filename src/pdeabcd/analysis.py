@@ -34,7 +34,8 @@ ORACLE_CAP = 4000
 
 def apply_g_inverse(prob: ProblemInstance, b: np.ndarray) -> np.ndarray:
     """Solve ``(M + alpha K M^{-1} K) x = b`` with the instance's p-solve."""
-    return prob.psolve.solve(np.asarray(b, dtype=float) / prob.alpha)
+    return prob.solver.solve_with_multiplier(
+        np.asarray(b, dtype=float) / prob.alpha)[0]
 
 
 def majorizer_blocks(prob: ProblemInstance):

@@ -62,11 +62,10 @@ class FemOperators:
     the SPD factorizations of ``M``, ``M_full`` and ``K`` as the cached
     properties ``mass_factor``, ``mass_full_factor`` and
     ``stiffness_factor``: each is built on first read and kept for the life
-    of the operators.  The p-solve depends on alpha, so the problem instance
-    owns it (``ProblemInstance.psolve``).  From ``dual_solver.GRID_MIN_N``
-    interior unknowns on, the instance's state solves, p-solves and
-    ``M_full`` solves use ``ProblemInstance.grid`` instead, so a dual solve
-    there reads none of these factors; the oracle and the checks still do.
+    of the operators.  A problem instance's one solver
+    (``ProblemInstance.solver``) solves with the last two below
+    ``dual_solver.GRID_MIN_N`` interior unknowns and with none of them from
+    there on; the oracle and the checks read them directly.
     """
 
     mesh: Mesh

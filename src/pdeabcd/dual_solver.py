@@ -23,13 +23,15 @@ symmetrized sweep over the (lam, p) block (p-solve at the extrapolated lam,
 closed-form lam update, p-solve again), a closed-form mu update in a lumped
 metric, and extrapolation with the classic accelerated t-sequence.  The
 second p-solve also yields w = M^{-1} K p, which gives the first term of
-Phi with no solve of its own, so a run factors only the p-solve, M_full
-(the mu update) and K (the primal state), never the interior M.  From
-GRID_MIN_N interior unknowns on (level 7 and up) the p-solves and the state
-solves run by fast sine transforms and the M_full solves by Chebyshev
-semi-iteration (sparse_linalg.GridSolver), so a run factors nothing.  The
-value gap decays like 4 tau / (k+1)^2 with tau the weighted squared
-distance from the start to an optimum (analysis.compute_tau_h).
+Phi with no solve of its own, so a run solves only with the p-solve's
+operator, M_full (the mu update) and K (the primal state), never the
+interior M.  An instance takes all three solves from one solver object,
+ProblemInstance.solver: SuperLU factors below GRID_MIN_N interior
+unknowns, and from it on (level 7 and up) fast sine transforms and
+Chebyshev semi-iteration (sparse_linalg.GridSolver), with which a run
+factors nothing.  The value gap decays like 4 tau / (k+1)^2 with tau the
+weighted squared distance from the start to an optimum
+(analysis.compute_tau_h).
 
 Phi is the exact Fenchel dual of the primal above: delta_box(lam) with the
 componentwise bound beta is the conjugate constraint of the consistent-mass
@@ -51,14 +53,14 @@ runs.  The threshold sits between L6 (3,969 interior unknowns) and L7
 worker slowed the L3-L6 ``mesh-indep`` benchmark (8 of 10 paired runs)
 and raised its peak memory (10 of 10).  At L6 a grid p-solve takes
 0.7-2.6 ms (alpha 1e-2 to 1e-8) against the factor's 0.34 ms, so below
-the threshold the factors stay.  From the threshold on, this thread's
-p-solves and the worker's mass solves and state solves share one
-``GridSolver``, which no solve changes; ``solve`` builds it before the
-worker exists, so the two threads never race to build it.  The second
-p-solve of a block starts from the first's ``(p, w)``, which a grid
-solve iterates from and a factor's ignores; the block stays a function
-of ``(lam_t, xi_t)`` alone.  Every dot product and norm goes through
-``sparse_linalg.dot`` and ``norm``, which sum without BLAS.
+the threshold the factors stay.  This thread's p-solves and the
+worker's mass solves and state solves share the instance's solver, which
+no solve changes; ``solve`` builds it before the worker exists, so the
+two threads never race to build it.  The second p-solve of a block
+starts from the first's ``(p, w)``, which a grid solve iterates from and
+a factor's ignores; the block stays a function of ``(lam_t, xi_t)``
+alone.  Every dot product and norm goes through ``sparse_linalg.dot`` and
+``norm``, which sum without BLAS.
 """
 
 from __future__ import annotations
@@ -135,37 +137,25 @@ class ProblemInstance:
     @property
     def on_grid(self) -> bool:
         """Whether the instance has ``GRID_MIN_N`` interior unknowns or more
-        (level 7 and up): then its p-solves and state solves run by fast
-        sine transforms, its ``M_full`` solves by Chebyshev semi-iteration,
-        and :func:`solve` overlaps its diagnostics."""
+        (level 7 and up): then its :attr:`solver` is a ``GridSolver`` and
+        :func:`solve` overlaps its diagnostics."""
         return self.n >= GRID_MIN_N
 
     @cached_property
-    def grid(self) -> GridSolver | None:
-        """The fast-transform solver of an instance :attr:`on_grid`, else
-        None; decided and built on first read."""
-        if not self.on_grid:
-            return None
+    def solver(self) -> AugmentedSolver | GridSolver:
+        """The p-solve, state solve and ``M_full`` solve of the instance:
+        by fast sine transforms and Chebyshev semi-iteration when
+        :attr:`on_grid`, else by SuperLU factors; built on first read."""
         ops = self.ops
-        return GridSolver(ops.K, ops.M, ops.M_full, ops.W_full,
-                          ops.mesh.level, self.alpha)
-
-    @cached_property
-    def psolve(self) -> AugmentedSolver | GridSolver:
-        """Solver for ``(K M^{-1} K + M/alpha) p = b``: the grid solver, or
-        below ``GRID_MIN_N`` a SuperLU factor built on first use."""
-        if self.grid is not None:
-            return self.grid
-        return AugmentedSolver(self.ops.K, self.ops.M, self.alpha)
+        if self.on_grid:
+            return GridSolver(ops.K, ops.M, ops.M_full, ops.W_full,
+                              ops.mesh.level, self.alpha)
+        return AugmentedSolver(ops, self.alpha)
 
     def state(self, u: np.ndarray) -> np.ndarray:
-        """The state of control ``u``: solves ``K y = M_int (u + y_r)``, by
-        the grid solver or the ``K`` factor."""
-        ops = self.ops
-        rhs = ops.mass_interior_rows(u + self.y_r)
-        if self.grid is not None:
-            return self.grid.solve_stiffness(rhs)
-        return ops.stiffness_factor.solve(rhs)
+        """The state of control ``u``: solves ``K y = M_int (u + y_r)``."""
+        rhs = self.ops.mass_interior_rows(u + self.y_r)
+        return self.solver.solve_stiffness(rhs)
 
     @cached_property
     def m_yd(self) -> np.ndarray:
@@ -341,7 +331,7 @@ def _p_solve(prob: ProblemInstance, lam: np.ndarray, xi_t: np.ndarray,
              start=None) -> tuple[np.ndarray, np.ndarray]:
     """``(p, w)`` of the p-solve at ``lam`` and ``xi_t``, from ``start``,
     the ``(p, w)`` of an earlier p-solve, when one is given."""
-    return prob.psolve.solve_with_multiplier(_p_rhs(prob, lam, xi_t), start)
+    return prob.solver.solve_with_multiplier(_p_rhs(prob, lam, xi_t), start)
 
 
 def _lambda_xi(prob: ProblemInstance, lam_t: np.ndarray, xi_t: np.ndarray,
@@ -418,8 +408,8 @@ def _xi_step(prob: ProblemInstance, lam_new: np.ndarray, p_new: np.ndarray,
 
 def step_mu(prob: ProblemInstance, xi: np.ndarray,
             mu_t: np.ndarray) -> np.ndarray:
-    """The new mu from the mu update's ``xi = M_full mu``: one mass solve,
-    by the grid solver started at ``mu_t``, or by the ``M_full`` factor.
+    """The new mu from the mu update's ``xi = M_full mu``: one mass solve
+    by the instance's solver, which a grid solver starts at ``mu_t``.
 
     The mu subproblem is a proximal step on the box support function
     composed with M; in the variable xi it separates componentwise, so the
@@ -427,9 +417,7 @@ def step_mu(prob: ProblemInstance, xi: np.ndarray,
     From ``GRID_MIN_N`` on :func:`solve` runs it on its worker, beside the
     next sweep's (lam, p) block, which reads xi and not mu.
     """
-    if prob.grid is not None:
-        return prob.grid.solve_mass_full(xi, mu_t)
-    return prob.ops.mass_full_factor.solve(xi)
+    return prob.solver.solve_mass_full(xi, mu_t)
 
 
 def sweep(prob: ProblemInstance, lam_t: np.ndarray, mu_t: np.ndarray,
@@ -548,8 +536,8 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     (lam, p) block at the extrapolation that assumes no restart; the block
     is dropped when the job ends the run, and taken again from ``t = 1``
     when the restart test fires.  Both paths return the same record, bit
-    for bit.  From ``GRID_MIN_N`` on every solve goes through ``prob.grid``,
-    so the run builds no factorization.
+    for bit.  Every solve goes through ``prob.solver``, which this call
+    builds before the worker exists.
     """
     config = config or SolverConfig()
     if z0 is None:
@@ -571,12 +559,10 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     t0 = time.perf_counter()
     log: list[tuple[int, float, float, float, float]] = []
     block = None  # sweep k's (lam, p) block, when taken beside job k-1
-    pool = None
-    if prob.on_grid:
-        # this thread's p-solves and the worker's mass and state solves
-        # share the grid solver: it is built before the worker exists
-        prob.grid
-        pool = ThreadPoolExecutor(1, "pdeabcd-worker")
+    # this thread's p-solves and the worker's mass and state solves share
+    # the instance's solver: it is built before the worker exists
+    prob.solver
+    pool = ThreadPoolExecutor(1, "pdeabcd-worker") if prob.on_grid else None
     # the worker's jobs run in the caller's error state and callback
     errstate = np.errstate(call=np.geterrcall(), **np.geterr())
 

@@ -5,20 +5,14 @@ dot product and norm that every reported number is summed with.
 Storage and factorizations are backed by scipy.sparse (CSR matrices, SuperLU
 factorizations); this module pins down the contracts the solver relies on:
 definiteness checking for symmetric factorizations with a positive definite
-real part, a solver for ``(K M^{-1} K + (1/alpha) M) p = b`` that never
-forms ``M^{-1}`` explicitly, either factored (:class:`AugmentedSolver`) or
-by sine transforms (:class:`GridSolver`), and deterministic power iteration
-for extreme eigenvalues.  The factorizations are held by their users: the
-SPD factors of ``M``, ``M_full`` and ``K`` by the cached properties
-``mass_factor``, ``mass_full_factor`` and ``stiffness_factor`` of
-``assembly.FemOperators``, the p-solve by
-``dual_solver.ProblemInstance.psolve``.  Below ``dual_solver.GRID_MIN_N``
-interior unknowns (level 6 and down) a dual solve builds the p-solve,
-``M_full`` and ``K`` factors.  From it on (level 7 and up) it builds no
-factor: its p-solves, state solves and ``M_full`` solves go through the
-instance's :class:`GridSolver`.  The factor of ``M`` is built only by dual
-values taken without the p-solve's multiplier (the oracle's certificate)
-and by the spectral checks.
+real part, deterministic power iteration for extreme eigenvalues, and the
+three solves of a dual sweep behind one interface.  The p-solve
+``(K M^{-1} K + (1/alpha) M) p = b``, which never forms ``M^{-1}``, the
+state solve with ``K`` and the mass solve with ``M_full`` are the methods
+``solve_with_multiplier``, ``solve_stiffness`` and ``solve_mass_full`` of
+both :class:`AugmentedSolver`, by SuperLU factors, and :class:`GridSolver`,
+by sine transforms and Chebyshev semi-iteration.  A problem instance holds
+one of the two (``dual_solver.ProblemInstance.solver``).
 
 A :class:`Factorization` holds SuperLU's own storage and nothing else.
 Its ``fill_nnz`` is ``SuperLU.nnz``, the entries SuperLU stores for both
@@ -132,7 +126,7 @@ def factorize_indefinite(matrix) -> Factorization:
 
 
 class AugmentedSolver:
-    """Direct solver for ``(K M^{-1} K + (1/alpha) M) p = b``.
+    """Direct solves for a dual sweep on the operators ``ops``.
 
     With ``s = 1/sqrt(alpha)``, the n x n complex symmetric ``K + i s M`` is
     factored once, on construction.  The real and imaginary parts of
@@ -141,21 +135,20 @@ class AugmentedSolver:
     ``w = Re(x) = M^{-1} K p`` exactly.  K and sM are SPD, so elimination
     without pivoting is stable (Higham, 1998).  The dual sweep takes
     ``(p, w)`` from both of its p-solves (:meth:`solve_with_multiplier`):
-    ``w`` of the second gives the dual value with no factor of ``M``, and
-    the pair of the first is the ``start`` of the second, which a direct
-    solve ignores and :class:`GridSolver` iterates from.
-    ``analysis.apply_g_inverse`` uses :meth:`solve`.
+    ``w`` of the second gives the dual value with no factor of ``M``.
+    :meth:`solve_stiffness` and :meth:`solve_mass_full` solve with the
+    factors of ``K`` and ``M_full`` that ``ops`` owns and builds on first
+    use, so the oracle and the checks share them.  The starts that the
+    sweep hands its second p-solve and its mass solve are ignored; they
+    keep the contract of :class:`GridSolver`, which iterates from them.
     """
 
-    def __init__(self, K, M, alpha: float):
+    def __init__(self, ops, alpha: float):
         check_alpha(alpha)
-        self.n = K.shape[0]
+        self.n = ops.n_interior
         self.s = 1.0 / np.sqrt(alpha)
-        self._fact = factorize_spd(K + 1j * self.s * M)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        p, _ = self.solve_with_multiplier(b)
-        return p
+        self._ops = ops
+        self._fact = factorize_spd(ops.K + 1j * self.s * ops.M)
 
     def solve_with_multiplier(self, b: np.ndarray, start=None
                               ) -> tuple[np.ndarray, np.ndarray]:
@@ -165,6 +158,15 @@ class AugmentedSolver:
             raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},)")
         x = self._fact.solve(b)
         return -x.imag / self.s, x.real
+
+    def solve_stiffness(self, f: np.ndarray) -> np.ndarray:
+        """``K^-1 f`` by the ``K`` factor of the operators."""
+        return self._ops.stiffness_factor.solve(f)
+
+    def solve_mass_full(self, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        """``M_full^-1 b`` by the ``M_full`` factor of the operators;
+        ``x0`` is ignored."""
+        return self._ops.mass_full_factor.solve(b)
 
 
 # a grid p-solve or mass solve stops at this backward error (2**-51) and
@@ -239,12 +241,11 @@ class GridSolver:
     CSR's.  In a dual solve it runs on the solve's worker thread, beside
     the next sweep's p-solves, started at the extrapolated mu.
 
-    :meth:`solve` and :meth:`solve_with_multiplier` keep the contract of
-    :class:`AugmentedSolver`.  The object is not changed by a solve, so two
-    threads may solve with it at once.  ``scipy.fft`` is imported by the
-    constructor: at module level it would lengthen every import of the
-    package, and only instances from ``dual_solver.GRID_MIN_N`` interior
-    unknowns on use it.
+    :class:`AugmentedSolver` has the same three solve methods.  The object
+    is not changed by a solve, so two threads may solve with it at once.
+    ``scipy.fft`` is imported by the constructor: at module level it would
+    lengthen every import of the package, and only instances from
+    ``dual_solver.GRID_MIN_N`` interior unknowns on use it.
     """
 
     def __init__(self, K, M, M_full, W_full, level: int, alpha: float):
@@ -311,10 +312,6 @@ class GridSolver:
     def solve_stiffness(self, f: np.ndarray) -> np.ndarray:
         """``K^-1 f``, exact up to roundoff."""
         return self._diagonal_solve(self._k_inv, self._rhs(f))
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        p, _ = self.solve_with_multiplier(b)
-        return p
 
     def solve_with_multiplier(self, b: np.ndarray, start=None
                               ) -> tuple[np.ndarray, np.ndarray]:

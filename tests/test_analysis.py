@@ -198,7 +198,7 @@ def test_lam_max_builds_no_p_solve_when_bound_decides(monkeypatch):
     monkeypatch.setattr(dual_solver, "AugmentedSolver", refuse)
     got, converged = lam_max_majorizer(inst)
     assert got > 0.0 and converged is True
-    assert "psolve" not in vars(inst)
+    assert "solver" not in vars(inst)
 
 
 def test_prolongated_start_zero_data_stays_at_origin():

@@ -518,7 +518,11 @@ def _assert_same_record(a, b):
 
 def _overlapped(monkeypatch, call):
     """``call()`` with every instance overlapped, checking that its
-    diagnostics ran off the main thread and that no thread outlived it."""
+    diagnostics ran off the main thread and that no thread outlived it.
+
+    The overlap uses whatever solver an instance already holds.  Every
+    caller solves inline first, so its instance keeps the factored solver
+    and the bit-for-bit comparisons stay on one solver."""
     monkeypatch.setattr(dual_solver, "GRID_MIN_N", 0)
     threads = set()
     residual = dual_solver.kkt_residual
@@ -534,6 +538,24 @@ def _overlapped(monkeypatch, call):
     finally:
         assert threading.active_count() == before
         assert threads and threading.main_thread() not in threads
+
+
+@pytest.mark.parametrize("preset", ["sine", "shifted"])
+def test_forced_grid_path_run_matches_the_factored_run(preset, monkeypatch):
+    """Below level 7 a run forced onto the grid path, by ``GRID_MIN_N``
+    lowered before the instance's first solver read, takes the sweeps of
+    a fresh factored run and ends at its dual value to roundoff."""
+    factored_inst = make_instance(preset, 3)
+    factored = solve(factored_inst)
+    assert not isinstance(factored_inst.solver, GridSolver)
+    inst = make_instance(preset, 3)
+    monkeypatch.setattr(dual_solver, "GRID_MIN_N", 0)
+    grid = solve(inst)
+    assert isinstance(inst.solver, GridSolver)
+    assert (grid.iterations, grid.stop_reason) \
+        == (factored.iterations, factored.stop_reason)
+    assert abs(grid.phi[-1] - factored.phi[-1]) \
+        <= 1e-12 * abs(factored.phi[-1])
 
 
 @pytest.mark.parametrize("case, stop", [

@@ -132,7 +132,7 @@ def test_fill_nnz_counts_superlu_storage(level):
     inst = make_instance("sine", level)
     ops = inst.ops
     # the instance's own p-solve is a grid solver from level 7 on
-    aug = AugmentedSolver(ops.K, ops.M, inst.alpha)
+    aug = AugmentedSolver(ops, inst.alpha)
     factors = ((ops.M, ops.mass_factor), (ops.M_full, ops.mass_full_factor),
                (ops.K, ops.stiffness_factor),
                (ops.K + 1j * aug.s * ops.M, aug._fact))
@@ -149,11 +149,12 @@ def test_fill_nnz_counts_superlu_storage(level):
 @pytest.mark.parametrize("level", [3, 5])
 @pytest.mark.parametrize("alpha", [1e-4, 1e-2, 1.0])
 def test_augmented_solver_identity(rng, level, alpha):
-    """x = AugmentedSolver(K, M, alpha).solve(b) solves (K M^-1 K + M/alpha) x = b."""
+    """x = AugmentedSolver(ops, alpha).solve_with_multiplier(b)[0] solves
+    (K M^-1 K + M/alpha) x = b."""
     ops = assemble(build_unit_square_mesh(level))
-    aug = AugmentedSolver(ops.K, ops.M, alpha)
+    aug = AugmentedSolver(ops, alpha)
     b = rng.standard_normal(ops.n_interior)
-    x = aug.solve(b)
+    x = aug.solve_with_multiplier(b)[0]
     lhs = ops.K @ ops.mass_factor.solve(ops.K @ x) + (ops.M @ x) / alpha
     assert np.allclose(lhs, b, atol=1e-9 * (1.0 + np.abs(b).max()))
 
@@ -161,7 +162,7 @@ def test_augmented_solver_identity(rng, level, alpha):
 def test_augmented_solver_with_multiplier(rng):
     ops = assemble(build_unit_square_mesh(2))
     alpha = 0.05
-    aug = AugmentedSolver(ops.K, ops.M, alpha)
+    aug = AugmentedSolver(ops, alpha)
     b = rng.standard_normal(ops.n_interior)
     x, y = aug.solve_with_multiplier(b)
     # block equations of the symmetric coupled form
@@ -169,18 +170,27 @@ def test_augmented_solver_with_multiplier(rng):
     r2 = ops.K @ x - ops.M @ y
     assert np.abs(r1).max() < 1e-10 * (1.0 + np.abs(b).max())
     assert np.abs(r2).max() < 1e-10 * (1.0 + np.abs(b).max())
-    assert np.allclose(x, aug.solve(b), atol=1e-12)
+    assert np.allclose(x, aug.solve_with_multiplier(b)[0], atol=1e-12)
     # a direct solve ignores the start the sweep hands its second p-solve
     for start in ((x + 1.0, y), (np.full(3, np.nan), y)):
         x_s, y_s = aug.solve_with_multiplier(b, start)
         assert np.array_equal(x_s, x) and np.array_equal(y_s, y)
+    # the state and mass solves are the operators' factors, bit for bit,
+    # and the mass solve ignores its start as the p-solve does
+    f = rng.standard_normal(ops.n_interior)
+    assert np.array_equal(aug.solve_stiffness(f),
+                          ops.stiffness_factor.solve(f))
+    bf = rng.standard_normal(ops.mesh.n_nodes)
+    x_lu = ops.mass_full_factor.solve(bf)
+    for x0 in (x_lu + 1.0, np.full(bf.size, np.nan)):
+        assert np.array_equal(aug.solve_mass_full(bf, x0), x_lu)
 
 
 def test_augmented_solver_rejects_wrong_length_rhs():
     ops = assemble(build_unit_square_mesh(2))
-    aug = AugmentedSolver(ops.K, ops.M, 0.05)
+    aug = AugmentedSolver(ops, 0.05)
     with pytest.raises(ValueError, match="rhs has shape"):
-        aug.solve(np.ones(ops.n_interior + 1))
+        aug.solve_with_multiplier(np.ones(ops.n_interior + 1))[0]
 
 
 @pytest.mark.parametrize("alpha", [0.0, np.inf, np.nan])
@@ -188,7 +198,7 @@ def test_augmented_solver_applies_the_alpha_rule(alpha):
     # infinity would give s = 0, and every solve would return NaN
     ops = assemble(build_unit_square_mesh(2))
     with pytest.raises(InputError, match=r"alpha must be in \(0, inf\)"):
-        AugmentedSolver(ops.K, ops.M, alpha)
+        AugmentedSolver(ops, alpha)
 
 
 def test_dual_solver_never_factors_an_indefinite_matrix(monkeypatch):
@@ -223,8 +233,8 @@ def test_operators_own_their_factorizations(monkeypatch):
     dual_solver.solve(a, dual_solver.SolverConfig(max_iters=3, tol=0.0))
     lam_max_majorizer(a)
     assert len(built) == 1
-    assert a.psolve is not b.psolve
-    assert a.psolve.s != b.psolve.s
+    assert a.solver is not b.solver
+    assert a.solver.s != b.solver.s
     assert len(built) == 2
 
 
@@ -243,7 +253,7 @@ def test_grid_solver_matches_augmented_solver(rng, ops7, alpha):
     """The grid p-solve meets the factor's residual bound and its answer."""
     ops = ops7
     grid = _grid(ops, alpha)
-    aug = AugmentedSolver(ops.K, ops.M, alpha)
+    aug = AugmentedSolver(ops, alpha)
     b = rng.standard_normal(ops.n_interior)
     bound = 1e-9 * (1.0 + np.abs(b).max())
     x, w = grid.solve_with_multiplier(b)
@@ -254,7 +264,7 @@ def test_grid_solver_matches_augmented_solver(rng, ops7, alpha):
     x_lu, w_lu = aug.solve_with_multiplier(b)
     assert np.abs(x - x_lu).max() <= 1e-9 * np.abs(x_lu).max()
     assert np.abs(w - w_lu).max() <= 1e-9 * np.abs(w_lu).max()
-    assert np.array_equal(grid.solve(b), x)
+    assert np.array_equal(grid.solve_with_multiplier(b)[0], x)
 
 
 def test_grid_solver_stiffness_solve(rng, ops7):
@@ -306,13 +316,13 @@ def test_grid_solver_raises_at_its_step_cap(rng, monkeypatch):
     ops = assemble(build_unit_square_mesh(3))
     grid = _grid(ops, 1e-8)
     b = rng.standard_normal(ops.n_interior)
-    assert np.isfinite(grid.solve(b)).all()
+    assert np.isfinite(grid.solve_with_multiplier(b)[0]).all()
     b_full = rng.standard_normal(ops.mesh.n_nodes)
     x0 = np.zeros_like(b_full)
     assert np.isfinite(grid.solve_mass_full(b_full, x0)).all()
     monkeypatch.setattr(sparse_linalg, "GRID_STEP_CAP", 2)
     with pytest.raises(RuntimeError, match="after 2 corrections"):
-        grid.solve(b)
+        grid.solve_with_multiplier(b)[0]
     with pytest.raises(RuntimeError, match="after 2 steps"):
         grid.solve_mass_full(b_full, x0)
 
@@ -330,13 +340,13 @@ def test_grid_solver_zero_and_nan_rhs():
     # from a start that holds a NaN
     b = np.ones(n)
     b[3] = np.nan
-    assert np.isnan(grid.solve(b)).all()
+    assert np.isnan(grid.solve_with_multiplier(b)[0]).all()
     p0 = start[0].copy()
     p0[5] = np.nan
     for v in grid.solve_with_multiplier(np.ones(n), (p0, start[1])):
         assert np.isnan(v).all()
     with pytest.raises(ValueError, match="rhs has shape"):
-        grid.solve(np.ones(n + 1))
+        grid.solve_with_multiplier(np.ones(n + 1))[0]
     with pytest.raises(ValueError, match="rhs has shape"):
         grid.solve_with_multiplier(np.ones(n), (start[0], np.zeros(n + 1)))
     # the mass solve, from a start that is not its answer
@@ -436,7 +446,7 @@ def test_grid_warm_p_solve_matches_the_cold_one(rng, ops7, level, alpha):
         abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
     assert berr <= sparse_linalg.GRID_BERR_STOP + np.finfo(float).eps
     for p_ref, w_ref in (grid.solve_with_multiplier(b),
-                         AugmentedSolver(ops.K, ops.M, alpha)
+                         AugmentedSolver(ops, alpha)
                          .solve_with_multiplier(b)):
         x_ref = w_ref - 1j * s * p_ref
         assert np.abs(x - x_ref).max() <= 1e-13 * np.abs(x_ref).max()
@@ -465,7 +475,7 @@ def test_grid_solve_builds_no_factorization(monkeypatch):
     record = dual_solver.solve(inst, dual_solver.SolverConfig(tol=1e-6))
     assert record.converged
     assert factored == []
-    assert inst.psolve is inst.grid
+    assert isinstance(inst.solver, GridSolver)
 
 
 def test_power_iteration_diagonal():
