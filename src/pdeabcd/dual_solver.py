@@ -49,18 +49,16 @@ turns the mu update's ``xi`` into mu) and its diagnostics are one job.
 from it on the job runs on a worker thread, under the caller's numpy
 error state and error callback, while the next sweep's (lam, p) block
 runs.  The threshold sits between L6 (3,969 interior unknowns) and L7
-(16,129), for both of its uses.  Run at every size, the diagnostics
-worker slowed the L3-L6 ``mesh-indep`` benchmark (8 of 10 paired runs)
-and raised its peak memory (10 of 10).  At L6 a grid p-solve takes
-0.7-2.6 ms (alpha 1e-2 to 1e-8) against the factor's 0.34 ms, so below
-the threshold the factors stay.  This thread's p-solves and the
-worker's mass solves and state solves share the instance's solver, which
-no solve changes; ``solve`` builds it before the worker exists, so the
-two threads never race to build it.  The second p-solve of a block
-starts from the first's ``(p, w)``, which a grid solve iterates from and
-a factor's ignores; the block stays a function of ``(lam_t, xi_t)``
-alone.  Every dot product and norm goes through ``sparse_linalg.dot`` and
-``norm``, which sum without BLAS.
+(16,129), for both of its uses: below it the worker's hand-offs cost
+more than they overlap, and a grid p-solve is slower than a factor's
+(README).  This thread's p-solves and the worker's mass solves and state
+solves share the instance's solver, which no solve changes; ``solve``
+builds it before the worker exists, so the two threads never race to
+build it.  The second p-solve of a block starts from the first's
+``(p, w)``, which a grid solve iterates from and a factor's ignores; the
+block stays a function of ``(lam_t, xi_t)`` alone.  Every dot product
+and norm goes through ``sparse_linalg.dot`` and ``norm``, which sum
+without BLAS.
 """
 
 from __future__ import annotations
@@ -146,11 +144,8 @@ class ProblemInstance:
         """The p-solve, state solve and ``M_full`` solve of the instance:
         by fast sine transforms and Chebyshev semi-iteration when
         :attr:`on_grid`, else by SuperLU factors; built on first read."""
-        ops = self.ops
-        if self.on_grid:
-            return GridSolver(ops.K, ops.M, ops.M_full, ops.W_full,
-                              ops.mesh.level, self.alpha)
-        return AugmentedSolver(ops, self.alpha)
+        cls = GridSolver if self.on_grid else AugmentedSolver
+        return cls(self.ops, self.alpha)
 
     def state(self, u: np.ndarray) -> np.ndarray:
         """The state of control ``u``: solves ``K y = M_int (u + y_r)``."""

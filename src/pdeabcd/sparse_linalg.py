@@ -11,8 +11,9 @@ three solves of a dual sweep behind one interface.  The p-solve
 state solve with ``K`` and the mass solve with ``M_full`` are the methods
 ``solve_with_multiplier``, ``solve_stiffness`` and ``solve_mass_full`` of
 both :class:`AugmentedSolver`, by SuperLU factors, and :class:`GridSolver`,
-by sine transforms and Chebyshev semi-iteration.  A problem instance holds
-one of the two (``dual_solver.ProblemInstance.solver``).
+by sine transforms and Chebyshev semi-iteration, both built as
+``(ops, alpha)``.  A problem instance holds one of the two
+(``dual_solver.ProblemInstance.solver``).
 
 A :class:`Factorization` holds SuperLU's own storage and nothing else.
 Its ``fill_nnz`` is ``SuperLU.nnz``, the entries SuperLU stores for both
@@ -125,6 +126,15 @@ def factorize_indefinite(matrix) -> Factorization:
     return Factorization("indefinite", lu.nnz, lu)
 
 
+def _rhs(b, n: int, dtype=None) -> np.ndarray:
+    """``b`` as an array (cast to ``dtype`` if given) of shape ``(n,)``, the
+    one length check of every solve method of both solvers."""
+    b = np.asarray(b, dtype=dtype)
+    if b.shape != (n,):
+        raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")
+    return b
+
+
 class AugmentedSolver:
     """Direct solves for a dual sweep on the operators ``ops``.
 
@@ -146,6 +156,7 @@ class AugmentedSolver:
     def __init__(self, ops, alpha: float):
         check_alpha(alpha)
         self.n = ops.n_interior
+        self.n_full = ops.mesh.n_nodes
         self.s = 1.0 / np.sqrt(alpha)
         self._ops = ops
         self._fact = factorize_spd(ops.K + 1j * self.s * ops.M)
@@ -153,20 +164,17 @@ class AugmentedSolver:
     def solve_with_multiplier(self, b: np.ndarray, start=None
                               ) -> tuple[np.ndarray, np.ndarray]:
         """``(p, w)`` for the right side ``b``; ``start`` is ignored."""
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self.n,):
-            raise ValueError(f"rhs has shape {b.shape}, expected ({self.n},)")
-        x = self._fact.solve(b)
+        x = self._fact.solve(_rhs(b, self.n, float))
         return -x.imag / self.s, x.real
 
     def solve_stiffness(self, f: np.ndarray) -> np.ndarray:
         """``K^-1 f`` by the ``K`` factor of the operators."""
-        return self._ops.stiffness_factor.solve(f)
+        return self._ops.stiffness_factor.solve(_rhs(f, self.n))
 
     def solve_mass_full(self, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
         """``M_full^-1 b`` by the ``M_full`` factor of the operators;
         ``x0`` is ignored."""
-        return self._ops.mass_full_factor.solve(b)
+        return self._ops.mass_full_factor.solve(_rhs(b, self.n_full))
 
 
 # a grid p-solve or mass solve stops at this backward error (2**-51) and
@@ -194,13 +202,13 @@ class GridSolver:
     """Solves with ``K`` and ``K + i s M`` by fast sine transforms, and with
     ``M_full`` by Chebyshev semi-iteration.
 
-    On the level-``level`` mesh of ``mesh.build_unit_square_mesh``, with
-    ``m = 2^level - 1`` interior nodes per side and cell width
-    ``c = 2^-level``, ``K`` is the 5-point Laplacian and ``M`` is ``c^2/12``
-    times the 7-point stencil with 6 at the centre and 1 at E, W, N, S, NE
-    and SW.  Both are checked on construction: ``K @ v`` and ``M @ v`` must
-    match the stencils for one fixed ``v``, and any other operator is
-    refused with ``ValueError``.
+    ``ops`` are the operators of the level-``level`` mesh of
+    ``mesh.build_unit_square_mesh``.  With ``m = 2^level - 1`` interior
+    nodes per side and cell width ``c = 2^-level``, ``K`` is the 5-point
+    Laplacian and ``M`` is ``c^2/12`` times the 7-point stencil with 6 at
+    the centre and 1 at E, W, N, S, NE and SW.  Both are checked on
+    construction: ``K @ v`` and ``M @ v`` must match the stencils for one
+    fixed ``v``, and any other operator is refused with ``ValueError``.
 
     The orthonormal 2-D DST-I diagonalizes ``K``, with eigenvalues
     ``4 - 2 cos t_i - 2 cos t_j``, ``t_k = k pi / (m + 1)``, so
@@ -241,24 +249,25 @@ class GridSolver:
     CSR's.  In a dual solve it runs on the solve's worker thread, beside
     the next sweep's p-solves, started at the extrapolated mu.
 
-    :class:`AugmentedSolver` has the same three solve methods.  The object
-    is not changed by a solve, so two threads may solve with it at once.
-    ``scipy.fft`` is imported by the constructor: at module level it would
-    lengthen every import of the package, and only instances from
+    :class:`AugmentedSolver` has the same constructor and solve methods.
+    The object is not changed by a solve, so two threads may solve with it
+    at once.  ``scipy.fft`` is imported by the constructor: at module level
+    it would lengthen every import of the package, and only instances from
     ``dual_solver.GRID_MIN_N`` interior unknowns on use it.
     """
 
-    def __init__(self, K, M, M_full, W_full, level: int, alpha: float):
+    def __init__(self, ops, alpha: float):
         from scipy.fft import dstn
 
         check_alpha(alpha)
+        K, M, M_full, level = ops.K, ops.M, ops.M_full, ops.mesh.level
         m = 2**level - 1
         self.n = m * m
         self.n_full = (m + 2) ** 2
         if K.shape != (self.n, self.n) or M.shape != (self.n, self.n):
             raise ValueError(f"K is {K.shape} and M is {M.shape}, expected "
                              f"{(self.n, self.n)} at level {level}")
-        W_full = np.asarray(W_full, dtype=float)
+        W_full = np.asarray(ops.W_full, dtype=float)
         if M_full.shape != (self.n_full, self.n_full) \
                 or W_full.shape != (self.n_full,):
             raise ValueError(f"M_full is {M_full.shape} and W is "
@@ -297,13 +306,6 @@ class GridSolver:
         self._w_inv = 1.0 / W_full
         self._neg_mass_full = -mass
 
-    def _rhs(self, b: np.ndarray, n: int | None = None) -> np.ndarray:
-        n = self.n if n is None else n
-        b = np.asarray(b, dtype=float)
-        if b.shape != (n,):
-            raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")
-        return b
-
     def _diagonal_solve(self, eig_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``S diag(eig_inv) S v`` with ``S`` the 2-D DST-I."""
         m = self._m
@@ -311,15 +313,15 @@ class GridSolver:
 
     def solve_stiffness(self, f: np.ndarray) -> np.ndarray:
         """``K^-1 f``, exact up to roundoff."""
-        return self._diagonal_solve(self._k_inv, self._rhs(f))
+        return self._diagonal_solve(self._k_inv, _rhs(f, self.n, float))
 
     def solve_with_multiplier(self, b: np.ndarray, start=None
                               ) -> tuple[np.ndarray, np.ndarray]:
         """``(p, w)`` for the right side ``b``, iterated from ``start``, the
         ``(p, w)`` of an earlier solve, when one is given."""
-        b = self._rhs(b)
+        b = _rhs(b, self.n, float)
         if start is not None:
-            p0, w0 = (self._rhs(v) for v in start)
+            p0, w0 = (_rhs(v, self.n, float) for v in start)
         b_inf = np.abs(b).max()
         if not b_inf:
             # zero in, zero out, as a factor's solve gives, from any start:
@@ -363,8 +365,8 @@ class GridSolver:
 
     def solve_mass_full(self, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
         """``M_full^-1 b`` by Chebyshev semi-iteration started at ``x0``."""
-        b = self._rhs(b, self.n_full)
-        x = np.array(self._rhs(x0, self.n_full))
+        b = _rhs(b, self.n_full, float)
+        x = np.array(_rhs(x0, self.n_full, float))
         b_inf = np.abs(b).max()
         if not b_inf:
             # zero in, zero out, as a factor's solve gives, from any x0

@@ -558,6 +558,32 @@ def test_forced_grid_path_run_matches_the_factored_run(preset, monkeypatch):
         <= 1e-12 * abs(factored.phi[-1])
 
 
+def test_size_rule_overlaps_diagnostics_from_level_7(monkeypatch):
+    """With ``GRID_MIN_N`` as shipped, a level-6 solve runs its
+    diagnostics on the main thread, a level-7 solve runs them on one other
+    thread, and neither leaves a thread behind."""
+    residual = dual_solver.kkt_residual
+    threads = []
+
+    def traced(*args):
+        threads.append(threading.current_thread())
+        return residual(*args)
+
+    monkeypatch.setattr(dual_solver, "kkt_residual", traced)
+    for level, config in ((6, SolverConfig()),
+                          (7, SolverConfig(max_iters=3, tol=0.0))):
+        threads.clear()
+        before = threading.active_count()
+        solve(make_instance("sine", level), config)
+        assert threading.active_count() == before
+        assert threads
+        if level == 6:
+            assert set(threads) == {threading.main_thread()}
+        else:
+            assert len(set(threads)) == 1
+            assert threads[0] is not threading.main_thread()
+
+
 @pytest.mark.parametrize("case, stop", [
     (lambda cert: (make_instance("sine", 3), SolverConfig()), "kkt"),
     (lambda cert: (make_instance("shifted", 3),

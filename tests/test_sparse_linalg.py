@@ -4,6 +4,7 @@ solver."""
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,11 +187,49 @@ def test_augmented_solver_with_multiplier(rng):
         assert np.array_equal(aug.solve_mass_full(bf, x0), x_lu)
 
 
-def test_augmented_solver_rejects_wrong_length_rhs():
-    ops = assemble(build_unit_square_mesh(2))
-    aug = AugmentedSolver(ops, 0.05)
+@pytest.mark.parametrize("cls", [AugmentedSolver, GridSolver],
+                         ids=lambda cls: cls.__name__)
+def test_augmented_solver_rejects_wrong_length_rhs(cls):
+    """Both solvers, the grid one forced onto level 3, refuse a right side
+    of the wrong length in all three solve methods."""
+    ops = assemble(build_unit_square_mesh(3))
+    solver = cls(ops, 0.05)
+    n, n_full = ops.n_interior, ops.mesh.n_nodes
     with pytest.raises(ValueError, match="rhs has shape"):
-        aug.solve_with_multiplier(np.ones(ops.n_interior + 1))[0]
+        solver.solve_with_multiplier(np.ones(n + 1))
+    with pytest.raises(ValueError, match="rhs has shape"):
+        solver.solve_stiffness(np.ones(n + 1))
+    with pytest.raises(ValueError, match="rhs has shape"):
+        solver.solve_mass_full(np.ones(n), np.zeros(n_full))
+
+
+def test_both_solvers_keep_one_contract(rng):
+    """Forced onto level 3, the grid solver gives the factored solver's
+    answers within 1e-12 relative in all three solve methods, and both
+    give zeros for a zero right side, from a nonzero start, and all NaN
+    for a right side holding a NaN."""
+    ops = assemble(build_unit_square_mesh(3))
+    n, n_full = ops.n_interior, ops.mesh.n_nodes
+    b, f = rng.standard_normal(n), rng.standard_normal(n)
+    b_full = rng.standard_normal(n_full)
+    x0 = np.linspace(-1.0, 1.0, n_full)
+    b_nan, b_full_nan = b.copy(), b_full.copy()
+    b_nan[3] = b_full_nan[3] = np.nan
+    answers = []
+    for solver in (AugmentedSolver(ops, 1e-2), GridSolver(ops, 1e-2)):
+        start = solver.solve_with_multiplier(b)
+        for v in solver.solve_with_multiplier(np.zeros(n), start):
+            assert not v.any()
+        assert not solver.solve_stiffness(np.zeros(n)).any()
+        assert not solver.solve_mass_full(np.zeros(n_full), x0).any()
+        for v in solver.solve_with_multiplier(b_nan):
+            assert np.isnan(v).all()
+        assert np.isnan(solver.solve_stiffness(b_nan)).all()
+        assert np.isnan(solver.solve_mass_full(b_full_nan, x0)).all()
+        answers.append((*start, solver.solve_stiffness(f),
+                        solver.solve_mass_full(b_full, x0)))
+    for factored, grid in zip(*answers):
+        assert np.abs(grid - factored).max() <= 1e-12 * np.abs(factored).max()
 
 
 @pytest.mark.parametrize("alpha", [0.0, np.inf, np.nan])
@@ -243,16 +282,11 @@ def ops7():
     return assemble(build_unit_square_mesh(7))
 
 
-def _grid(ops, alpha):
-    return GridSolver(ops.K, ops.M, ops.M_full, ops.W_full, ops.mesh.level,
-                      alpha)
-
-
 @pytest.mark.parametrize("alpha", [1e-8, 1e-2, 1e2])
 def test_grid_solver_matches_augmented_solver(rng, ops7, alpha):
     """The grid p-solve meets the factor's residual bound and its answer."""
     ops = ops7
-    grid = _grid(ops, alpha)
+    grid = GridSolver(ops, alpha)
     aug = AugmentedSolver(ops, alpha)
     b = rng.standard_normal(ops.n_interior)
     bound = 1e-9 * (1.0 + np.abs(b).max())
@@ -268,7 +302,7 @@ def test_grid_solver_matches_augmented_solver(rng, ops7, alpha):
 
 
 def test_grid_solver_stiffness_solve(rng, ops7):
-    grid = _grid(ops7, 1e-2)
+    grid = GridSolver(ops7, 1e-2)
     f = rng.standard_normal(ops7.n_interior)
     y = grid.solve_stiffness(f)
     assert np.abs(ops7.K @ y - f).max() < 1e-9 * (1.0 + np.abs(f).max())
@@ -283,38 +317,38 @@ def test_grid_solver_refuses_other_operators():
     bent = K.copy()
     bent[5, 6] += 1e-6
     with pytest.raises(ValueError, match="5-point Laplacian"):
-        GridSolver(bent, M, Mf, W, 3, 1e-2)
+        GridSolver(replace(ops, K=bent), 1e-2)
     with pytest.raises(ValueError, match="5-point Laplacian"):
-        GridSolver(K + M, M, Mf, W, 3, 1e-2)
+        GridSolver(replace(ops, K=K + M), 1e-2)
     with pytest.raises(ValueError, match="mass matrix"):
-        GridSolver(K, lumped, Mf, W, 3, 1e-2)
+        GridSolver(replace(ops, M=lumped), 1e-2)
     # cells cut along the other diagonal: the same K, M coupled NW and SE
     mirror = np.arange(K.shape[0]).reshape(7, 7)[:, ::-1].ravel()
     assert (K[mirror][:, mirror] != K).nnz == 0
     with pytest.raises(ValueError, match="mass matrix"):
-        GridSolver(K, M[mirror][:, mirror], Mf, W, 3, 1e-2)
+        GridSolver(replace(ops, M=M[mirror][:, mirror]), 1e-2)
     with pytest.raises(ValueError, match="expected"):
-        GridSolver(K, M, Mf, W, 4, 1e-2)
+        GridSolver(replace(ops, mesh=build_unit_square_mesh(4)), 1e-2)
     with pytest.raises(InputError, match="alpha"):
-        GridSolver(K, M, Mf, W, 3, 0.0)
+        GridSolver(ops, 0.0)
     # the mass solve's preconditioner must be the row sums of M_full
     bumped = W.copy()
     bumped[40] *= 1.01
     with pytest.raises(ValueError, match="row sums"):
-        GridSolver(K, M, Mf, bumped, 3, 1e-2)
+        GridSolver(replace(ops, W_full=bumped), 1e-2)
     with pytest.raises(ValueError, match="expected"):
-        GridSolver(K, M, Mf, W[:-1], 3, 1e-2)
+        GridSolver(replace(ops, W_full=W[:-1]), 1e-2)
     wide = Mf.tolil()
     wide[0, 20] = wide[20, 0] = 1e-3
     with pytest.raises(ValueError, match="seven diagonals"):
-        GridSolver(K, M, wide.tocsr(), W, 3, 1e-2)
+        GridSolver(replace(ops, M_full=wide.tocsr()), 1e-2)
     with pytest.raises(ValueError, match="expected"):
-        GridSolver(K, M, Mf[:-1, :-1], W[:-1], 3, 1e-2)
+        GridSolver(replace(ops, M_full=Mf[:-1, :-1]), 1e-2)
 
 
 def test_grid_solver_raises_at_its_step_cap(rng, monkeypatch):
     ops = assemble(build_unit_square_mesh(3))
-    grid = _grid(ops, 1e-8)
+    grid = GridSolver(ops, 1e-8)
     b = rng.standard_normal(ops.n_interior)
     assert np.isfinite(grid.solve_with_multiplier(b)[0]).all()
     b_full = rng.standard_normal(ops.mesh.n_nodes)
@@ -329,7 +363,7 @@ def test_grid_solver_raises_at_its_step_cap(rng, monkeypatch):
 
 def test_grid_solver_zero_and_nan_rhs():
     ops = assemble(build_unit_square_mesh(3))
-    grid = _grid(ops, 1e-2)
+    grid = GridSolver(ops, 1e-2)
     n = ops.n_interior
     # zero in, zero out, also from a start that is not its answer
     start = grid.solve_with_multiplier(np.linspace(-1.0, 1.0, n))
@@ -368,7 +402,7 @@ def test_grid_solver_shared_by_threads_gives_the_serial_answers(rng):
     """``solve`` shares one grid solver between its sweeps (p-solves) and
     its worker (mass solves and state solves)."""
     ops = assemble(build_unit_square_mesh(5))
-    grid = _grid(ops, 1e-3)
+    grid = GridSolver(ops, 1e-3)
     rhs = rng.standard_normal((8, ops.n_interior))
     rhs_full = rng.standard_normal((8, ops.mesh.n_nodes))
     x0 = np.zeros(ops.mesh.n_nodes)
@@ -411,7 +445,7 @@ def test_grid_mass_solve_matches_the_factor(rng, ops7, level, monkeypatch):
     # the error bound 2 / (3^k + 3^-k) falls below 2^-52 at k = 34
     monkeypatch.setattr(sparse_linalg, "GRID_STEP_CAP", 36)
     ops = ops7 if level == 7 else assemble(build_unit_square_mesh(level))
-    grid = _grid(ops, 1e-2)
+    grid = GridSolver(ops, 1e-2)
     b = rng.standard_normal(ops.mesh.n_nodes)
     x_lu = ops.mass_full_factor.solve(b)
     for x0 in (np.zeros_like(b), x_lu + 1e-3 * rng.standard_normal(b.size)):
@@ -432,7 +466,7 @@ def test_grid_warm_p_solve_matches_the_cold_one(rng, ops7, level, alpha):
     starts its second p-solve, the grid p-solve meets the backward-error
     stop and agrees with the cold solve and with the factor's answer."""
     ops = ops7 if level == 7 else assemble(build_unit_square_mesh(level))
-    grid = _grid(ops, alpha)
+    grid = GridSolver(ops, alpha)
     s = grid.s
     b_near = rng.standard_normal(ops.n_interior)
     b = b_near + 1e-2 * rng.standard_normal(ops.n_interior)
