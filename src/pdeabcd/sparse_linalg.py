@@ -126,10 +126,11 @@ def factorize_indefinite(matrix) -> Factorization:
     return Factorization("indefinite", lu.nnz, lu)
 
 
-def _rhs(b, n: int, dtype=None) -> np.ndarray:
-    """``b`` as an array (cast to ``dtype`` if given) of shape ``(n,)``, the
-    one length check of every solve method of both solvers."""
-    b = np.asarray(b, dtype=dtype)
+def _rhs(b, n: int) -> np.ndarray:
+    """``b`` as a float array of shape ``(n,)``, the one input rule of every
+    solve method of both solvers: an int, bool or float32 ``b`` is cast, a
+    complex one refused with ``TypeError``, never cut to its real part."""
+    b = np.asarray(b).astype(float, casting="safe", copy=False)
     if b.shape != (n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")
     return b
@@ -164,7 +165,7 @@ class AugmentedSolver:
     def solve_with_multiplier(self, b: np.ndarray, start=None
                               ) -> tuple[np.ndarray, np.ndarray]:
         """``(p, w)`` for the right side ``b``; ``start`` is ignored."""
-        x = self._fact.solve(_rhs(b, self.n, float))
+        x = self._fact.solve(_rhs(b, self.n))
         return -x.imag / self.s, x.real
 
     def solve_stiffness(self, f: np.ndarray) -> np.ndarray:
@@ -177,12 +178,40 @@ class AugmentedSolver:
         return self._ops.mass_full_factor.solve(_rhs(b, self.n_full))
 
 
-# a grid p-solve or mass solve stops at this backward error (2**-51) and
-# returns after GRID_STEP_CAP steps only at GRID_BERR_MAX or below; see
-# GridSolver
+# the stop rule of both grid iterations, read only by _corrections
 GRID_BERR_STOP = 2.0 * np.finfo(float).eps
 GRID_BERR_MAX = 1e-12
 GRID_STEP_CAP = 64
+
+
+def _inf_norm(v: np.ndarray) -> float:
+    """``|v|_inf``; for a real ``v`` without the temporary ``np.abs(v)``."""
+    return np.abs(v).max() if np.iscomplexobj(v) else max(v.max(), -v.min())
+
+
+def _corrections(what: str, b: np.ndarray, x: np.ndarray, a_inf: float,
+                 residual):
+    """Yield ``r = residual(x)``, ``b - A x``, while ``x`` needs a step,
+    which the caller makes in place: while the backward error
+    ``|r|_inf / (a_inf |x|_inf + |b|_inf)``, ``a_inf = |A|_inf``, is above
+    ``GRID_BERR_STOP`` and fewer than ``GRID_STEP_CAP`` steps are made.
+    Then a NaN backward error makes ``x`` all NaN, and one above
+    ``GRID_BERR_MAX`` raises ``RuntimeError`` naming the grid ``what``."""
+    b_inf = _inf_norm(b)
+    steps = 0
+    while True:
+        r = residual(x)
+        berr = _inf_norm(r) / (a_inf * _inf_norm(x) + b_inf)
+        if not (berr > GRID_BERR_STOP and steps < GRID_STEP_CAP):
+            break
+        yield r
+        steps += 1
+    if berr != berr:
+        x.view(float).fill(np.nan)  # both parts of a complex x
+    elif berr > GRID_BERR_MAX:
+        raise RuntimeError(f"grid {what} stopped at backward error "
+                           f"{berr:.3e} after {steps} steps; at most "
+                           f"{GRID_BERR_MAX:g} is accepted")
 
 
 def _grid_stencils(v: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,29 +254,31 @@ class GridSolver:
     1996): ``x = P^-1 b``, then ``x += P^-1 (b - (K + i s M) x)``.  The error
     maps by ``P^-1 i s (M~ - M)``; ``P`` is normal with ``|P| >= s c^2/3``,
     so each step at least halves the error's 2-norm, for every alpha and
-    level.  The solve stops once the backward error
-    ``|r|_inf / (|K + i s M|_inf |x|_inf + |b|_inf)`` is at most
-    ``GRID_BERR_STOP``.  After ``GRID_STEP_CAP`` corrections it returns
-    only an answer within ``GRID_BERR_MAX`` and raises ``RuntimeError``
-    otherwise.  Given the ``(p, w)`` of an earlier solve as ``start``, the
-    loop begins at that solve's ``x = w - i s p`` in place of ``P^-1 b``;
-    the stop and the cap are the same, so a warm answer is as exact as a
-    cold one.  The dual sweep starts its second p-solve from its first,
-    whose right side differs only by the lam update's term.
+    level.  Given the ``(p, w)`` of an earlier solve as ``start``, the
+    loop begins at that solve's ``x = w - i s p`` in place of ``P^-1 b``.
+    The dual sweep starts its second p-solve from its first, whose right
+    side differs only by the lam update's term.
 
     :meth:`solve_mass_full` solves ``M_full x = b`` on the full node set,
     with ``W`` the lumped mass.  For P1 triangles ``W/4 <= M_full <= W``
     (Wathen, 1987), so Chebyshev semi-iteration preconditioned with ``W``
     on the interval [1/4, 1] leaves at most ``2 / (3^k + 3^-k)`` of the
     error's ``M_full``-norm after ``k`` steps, at every level (Wathen and
-    Rees, 2009).  It stops and raises as the p-solve does, with the
-    backward error ``|b - M_full x|_inf / (max(W) |x|_inf + |b|_inf)``:
-    ``M_full`` has nonnegative entries and row sums ``W``, so
-    ``|M_full|_inf = max(W)``.  The constructor refuses a ``W`` that is not
-    ``M_full``'s row sums and an ``M_full`` off the grid's seven diagonals,
-    on which it is held in DIA storage, whose product is faster than
-    CSR's.  In a dual solve it runs on the solve's worker thread, beside
-    the next sweep's p-solves, started at the extrapolated mu.
+    Rees, 2009).  The constructor refuses a ``W`` that is not ``M_full``'s
+    row sums and an ``M_full`` off the grid's seven diagonals, on which it
+    is held in DIA storage, whose product is faster than CSR's.  In a dual
+    solve it runs on the solve's worker thread, beside the next sweep's
+    p-solves, started at the extrapolated mu.
+
+    Both iterations keep one stop rule, :func:`_corrections`.  A solve
+    with ``A``, ``K + i s M`` or ``M_full``, stops once the backward error
+    ``|b - A x|_inf / (|A|_inf |x|_inf + |b|_inf)`` is at most
+    ``GRID_BERR_STOP``; ``|M_full|_inf = max(W)``, since ``M_full`` has
+    nonnegative entries and row sums ``W``.  After ``GRID_STEP_CAP`` steps
+    it returns only an answer within ``GRID_BERR_MAX`` and raises
+    ``RuntimeError`` otherwise, and a NaN backward error gives all NaN, as
+    a factor's solve does for a NaN in.  The rule is the same from any
+    start, so a warm answer is as exact as a cold one.
 
     :class:`AugmentedSolver` has the same constructor and solve methods.
     The object is not changed by a solve, so two threads may solve with it
@@ -313,17 +344,16 @@ class GridSolver:
 
     def solve_stiffness(self, f: np.ndarray) -> np.ndarray:
         """``K^-1 f``, exact up to roundoff."""
-        return self._diagonal_solve(self._k_inv, _rhs(f, self.n, float))
+        return self._diagonal_solve(self._k_inv, _rhs(f, self.n))
 
     def solve_with_multiplier(self, b: np.ndarray, start=None
                               ) -> tuple[np.ndarray, np.ndarray]:
         """``(p, w)`` for the right side ``b``, iterated from ``start``, the
         ``(p, w)`` of an earlier solve, when one is given."""
-        b = _rhs(b, self.n, float)
+        b = _rhs(b, self.n)
         if start is not None:
-            p0, w0 = (_rhs(v, self.n, float) for v in start)
-        b_inf = np.abs(b).max()
-        if not b_inf:
+            p0, w0 = (_rhs(v, self.n) for v in start)
+        if not b.any():
             # zero in, zero out, as a factor's solve gives, from any start:
             # iterated from a nonzero one the backward error never falls
             return np.zeros(self.n), np.zeros(self.n)
@@ -331,59 +361,36 @@ class GridSolver:
             x = self._diagonal_solve(self._p_inv, b)
         else:
             x = w0 - 1j * self.s * p0
-        steps = 0
-        while True:
-            r = b - self._A @ x
-            r_inf = np.abs(r).max()
-            berr = r_inf / (self._a_inf * np.abs(x).max() + b_inf) \
-                if r_inf else 0.0
-            # a NaN ends the loop and is returned, as a factor's solve would
-            if not (berr > GRID_BERR_STOP and steps < GRID_STEP_CAP):
-                break
+        for r in _corrections("p-solve", b, x, self._a_inf,
+                              lambda x: b - self._A @ x):
             x += self._diagonal_solve(self._p_inv, r)
-            steps += 1
-        if berr != berr:
-            # NaN in, NaN out, as a factor's solve gives, also from a start
-            # that holds a NaN the loop never spread
-            nan = np.full(self.n, np.nan)
-            return nan, nan.copy()
-        if berr > GRID_BERR_MAX:
-            raise RuntimeError(f"grid p-solve stopped at backward error "
-                               f"{berr:.3e} after {steps} corrections; at "
-                               f"most {GRID_BERR_MAX:g} is accepted")
         return -x.imag / self.s, x.real
-
-    def _mass_residual(self, b: np.ndarray, x: np.ndarray,
-                       out: np.ndarray) -> None:
-        """``out = b - M_full x``, by scipy's DIA kernel, which adds
-        ``-M_full x`` into ``out`` in place: ``b - M_full @ x`` allocates
-        the product and is slower."""
-        neg = self._neg_mass_full
-        np.copyto(out, b)
-        dia_matvec(self.n_full, self.n_full, neg.offsets.size,
-                   neg.data.shape[1], neg.offsets, neg.data, x, out)
 
     def solve_mass_full(self, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
         """``M_full^-1 b`` by Chebyshev semi-iteration started at ``x0``."""
-        b = _rhs(b, self.n_full, float)
-        x = np.array(_rhs(x0, self.n_full, float))
-        b_inf = np.abs(b).max()
-        if not b_inf:
+        n = self.n_full
+        b = _rhs(b, n)
+        x = np.array(_rhs(x0, n))
+        if not b.any():
             # zero in, zero out, as a factor's solve gives, from any x0
-            return np.zeros(self.n_full)
+            return np.zeros(n)
+        neg = self._neg_mass_full
+        r = np.empty(n)
+
+        def residual(x):
+            # b - M_full x by scipy's DIA kernel, which adds -M_full x into
+            # r in place: b - M_full @ x allocates the product and is slower
+            np.copyto(r, b)
+            dia_matvec(n, n, neg.offsets.size, neg.data.shape[1],
+                       neg.offsets, neg.data, x, r)
+            return r
+
         # W^-1 M_full has its spectrum in [theta - delta, theta + delta]
         theta, delta = 0.625, 0.375
-        r = np.empty(self.n_full)
-        z = np.empty(self.n_full)
-        d = np.zeros(self.n_full)
+        z, d = np.empty(n), np.zeros(n)
         rho = delta / theta
-        steps = 0
-        while True:
-            self._mass_residual(b, x, r)
-            r_inf = max(r.max(), -r.min())
-            berr = r_inf / (self._w_max * max(x.max(), -x.min()) + b_inf)
-            if not (berr > GRID_BERR_STOP and steps < GRID_STEP_CAP):
-                break
+        for steps, r in enumerate(_corrections("mass solve", b, x,
+                                               self._w_max, residual)):
             np.multiply(r, self._w_inv, out=z)
             if steps:
                 rho_next = 1.0 / (2.0 * theta / delta - rho)
@@ -394,14 +401,6 @@ class GridSolver:
                 z /= theta
             d += z
             x += d
-            steps += 1
-        if berr != berr:
-            # NaN in, NaN out, as a factor's solve gives
-            return np.full(self.n_full, np.nan)
-        if berr > GRID_BERR_MAX:
-            raise RuntimeError(f"grid mass solve stopped at backward error "
-                               f"{berr:.3e} after {steps} steps; at most "
-                               f"{GRID_BERR_MAX:g} is accepted")
         return x
 
 

@@ -191,7 +191,10 @@ def test_augmented_solver_with_multiplier(rng):
                          ids=lambda cls: cls.__name__)
 def test_augmented_solver_rejects_wrong_length_rhs(cls):
     """Both solvers, the grid one forced onto level 3, refuse a right side
-    of the wrong length in all three solve methods."""
+    of the wrong length with ``ValueError`` and a complex one with
+    ``TypeError`` in all three solve methods, the grid one also a complex
+    start, and solve an int, bool or float32 right side as its float64
+    cast, bit for bit."""
     ops = assemble(build_unit_square_mesh(3))
     solver = cls(ops, 0.05)
     n, n_full = ops.n_interior, ops.mesh.n_nodes
@@ -201,6 +204,30 @@ def test_augmented_solver_rejects_wrong_length_rhs(cls):
         solver.solve_stiffness(np.ones(n + 1))
     with pytest.raises(ValueError, match="rhs has shape"):
         solver.solve_mass_full(np.ones(n), np.zeros(n_full))
+    x0 = np.zeros(n_full)
+    with pytest.raises(TypeError):
+        solver.solve_with_multiplier(1j * np.ones(n))
+    with pytest.raises(TypeError):
+        solver.solve_stiffness(1j * np.ones(n))
+    with pytest.raises(TypeError):
+        solver.solve_mass_full(1j * np.ones(n_full), x0)
+    if cls is GridSolver:
+        p0, w0 = solver.solve_with_multiplier(np.ones(n))
+        with pytest.raises(TypeError):
+            solver.solve_with_multiplier(np.ones(n), (1j * p0, w0))
+        with pytest.raises(TypeError):
+            solver.solve_mass_full(np.ones(n_full), 1j * np.ones(n_full))
+
+    def answers(b, b_full):
+        return (*solver.solve_with_multiplier(b), solver.solve_stiffness(b),
+                solver.solve_mass_full(b_full, x0))
+
+    b, b_full = np.arange(n) % 7 - 3, np.arange(n_full) % 5 - 2
+    for v, v_full in ((b, b_full), (b > 0, b_full > 0),
+                      (b.astype(np.float32), b_full.astype(np.float32))):
+        exact = answers(v.astype(float), v_full.astype(float))
+        for got, want in zip(answers(v, v_full), exact):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 def test_both_solvers_keep_one_contract(rng):
@@ -355,7 +382,7 @@ def test_grid_solver_raises_at_its_step_cap(rng, monkeypatch):
     x0 = np.zeros_like(b_full)
     assert np.isfinite(grid.solve_mass_full(b_full, x0)).all()
     monkeypatch.setattr(sparse_linalg, "GRID_STEP_CAP", 2)
-    with pytest.raises(RuntimeError, match="after 2 corrections"):
+    with pytest.raises(RuntimeError, match="after 2 steps"):
         grid.solve_with_multiplier(b)[0]
     with pytest.raises(RuntimeError, match="after 2 steps"):
         grid.solve_mass_full(b_full, x0)
