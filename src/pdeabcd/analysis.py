@@ -67,16 +67,23 @@ def compute_tau_h(prob: ProblemInstance, z0: DualIterate,
 
 
 def verify_complexity_bound(record: RunRecord, tau_h: float, phi_star: float,
-                            slack_rel: float = 1e-10) -> tuple[bool, float]:
+                            slack_rel: float = 1e-10,
+                            eps_bar=0.0) -> tuple[bool, float]:
     """Check the accelerated value bound along a logged run.
 
-    Requires ``Phi(z_k) - Phi* <= 4 tau_h / (k+1)^2 + slack`` at every logged
-    iteration, with ``slack = slack_rel * (1 + |Phi*|)``.  Returns the
-    verdict and the smallest slack-free margin ``bound - gap`` over the run.
+    Requires ``Phi(z_k) - Phi* <= 4 (sqrt(tau_h) + eps_bar_k)^2 / (k+1)^2
+    + slack`` at every logged iteration, with ``slack = slack_rel * (1 +
+    |Phi*|)``.  ``eps_bar`` (a number, or one per logged iteration) is the
+    weighted sum of a run's solve errors up to sweep ``k``, in the norms of
+    S_h's blocks: zero for a run with exact solves, the inexact form of
+    the bound otherwise (README, "Inexact sweeps").  Returns the verdict
+    and the smallest slack-free margin ``bound - gap`` over the run.
     """
     ks = np.asarray(record.ks, dtype=float)
     gaps = np.asarray(record.phi, dtype=float) - phi_star
-    bounds = 4.0 * tau_h / (ks + 1.0) ** 2
+    # (sqrt(tau_h) + eps_bar)^2, with tau_h itself at eps_bar = 0
+    bounds = 4.0 * (tau_h + eps_bar * (2.0 * np.sqrt(tau_h) + eps_bar)) \
+        / (ks + 1.0) ** 2
     slack = slack_rel * (1.0 + abs(phi_star))
     margins = bounds - gaps
     return bool(np.all(gaps <= bounds + slack)), float(margins.min())

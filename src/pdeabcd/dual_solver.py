@@ -59,6 +59,20 @@ build it.  The second p-solve of a block starts from the first's
 block stays a function of ``(lam_t, xi_t)`` alone.  Every dot product
 and norm goes through ``sparse_linalg.dot`` and ``norm``, which sum
 without BLAS.
+
+Sweep ``k``'s three solves stop at the backward error ``tol k^-3``
+(``_sweep_stop``, ``tol`` the run's ``SolverConfig.tol``), never below
+the exact stop ``sparse_linalg.GRID_BERR_STOP``; a factor's solve
+ignores the stop, so only the grid path changes, and a ``tol = 0`` run
+is exact.  The errors this leaves are summable with weight ``k``, so
+the value bound keeps its rate in the inexact form
+``4 (sqrt(tau) + eps_bar_k)^2 / (k+1)^2`` of inexact APG (Jiang, Sun and
+Toh, 2012) and inexact ABCD (Sun, Toh and Yang, 2016); README derives
+``eps_bar_k`` in the norms of S_h's blocks.  The values a run reports
+stay exact at the iterate it returns: the second p-solve returns a
+``(p, w)`` with ``K p = M w`` to roundoff, the state solves are exact,
+and the dual value and gap are evaluated at the returned mu, whatever
+its mass solve left.
 """
 
 from __future__ import annotations
@@ -323,10 +337,12 @@ def _p_rhs(prob: ProblemInstance, lam: np.ndarray,
 
 
 def _p_solve(prob: ProblemInstance, lam: np.ndarray, xi_t: np.ndarray,
-             start=None) -> tuple[np.ndarray, np.ndarray]:
+             start=None, stop=None) -> tuple[np.ndarray, np.ndarray]:
     """``(p, w)`` of the p-solve at ``lam`` and ``xi_t``, from ``start``,
-    the ``(p, w)`` of an earlier p-solve, when one is given."""
-    return prob.solver.solve_with_multiplier(_p_rhs(prob, lam, xi_t), start)
+    the ``(p, w)`` of an earlier p-solve, when one is given, to the
+    backward error ``stop`` when one is given."""
+    return prob.solver.solve_with_multiplier(_p_rhs(prob, lam, xi_t), start,
+                                             stop)
 
 
 def _lambda_xi(prob: ProblemInstance, lam_t: np.ndarray, xi_t: np.ndarray,
@@ -370,14 +386,14 @@ def step_p(prob: ProblemInstance, lam_new: np.ndarray,
     return _p_solve(prob, lam_new, prob.ops.M_full @ mu_t)
 
 
-def _lam_p_block(prob: ProblemInstance, lam_t: np.ndarray, xi_t: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lam_p_block(prob: ProblemInstance, lam_t: np.ndarray, xi_t: np.ndarray,
+                 stop=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (lam, p) block of a sweep: ``(lam, p, w)`` from the p-solve at
     ``lam_t``, the lam update and the p-solve at the new lam, started from
-    the first p-solve's ``(p, w)``."""
-    first = _p_solve(prob, lam_t, xi_t)
+    the first p-solve's ``(p, w)``; both p-solves stop at ``stop``."""
+    first = _p_solve(prob, lam_t, xi_t, stop=stop)
     lam = _lambda_xi(prob, lam_t, xi_t, first[0])
-    return (lam, *_p_solve(prob, lam, xi_t, first))
+    return (lam, *_p_solve(prob, lam, xi_t, first, stop))
 
 
 def mu_xi_kernel(v, W, a: float, b: float, alpha: float,
@@ -401,10 +417,11 @@ def _xi_step(prob: ProblemInstance, lam_new: np.ndarray, p_new: np.ndarray,
     return mu_xi_kernel(v, ops.W_full, *prob.box, prob.alpha, prob.gamma)
 
 
-def step_mu(prob: ProblemInstance, xi: np.ndarray,
-            mu_t: np.ndarray) -> np.ndarray:
+def step_mu(prob: ProblemInstance, xi: np.ndarray, mu_t: np.ndarray,
+            stop=None) -> np.ndarray:
     """The new mu from the mu update's ``xi = M_full mu``: one mass solve
-    by the instance's solver, which a grid solver starts at ``mu_t``.
+    by the instance's solver, which a grid solver starts at ``mu_t`` and
+    stops at the backward error ``stop`` when one is given.
 
     The mu subproblem is a proximal step on the box support function
     composed with M; in the variable xi it separates componentwise, so the
@@ -412,7 +429,7 @@ def step_mu(prob: ProblemInstance, xi: np.ndarray,
     From ``GRID_MIN_N`` on :func:`solve` runs it on its worker, beside the
     next sweep's (lam, p) block, which reads xi and not mu.
     """
-    return prob.solver.solve_mass_full(xi, mu_t)
+    return prob.solver.solve_mass_full(xi, mu_t, stop)
 
 
 def sweep(prob: ProblemInstance, lam_t: np.ndarray, mu_t: np.ndarray,
@@ -462,6 +479,14 @@ def kkt_residual(prob: ProblemInstance, lam, p, mu, u, y) -> float:
     return max(r_adj, r_lam, r_mu)
 
 
+def _sweep_stop(tol: float, k: int) -> float:
+    """``tol k^-3``, the backward error at which sweep ``k``'s grid solves
+    stop; ``sparse_linalg._corrections`` raises it to ``GRID_BERR_STOP``.
+    The errors it leaves are summable with weight ``k``, so the value bound
+    keeps its ``1/k^2`` rate (module docstring, README)."""
+    return tol / k**3
+
+
 # from this many interior unknowns (level 7 and up) an instance solves by
 # fast sine transforms, and a sweep's mass solve and diagnostics run on a
 # worker thread beside the next sweep's (lam, p) block; read only by
@@ -481,7 +506,7 @@ def _finish(prob: ProblemInstance, config: SolverConfig, k: int, lam, p, w,
     ``u, y`` are None when no KKT residual was taken.  The objective is
     evaluated only for the target test or a row.
     """
-    mu = step_mu(prob, xi, mu_t)
+    mu = step_mu(prob, xi, mu_t, _sweep_stop(config.tol, k))
     if not all(np.isfinite(x).all() for x in (lam, p, mu)):
         raise DivergenceError(f"non-finite iterate at k={k}", k,
                               DualIterate(lam, p, mu, k))
@@ -563,8 +588,10 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
 
     with pool or nullcontext():
         for k in range(1, config.max_iters + 1):
-            lam, p, w = _lam_p_block(prob, lam_t, xi_t) if block is None \
-                else block
+            if block is None:
+                block = _lam_p_block(prob, lam_t, xi_t,
+                                     _sweep_stop(config.tol, k))
+            lam, p, w = block
             xi = _xi_step(prob, lam, p, mu_t, xi_t)
             args = (prob, config, k, lam, p, w, xi, mu_t, t0)
             # the next extrapolation of lam and xi, taken before the job
@@ -578,7 +605,8 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
             else:
                 job = pool.submit(errstate(_finish), *args)
                 if not job.done() and k < config.max_iters:
-                    block = _lam_p_block(prob, lam_next, xi_next)
+                    block = _lam_p_block(prob, lam_next, xi_next,
+                                         _sweep_stop(config.tol, k + 1))
                 mu, stop_reason, row, u, y = job.result()
             if row is not None:
                 log.append(row)

@@ -150,8 +150,9 @@ class AugmentedSolver:
     :meth:`solve_stiffness` and :meth:`solve_mass_full` solve with the
     factors of ``K`` and ``M_full`` that ``ops`` owns and builds on first
     use, so the oracle and the checks share them.  The starts that the
-    sweep hands its second p-solve and its mass solve are ignored; they
-    keep the contract of :class:`GridSolver`, which iterates from them.
+    sweep hands its second p-solve and its mass solve, and the stops it
+    hands all three, are ignored; they keep the contract of
+    :class:`GridSolver`, which iterates from the starts to the stops.
     """
 
     def __init__(self, ops, alpha: float):
@@ -162,9 +163,10 @@ class AugmentedSolver:
         self._ops = ops
         self._fact = factorize_spd(ops.K + 1j * self.s * ops.M)
 
-    def solve_with_multiplier(self, b: np.ndarray, start=None
+    def solve_with_multiplier(self, b: np.ndarray, start=None, stop=None
                               ) -> tuple[np.ndarray, np.ndarray]:
-        """``(p, w)`` for the right side ``b``; ``start`` is ignored."""
+        """``(p, w)`` for the right side ``b``; ``start`` and ``stop`` are
+        ignored."""
         x = self._fact.solve(_rhs(b, self.n))
         return -x.imag / self.s, x.real
 
@@ -172,9 +174,10 @@ class AugmentedSolver:
         """``K^-1 f`` by the ``K`` factor of the operators."""
         return self._ops.stiffness_factor.solve(_rhs(f, self.n))
 
-    def solve_mass_full(self, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    def solve_mass_full(self, b: np.ndarray, x0: np.ndarray, stop=None
+                        ) -> np.ndarray:
         """``M_full^-1 b`` by the ``M_full`` factor of the operators;
-        ``x0`` is ignored."""
+        ``x0`` and ``stop`` are ignored."""
         return self._ops.mass_full_factor.solve(_rhs(b, self.n_full))
 
 
@@ -190,28 +193,32 @@ def _inf_norm(v: np.ndarray) -> float:
 
 
 def _corrections(what: str, b: np.ndarray, x: np.ndarray, a_inf: float,
-                 residual):
+                 residual, stop: float | None = None):
     """Yield ``r = residual(x)``, ``b - A x``, while ``x`` needs a step,
     which the caller makes in place: while the backward error
     ``|r|_inf / (a_inf |x|_inf + |b|_inf)``, ``a_inf = |A|_inf``, is above
-    ``GRID_BERR_STOP`` and fewer than ``GRID_STEP_CAP`` steps are made.
-    Then a NaN backward error makes ``x`` all NaN, and one above
-    ``GRID_BERR_MAX`` raises ``RuntimeError`` naming the grid ``what``."""
+    ``max(stop, GRID_BERR_STOP)`` and fewer than ``GRID_STEP_CAP`` steps
+    are made; without a ``stop``, above ``GRID_BERR_STOP``.  Then a NaN
+    backward error makes ``x`` all NaN, and one above
+    ``max(stop, GRID_BERR_MAX)`` raises ``RuntimeError`` naming the grid
+    ``what``."""
+    stop = GRID_BERR_STOP if stop is None else max(stop, GRID_BERR_STOP)
+    limit = max(stop, GRID_BERR_MAX)
     b_inf = _inf_norm(b)
     steps = 0
     while True:
         r = residual(x)
         berr = _inf_norm(r) / (a_inf * _inf_norm(x) + b_inf)
-        if not (berr > GRID_BERR_STOP and steps < GRID_STEP_CAP):
+        if not (berr > stop and steps < GRID_STEP_CAP):
             break
         yield r
         steps += 1
     if berr != berr:
         x.view(float).fill(np.nan)  # both parts of a complex x
-    elif berr > GRID_BERR_MAX:
+    elif berr > limit:
         raise RuntimeError(f"grid {what} stopped at backward error "
                            f"{berr:.3e} after {steps} steps; at most "
-                           f"{GRID_BERR_MAX:g} is accepted")
+                           f"{limit:g} is accepted")
 
 
 def _grid_stencils(v: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,7 +285,16 @@ class GridSolver:
     it returns only an answer within ``GRID_BERR_MAX`` and raises
     ``RuntimeError`` otherwise, and a NaN backward error gives all NaN, as
     a factor's solve does for a NaN in.  The rule is the same from any
-    start, so a warm answer is as exact as a cold one.
+    start, so a warm answer is as exact as a cold one.  A dual sweep
+    passes its solves a looser ``stop``, its schedule's ``tol k^-3``
+    (``dual_solver._sweep_stop``): they stop at ``max(stop,
+    GRID_BERR_STOP)`` and raise only above ``max(stop, GRID_BERR_MAX)``.
+    A loose p-solve from a start, the sweep's second, returns
+    ``(K^-1 M w, w)``: one more pair of transforms and a product with
+    ``M`` make ``K p = M w`` hold to roundoff, so its ``w`` is exactly the
+    ``M^-1 K p`` that the dual value reads.  A cold one, whose pair only
+    feeds the lam update and starts the second, returns ``-Im(x)/s`` as
+    iterated.
 
     :class:`AugmentedSolver` has the same constructor and solve methods.
     The object is not changed by a solve, so two threads may solve with it
@@ -324,6 +340,7 @@ class GridSolver:
         m_eig = c2 / 12.0 * (6.0 + 2.0 * ci + 2.0 * cj + 2.0 * ci * cj)
         self._k_inv = 1.0 / k_eig
         self._p_inv = 1.0 / (k_eig + 1j * self.s * m_eig)
+        self._M = M
         self._A = (K + 1j * self.s * M).tocsr()
         self._a_inf = float(abs(self._A).sum(axis=1).max())
         mass = sp.dia_matrix(M_full)
@@ -346,10 +363,12 @@ class GridSolver:
         """``K^-1 f``, exact up to roundoff."""
         return self._diagonal_solve(self._k_inv, _rhs(f, self.n))
 
-    def solve_with_multiplier(self, b: np.ndarray, start=None
+    def solve_with_multiplier(self, b: np.ndarray, start=None, stop=None
                               ) -> tuple[np.ndarray, np.ndarray]:
         """``(p, w)`` for the right side ``b``, iterated from ``start``, the
-        ``(p, w)`` of an earlier solve, when one is given."""
+        ``(p, w)`` of an earlier solve, when one is given, to the backward
+        error ``stop`` (:func:`_corrections`).  Started and stopped above
+        ``GRID_BERR_STOP``, the pair is ``(K^-1 M w, w)``."""
         b = _rhs(b, self.n)
         if start is not None:
             p0, w0 = (_rhs(v, self.n) for v in start)
@@ -362,12 +381,18 @@ class GridSolver:
         else:
             x = w0 - 1j * self.s * p0
         for r in _corrections("p-solve", b, x, self._a_inf,
-                              lambda x: b - self._A @ x):
+                              lambda x: b - self._A @ x, stop):
             x += self._diagonal_solve(self._p_inv, r)
-        return -x.imag / self.s, x.real
+        w = x.real
+        if start is not None and stop is not None and stop > GRID_BERR_STOP:
+            # K p = M w to roundoff, so w is M^-1 K p of the p returned
+            return self._diagonal_solve(self._k_inv, self._M @ w), w
+        return -x.imag / self.s, w
 
-    def solve_mass_full(self, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        """``M_full^-1 b`` by Chebyshev semi-iteration started at ``x0``."""
+    def solve_mass_full(self, b: np.ndarray, x0: np.ndarray, stop=None
+                        ) -> np.ndarray:
+        """``M_full^-1 b`` by Chebyshev semi-iteration started at ``x0``, to
+        the backward error ``stop`` (:func:`_corrections`)."""
         n = self.n_full
         b = _rhs(b, n)
         x = np.array(_rhs(x0, n))
@@ -390,7 +415,7 @@ class GridSolver:
         z, d = np.empty(n), np.zeros(n)
         rho = delta / theta
         for steps, r in enumerate(_corrections("mass solve", b, x,
-                                               self._w_max, residual)):
+                                               self._w_max, residual, stop)):
             np.multiply(r, self._w_inv, out=z)
             if steps:
                 rho_next = 1.0 / (2.0 * theta / delta - rho)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pdeabcd import analysis, dual_solver
+from pdeabcd import analysis, dual_solver, oracle, sparse_linalg
 from pdeabcd.analysis import (
     LevelResult,
     apply_g_inverse,
@@ -38,7 +38,8 @@ from pdeabcd.dual_solver import (
 )
 from pdeabcd.mesh import InputError, build_unit_square_mesh
 from pdeabcd.presets import make_instance
-from pdeabcd.sparse_linalg import power_iteration_extremes
+from pdeabcd.sparse_linalg import (AugmentedSolver, GridSolver,
+                                   power_iteration_extremes)
 
 
 def _dense_tau(prob, z0, z_star):
@@ -584,3 +585,116 @@ def test_mesh_independence_releases_finished_levels(monkeypatch):
     monkeypatch.setattr(analysis, "reference_optimum", tracking)
     mesh_independence_experiment("sine", [2, 3, 4], tau_proxy_level=5)
     assert [level for level, _ in seen] == [2, 3, 4, 5]
+
+
+# ---------------------------------------------------------------------------
+# the value bound of a run whose grid solves stop early
+
+
+def _recorded_sweeps(inst, monkeypatch):
+    """Record what each sweep of an unrestarted run on ``inst``'s grid
+    solver hands its solves.  ``"first"``, ``"second"`` and ``"mass"`` map
+    the stop ``tol k^-3`` of sweep ``k`` to the p-solves' ``(b, p)`` and
+    the mass solve's ``(xi, mu)``; ``"mu_step"`` lists each sweep's
+    ``(lam, p, mu_t, xi_t)``, as the mu update reads them."""
+    grid = inst.solver
+    assert isinstance(grid, GridSolver)
+    sweeps = {"first": {}, "second": {}, "mass": {}, "mu_step": []}
+    p_solve, mass_solve = grid.solve_with_multiplier, grid.solve_mass_full
+    xi_step = dual_solver._xi_step
+
+    def recorded_p_solve(b, start=None, stop=None):
+        out = p_solve(b, start, stop)
+        sweeps["first" if start is None else "second"][stop] = (b, out[0])
+        return out
+
+    def recorded_mass_solve(b, x0, stop=None):
+        out = mass_solve(b, x0, stop)
+        sweeps["mass"][stop] = (b, out)
+        return out
+
+    def recorded_xi_step(prob, lam, p, mu_t, xi_t):
+        sweeps["mu_step"].append((lam, p, mu_t, xi_t))
+        return xi_step(prob, lam, p, mu_t, xi_t)
+
+    monkeypatch.setattr(grid, "solve_with_multiplier", recorded_p_solve)
+    monkeypatch.setattr(grid, "solve_mass_full", recorded_mass_solve)
+    monkeypatch.setattr(dual_solver, "_xi_step", recorded_xi_step)
+    return sweeps
+
+
+def _measured_eps_bar(inst, tol, sweeps, ks, phis):
+    """``eps_bar_k`` of README's inexact bound at each logged ``k``, from
+    the errors that the recorded solves left, measured with the instance's
+    factors.
+
+    Sweep ``j`` adds ``sqrt(2) t_j D_j``, with ``D_j`` its error in the
+    norms of the blocks, ``H = G/alpha`` the p-solve's operator:
+    - the p-solves' ``d'_j`` and ``d_j``, ``|H p - b|_{H^-1}``, bound the
+      (lam, p) block's by ``d'_j + 2 d_j``;
+    - the mass solves' error at the extrapolated mu,
+      ``e_t = mu_t - M_full^-1 xi_t``, enters the mu block's gradient:
+      ``|M_full e_t / alpha|_{S_mu^-1} = sqrt(e_t' W e_t / (alpha gamma))``.
+    The bound covers ``(lam_k, p_k, M_full^-1 xi_k)``; a logged ``Phi``
+    above that value by ``x_k`` adds ``(k+1) sqrt(x_k) / 2``.
+    """
+    ops, alpha, gamma = inst.ops, inst.alpha, inst.gamma
+    exact = AugmentedSolver(ops, alpha)
+
+    def h_dual_norm(b, p):
+        delta = ops.K @ ops.mass_factor.solve(ops.K @ p) + ops.M @ p / alpha \
+            - b
+        return np.sqrt(max(delta @ exact.solve_with_multiplier(delta)[0],
+                           0.0))
+
+    logged = dict(zip(ks.tolist(), phis))
+    eps_bar, total, t = [], 0.0, 1.0
+    for j, (lam, p, mu_t, xi_t) in enumerate(sweeps["mu_step"], start=1):
+        stop = tol / j**3
+        e_t = mu_t - ops.mass_full_factor.solve(xi_t)
+        mass = np.sqrt(max(e_t @ (ops.W_full * e_t), 0.0) / (alpha * gamma))
+        total += np.sqrt(2.0) * t * (
+            h_dual_norm(*sweeps["first"][stop])
+            + 2.0 * h_dual_norm(*sweeps["second"][stop]) + mass)
+        if j in logged:
+            xi = sweeps["mass"][stop][0]
+            covered = dual_solver.dual_objective(
+                inst, lam, p, ops.mass_full_factor.solve(xi))
+            excess = max(logged[j] - covered, 0.0)
+            eps_bar.append(total + (j + 1) * np.sqrt(excess) / 2.0)
+        t = dual_solver.momentum(t)[0]
+    return np.array(eps_bar)
+
+
+@pytest.mark.parametrize("preset, level", [("sine", 3), ("shifted", 4),
+                                           ("sine", 5)])
+def test_inexact_value_bound_holds_on_forced_grid_runs(preset, level,
+                                                        monkeypatch):
+    """A run on the grid path, forced below level 7 by ``GRID_MIN_N``,
+    stops each sweep's solves at ``tol k^-3``.  Its logged values keep the
+    inexact bound ``4 (sqrt(tau_h) + eps_bar_k)^2 / (k+1)^2`` against the
+    certified optimum along the whole run, with ``eps_bar_k`` measured
+    from the errors its solves left; with tau_h an eighth as large, the
+    same check fails."""
+    inst = make_instance(preset, level)
+    cert = oracle.certified_optimum(inst)
+    monkeypatch.setattr(dual_solver, "GRID_MIN_N", 0)
+    fresh = make_instance(preset, level)
+    sweeps = _recorded_sweeps(fresh, monkeypatch)
+    tol = 1e-6
+    run = solve(fresh, SolverConfig(tol=tol))
+    assert run.stop_reason == "kkt"
+    # every sweep's solves were loose, so the run is inexact throughout
+    assert len(sweeps["mu_step"]) == run.iterations
+    assert min(sweeps["mass"]) > sparse_linalg.GRID_BERR_STOP
+    eps_bar = _measured_eps_bar(fresh, tol, sweeps, run.ks, run.phi)
+    assert eps_bar[-1] > 0.0
+    tau = compute_tau_h(inst, DualIterate.for_instance(inst), cert.z_star)
+    ok, margin = verify_complexity_bound(run, tau, cert.phi_star,
+                                         eps_bar=eps_bar)
+    assert ok and margin > 0.0, margin
+    # the errors are small against the distance to the optimum
+    assert eps_bar[-1] < 1e-3 * np.sqrt(tau)
+    ok, _ = verify_complexity_bound(run, tau / 8.0, cert.phi_star,
+                                    eps_bar=eps_bar)
+    assert not ok

@@ -342,8 +342,8 @@ def test_sweeps_warm_start_their_second_grid_p_solve(monkeypatch):
             calls.append(None)
         return diagonal_solve(self, eig_inv, v)
 
-    def cold(self, b, start=None):
-        return solve_with_multiplier(self, b)
+    def cold(self, b, start=None, stop=None):
+        return solve_with_multiplier(self, b, stop=stop)
 
     monkeypatch.setattr(GridSolver, "_diagonal_solve", counted)
     warm = solve(inst, config)
@@ -354,6 +354,36 @@ def test_sweeps_warm_start_their_second_grid_p_solve(monkeypatch):
     assert 0 < warm_calls < len(calls)
     # the same sweeps, to roundoff
     assert np.allclose(warm.phi, cold_run.phi, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("preset", ["sine", "shifted"])
+def test_loose_grid_sweeps_report_exact_values(preset, monkeypatch):
+    """A run on the grid path, forced at level 3 by ``GRID_MIN_N``, whose
+    solves stop at ``tol k^-3`` logs the exact dual value and gap of the
+    iterate it returns: ``dual_objective`` there with an exact mass solve
+    in place of the sweep's ``w``, and that plus the primal value of the
+    clipped control."""
+    monkeypatch.setattr(dual_solver, "GRID_MIN_N", 0)
+    inst = make_instance(preset, 3)
+    run = solve(inst, SolverConfig(max_iters=3, tol=1e-3))
+    assert isinstance(inst.solver, GridSolver)
+    assert (run.iterations, run.stop_reason) == (3, "max_iters")
+    phi = dual_objective(inst, *run.final.blocks())
+    assert abs(run.phi[-1] - phi) <= 1e-14 * abs(phi)
+    u, _ = recover_primal(inst, *run.final.blocks())
+    gap = phi + primal_value(inst, np.clip(u, *inst.box))
+    assert abs(run.gap[-1] - gap) <= 1e-14 * abs(phi)
+
+
+@pytest.mark.parametrize("preset, sweeps", [("sine", 61), ("shifted", 209)])
+def test_loose_grid_sweeps_keep_the_level_7_sweep_counts(preset, sweeps):
+    """From rest to tol 1e-6, level 7 takes the grid path with every
+    solve stopped at ``tol k^-3``, and ends on the KKT test after as many
+    sweeps as with every solve exact."""
+    inst = make_instance(preset, 7)
+    run = solve(inst)
+    assert isinstance(inst.solver, GridSolver)
+    assert (run.iterations, run.stop_reason) == (sweeps, "kkt")
 
 
 def test_recover_primal_identities(sine2, rng):

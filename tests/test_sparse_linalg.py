@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import dia_matvec
 
 from pdeabcd import dual_solver, sparse_linalg
 from pdeabcd.analysis import compute_tau_h, lam_max_majorizer
@@ -464,6 +465,19 @@ def test_grid_solver_shared_by_threads_gives_the_serial_answers(rng):
     assert len(results) == 8
 
 
+def _p_berr(ops, s, b, p, w):
+    """Backward error of ``x = w - i s p`` in ``(K + i s M) x = b``."""
+    A = ops.K + 1j * s * ops.M
+    x = w - 1j * s * p
+    return np.abs(b - A @ x).max() / (
+        abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
+
+
+def _mass_berr(ops, b, x):
+    return np.abs(b - ops.M_full @ x).max() / (
+        ops.W_full.max() * np.abs(x).max() + np.abs(b).max())
+
+
 @pytest.mark.parametrize("level", [3, 5, 7])
 def test_grid_mass_solve_matches_the_factor(rng, ops7, level, monkeypatch):
     """From zero and from a warm start, the Chebyshev ``M_full`` solve meets
@@ -477,9 +491,7 @@ def test_grid_mass_solve_matches_the_factor(rng, ops7, level, monkeypatch):
     x_lu = ops.mass_full_factor.solve(b)
     for x0 in (np.zeros_like(b), x_lu + 1e-3 * rng.standard_normal(b.size)):
         x = grid.solve_mass_full(b, x0)
-        berr = np.abs(b - ops.M_full @ x).max() / (
-            ops.W_full.max() * np.abs(x).max() + np.abs(b).max())
-        assert berr <= sparse_linalg.GRID_BERR_STOP
+        assert _mass_berr(ops, b, x) <= sparse_linalg.GRID_BERR_STOP
         # M_full's condition number is at most 4 max(W) / min(W) = 24
         assert np.abs(x - x_lu).max() <= 1e-13 * np.abs(x_lu).max()
         # the start is copied, never written
@@ -501,16 +513,156 @@ def test_grid_warm_p_solve_matches_the_cold_one(rng, ops7, level, alpha):
     # x = w - i s p solves (K + i s M) x = b; rebuilt from p = -Im(x)/s,
     # its imaginary part is rounded twice more, which can add about eps
     # to the backward error the solve stopped at
-    A = ops.K + 1j * s * ops.M
+    assert _p_berr(ops, s, b, p, w) \
+        <= sparse_linalg.GRID_BERR_STOP + np.finfo(float).eps
     x = w - 1j * s * p
-    berr = np.abs(b - A @ x).max() / (
-        abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
-    assert berr <= sparse_linalg.GRID_BERR_STOP + np.finfo(float).eps
     for p_ref, w_ref in (grid.solve_with_multiplier(b),
                          AugmentedSolver(ops, alpha)
                          .solve_with_multiplier(b)):
         x_ref = w_ref - 1j * s * p_ref
         assert np.abs(x - x_ref).max() <= 1e-13 * np.abs(x_ref).max()
+
+
+@pytest.mark.parametrize("stop", [1e-6, 1e-9])
+def test_grid_solves_given_a_loose_stop_end_at_or_below_it(rng, ops7, stop,
+                                                           monkeypatch):
+    """A sweep's grid solves stop at its schedule's backward error: a cold
+    p-solve and a mass solve end at or below ``stop``, in fewer steps than
+    the exact solves; a started p-solve returns ``(K^-1 M w, w)``, a pair
+    on which ``K p = M w`` holds to roundoff."""
+    ops = ops7
+    grid = GridSolver(ops, 1e-3)
+    eps = np.finfo(float).eps
+    b = rng.standard_normal(ops.n_interior)
+    p, w = grid.solve_with_multiplier(b, stop=stop)
+    exact = grid.solve_with_multiplier(b)
+    assert _p_berr(ops, grid.s, b, p, w) <= stop + eps
+    assert _p_berr(ops, grid.s, b, *exact) <= sparse_linalg.GRID_BERR_STOP \
+        + eps
+    # started from the loose answer for a neighbouring right side
+    b2 = b + 1e-2 * rng.standard_normal(ops.n_interior)
+    p2, w2 = grid.solve_with_multiplier(b2, (p, w), stop)
+    # |K|_inf = 8: the roundoff of K p is about 8 eps |p|_inf
+    assert np.abs(ops.K @ p2 - ops.M @ w2).max() \
+        <= 1e-14 * np.abs(p2).max()
+    # the pair's p is as close to the exact answer as the stop allows
+    p_ref = grid.solve_with_multiplier(b2)[0]
+    assert 0.0 < np.abs(p2 - p_ref).max() <= 1e3 * stop * np.abs(p_ref).max()
+
+    b_full = rng.standard_normal(ops.mesh.n_nodes)
+    x0 = np.zeros_like(b_full)
+    steps = []
+    corrections = sparse_linalg._corrections
+
+    def counted(*args):
+        for r in corrections(*args):
+            steps[-1] += 1
+            yield r
+
+    monkeypatch.setattr(sparse_linalg, "_corrections", counted)
+    for s in (stop, None):
+        steps.append(0)
+        x = grid.solve_mass_full(b_full, x0, s)
+        assert _mass_berr(ops, b_full, x) <= (s or 0.0) \
+            + sparse_linalg.GRID_BERR_STOP
+    assert 0 < steps[0] < steps[1]
+
+
+def test_loose_grid_solves_raise_above_their_stop(rng, monkeypatch):
+    """At ``GRID_STEP_CAP`` a loose solve raises when its backward error is
+    above ``max(stop, GRID_BERR_MAX)``, and returns below it."""
+    ops = assemble(build_unit_square_mesh(3))
+    grid = GridSolver(ops, 1e-8)
+    b = rng.standard_normal(ops.n_interior)
+    b_full = rng.standard_normal(ops.mesh.n_nodes)
+    x0 = np.zeros_like(b_full)
+    monkeypatch.setattr(sparse_linalg, "GRID_STEP_CAP", 1)
+    for stop in (1e-11, 1e-6):
+        with pytest.raises(RuntimeError, match=f"at most {stop:g}"):
+            grid.solve_with_multiplier(b, stop=stop)
+        with pytest.raises(RuntimeError, match=f"at most {stop:g}"):
+            grid.solve_mass_full(b_full, x0, stop)
+    # the limit is never below GRID_BERR_MAX
+    with pytest.raises(RuntimeError, match="at most 1e-12"):
+        grid.solve_mass_full(b_full, x0, 1e-14)
+    # one step leaves a backward error that the loosest stops accept
+    p, w = grid.solve_with_multiplier(b, stop=0.5)
+    assert np.isfinite(p).all() and _p_berr(ops, grid.s, b, p, w) <= 0.5
+    x = grid.solve_mass_full(b_full, x0, 0.5)
+    assert _mass_berr(ops, b_full, x) <= 0.5
+
+
+def _exact_p_solve(grid, b, start=None):
+    """The grid p-solve without a stop, written out: Richardson steps from
+    ``P^-1 b``, or from a start's ``w - i s p``, to ``GRID_BERR_STOP``."""
+    x = grid._diagonal_solve(grid._p_inv, b) if start is None \
+        else start[1] - 1j * grid.s * start[0]
+    b_inf = np.abs(b).max()
+    while True:
+        r = b - grid._A @ x
+        berr = np.abs(r).max() / (grid._a_inf * np.abs(x).max() + b_inf)
+        if berr <= sparse_linalg.GRID_BERR_STOP:
+            return -x.imag / grid.s, x.real
+        x += grid._diagonal_solve(grid._p_inv, r)
+
+
+def _exact_mass_solve(grid, ops, b, x0):
+    """The grid mass solve without a stop, written out: Chebyshev steps on
+    [1/4, 1] preconditioned with ``W``, to ``GRID_BERR_STOP``."""
+    x = np.array(x0, dtype=float)
+    theta, delta = 0.625, 0.375
+    d = np.zeros_like(x)
+    rho = delta / theta
+    b_inf = np.abs(b).max()
+    w_max = ops.W_full.max()
+    neg = grid._neg_mass_full
+    for steps in range(sparse_linalg.GRID_STEP_CAP):
+        # b - M_full x as the solve forms it, by scipy's DIA kernel
+        r = b.copy()
+        dia_matvec(x.size, x.size, neg.offsets.size, neg.data.shape[1],
+                   neg.offsets, neg.data, x, r)
+        berr = np.abs(r).max() / (w_max * np.abs(x).max() + b_inf)
+        if berr <= sparse_linalg.GRID_BERR_STOP:
+            break
+        z = r * (1.0 / ops.W_full)
+        if steps:
+            rho_next = 1.0 / (2.0 * theta / delta - rho)
+            d *= rho_next * rho
+            z *= 2.0 * rho_next / delta
+            rho = rho_next
+        else:
+            z /= theta
+        d += z
+        x += d
+    return x
+
+
+def test_grid_solves_without_a_stop_are_the_exact_solves():
+    """Without a stop, or with one at or below ``GRID_BERR_STOP`` (the
+    schedule at ``tol = 0``), both level-8 grid solves are the exact
+    iterations written out, bit for bit, cold and warm."""
+    ops = assemble(build_unit_square_mesh(8))
+    rng = np.random.default_rng(8)
+    grid = GridSolver(ops, 1e-3)
+    b = rng.standard_normal(ops.n_interior)
+    b2 = b + 1e-2 * rng.standard_normal(ops.n_interior)
+    b_full = rng.standard_normal(ops.mesh.n_nodes)
+    cold = _exact_p_solve(grid, b)
+    warm = _exact_p_solve(grid, b2, cold)
+    mass = {"cold": _exact_mass_solve(grid, ops, b_full, 0.0 * b_full)}
+    mass["warm"] = _exact_mass_solve(grid, ops, b_full + 1e-2,
+                                     mass["cold"])
+    for stop in ({}, {"stop": None}, {"stop": 0.0},
+                 {"stop": sparse_linalg.GRID_BERR_STOP}):
+        got = grid.solve_with_multiplier(b, **stop)
+        assert all(np.array_equal(u, v) for u, v in zip(got, cold))
+        got = grid.solve_with_multiplier(b2, cold, **stop)
+        assert all(np.array_equal(u, v) for u, v in zip(got, warm))
+        assert np.array_equal(
+            grid.solve_mass_full(b_full, 0.0 * b_full, **stop), mass["cold"])
+        assert np.array_equal(
+            grid.solve_mass_full(b_full + 1e-2, mass["cold"], **stop),
+            mass["warm"])
 
 
 def test_grid_solve_builds_no_factorization(monkeypatch):
