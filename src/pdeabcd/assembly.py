@@ -22,7 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh, triangle_areas
-from .sparse_linalg import Factorization, canonicalize, dot, factorize_spd
+from .sparse_linalg import (Factorization, canonicalize, dot, factorize_spd,
+                            pattern_positions)
 
 # lumped-mass comparison constant of the mesh family: z'Wz <= 4 z'Mz for
 # P1 triangles in the plane
@@ -51,25 +52,86 @@ def _element_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return area, grads
 
 
+def _node_pattern(mesh: Mesh) -> sp.csr_matrix:
+    """The node adjacency of ``mesh`` as a sorted CSR pattern: an entry
+    ``(i, j)`` for every two nodes of one triangle, ``i = j`` included.
+
+    It is the pattern of ``E' E`` for the boolean triangle-node incidence
+    ``E``, so no per-entry triplet list is formed.
+    """
+    tri = mesh.triangles
+    incidence = sp.csr_matrix(
+        (np.ones(tri.size, dtype=bool), tri.ravel(),
+         np.arange(0, tri.size + 1, 3)),
+        shape=(tri.shape[0], mesh.n_nodes))
+    return canonicalize(incidence.T @ incidence)
+
+
+def _pattern_data(pattern: sp.csr_matrix, triangles: np.ndarray,
+                  area: np.ndarray, grads: np.ndarray,
+                  with_mass: bool) -> list[np.ndarray]:
+    """The stiffness matrix's data on ``pattern``, and the mass matrix's
+    after it if ``with_mass``, from the element geometry ``area, grads``
+    (:func:`_element_geometry`).
+
+    For each of the nine local pairs ``(a, b)`` every element adds its
+    entry in element order (``np.add.at``), so each stored number is a
+    sequential sum, as scipy's sum of duplicate COO entries is.  On the
+    dyadic meshes the stiffness contributions are exact and each mass
+    entry sums equal values, so the two agree bit for bit.
+    """
+    data = [np.zeros(pattern.nnz) for _ in range(1 + with_mass)]
+    for a in range(3):
+        for b in range(3):
+            at = pattern_positions(pattern, triangles[:, a], triangles[:, b])
+            np.add.at(data[0], at,
+                      area * np.einsum("ij,ij->i", grads[:, a], grads[:, b]))
+            if with_mass:
+                np.add.at(data[1], at, area * _ELEMENT_MASS_PATTERN[a, b])
+    return data
+
+
+def _block(pattern: sp.csr_matrix, data: np.ndarray, index_of: np.ndarray,
+           nonzero: bool = False) -> sp.csr_matrix:
+    """The block of the matrix with ``data`` on ``pattern`` whose rows and
+    columns ``i`` have ``index_of[i] >= 0``, renumbered by ``index_of``;
+    with ``nonzero``, its zero entries are not stored."""
+    indptr, indices = pattern.indptr, pattern.indices
+    inside = index_of >= 0
+    keep = inside[indices]
+    keep &= np.repeat(inside, np.diff(indptr))
+    if nonzero:
+        keep &= data != 0.0
+    # every row of the node pattern holds its diagonal, so none is empty
+    counts = np.add.reduceat(keep, indptr[:-1], dtype=indptr.dtype)[inside]
+    size = int(inside.sum())
+    return sp.csr_matrix(
+        (data[keep], index_of[indices[keep]],
+         np.concatenate(([0], np.cumsum(counts)))), shape=(size, size))
+
+
 @dataclass
 class FemOperators:
     """Assembled P1 operators for one mesh.
 
-    ``K_full``/``M_full``/``W_full`` cover the whole node set; ``K`` and
-    ``M`` are their interior blocks (Dirichlet elimination).  ``K_full`` is
-    the Laplacian stiffness of the state equation and of the H1 norm, and
-    ``restrict(W_full)`` gives the interior lumped mass.  The operators own
-    the SPD factorizations of ``M``, ``M_full`` and ``K`` as the cached
-    properties ``mass_factor``, ``mass_full_factor`` and
-    ``stiffness_factor``: each is built on first read and kept for the life
-    of the operators.  A problem instance's one solver
-    (``ProblemInstance.solver``) solves with the last two below
-    ``dual_solver.GRID_MIN_N`` interior unknowns and with none of them from
-    there on; the oracle and the checks read them directly.
+    ``M_full``/``W_full`` cover the whole node set; ``K`` and ``M`` are the
+    interior blocks (Dirichlet elimination) of ``K_full`` and ``M_full``,
+    and ``restrict(W_full)`` gives the interior lumped mass.  ``K_full``,
+    the Laplacian stiffness on the whole node set, is read only by
+    :func:`norms`, so it is assembled on first read and a solve never
+    holds it: at level 10 the operators hold about 270 MB, and from level
+    8 on a solve's resident peak sits in the solve, not in their setup
+    (peaks in :func:`assemble`).  The operators own the SPD
+    factorizations of ``M``, ``M_full`` and ``K`` as the cached properties
+    ``mass_factor``, ``mass_full_factor`` and ``stiffness_factor``: each
+    is built on first read and kept for the life of the operators.  A
+    problem instance's one solver (``ProblemInstance.solver``) solves with
+    the last two below ``dual_solver.GRID_MIN_N`` interior unknowns and
+    with none of them from there on; the oracle and the checks read them
+    directly.
     """
 
     mesh: Mesh
-    K_full: sp.csr_matrix
     M_full: sp.csr_matrix
     W_full: np.ndarray
     interior: np.ndarray
@@ -79,6 +141,16 @@ class FemOperators:
     @property
     def n_interior(self) -> int:
         return self.interior.size
+
+    @cached_property
+    def K_full(self) -> sp.csr_matrix:
+        """The stiffness matrix on the whole node set, assembled on
+        ``M_full``'s pattern without its zero entries."""
+        data, = _pattern_data(self.M_full, self.mesh.triangles,
+                              *_element_geometry(self.mesh), with_mass=False)
+        return _block(self.M_full, data,
+                      np.arange(self.mesh.n_nodes, dtype=np.int32),
+                      nonzero=True)
 
     @cached_property
     def mass_factor(self) -> Factorization:
@@ -112,28 +184,44 @@ class FemOperators:
 
 
 def assemble(mesh: Mesh) -> FemOperators:
-    """Assemble stiffness, mass, and lumped mass operators on ``mesh``."""
+    """Assemble stiffness, mass, and lumped mass operators on ``mesh``.
+
+    Both matrices are summed element by element into one node-adjacency
+    pattern (:func:`_pattern_data`), which ``M_full`` keeps; ``K`` and
+    ``M`` are cut from it through a node-to-interior index map.  No triplet
+    list, element matrix stack or sparse sum is formed, so the traced peak
+    is about 1.3 times the bytes returned at levels 7-9.
+
+    Resident peaks of a ``sine`` solve to tol 1e-6 in one process (2
+    shared cores, Python 3.11, numpy 2.4, scipy 1.17), after the instance,
+    after its grid solver and at the end: level 8, 88, 106 and 127 MB;
+    level 9 (three sweeps), 167, 220 and 293 MB; level 10 (82 sweeps),
+    464, 675 and 1016 MB.  So each run peaks in its solve's working
+    vectors.  Summed from COO triplets, the operators peaked at 143 MB at
+    level 8, 385 MB at level 9 and 1352 MB at level 10, above any later
+    stage.
+    """
+    pattern = _node_pattern(mesh)
     area, grads = _element_geometry(mesh)
-    ke = area[:, None, None] * (grads @ grads.transpose(0, 2, 1))
-    me = area[:, None, None] * _ELEMENT_MASS_PATTERN[None]
+    k_data, m_data = _pattern_data(pattern, mesh.triangles, area, grads,
+                                   with_mass=True)
+    del grads
+    M_full = sp.csr_matrix((m_data, pattern.indices, pattern.indptr),
+                           shape=pattern.shape)
 
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
     n = mesh.n_nodes
-    K_full = canonicalize(sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)))
-    M_full = canonicalize(sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)))
-
     W_full = np.zeros(n)
-    np.add.at(W_full, mesh.triangles.ravel(),
-              np.repeat(area / 3.0, 3))
+    np.add.at(W_full, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
 
     interior = mesh.interior
-    K = canonicalize(K_full[np.ix_(interior, interior)])
-    M = canonicalize(M_full[np.ix_(interior, interior)])
+    interior_of = np.full(n, -1, dtype=np.int32)
+    interior_of[interior] = np.arange(interior.size, dtype=np.int32)
+    K = _block(M_full, k_data, interior_of, nonzero=True)
+    del k_data
+    M = _block(M_full, m_data, interior_of)
 
     return FemOperators(
         mesh=mesh,
-        K_full=K_full,
         M_full=M_full,
         W_full=W_full,
         interior=interior,

@@ -42,12 +42,36 @@ class DefinitenessError(ValueError):
 
 
 def canonicalize(matrix) -> sp.csr_matrix:
-    """Return a CSR copy with sorted indices, summed duplicates, no stored zeros."""
-    out = sp.csr_matrix(matrix)
+    """Return a CSR copy with sorted indices, summed duplicates, no stored zeros.
+
+    The input is never changed: a CSR input is copied first, since the
+    steps below work in place on the arrays that a plain conversion would
+    share with it.
+    """
+    out = sp.csr_matrix(matrix, copy=True)
     out.sum_duplicates()
     out.eliminate_zeros()
     out.sort_indices()
     return out
+
+
+def pattern_positions(pattern: sp.csr_matrix, rows: np.ndarray,
+                      cols: np.ndarray) -> np.ndarray:
+    """Where the entry ``(rows[e], cols[e])`` is stored in ``pattern``'s
+    data, for every ``e``; ``ValueError`` if one is not stored.
+
+    scipy's CSR entry lookup samples them from a matrix on ``pattern``'s
+    index arrays whose data is one plus each entry's place, so an entry
+    not stored reads 0.
+    """
+    places = sp.csr_matrix(
+        (np.arange(1, pattern.nnz + 1, dtype=pattern.indices.dtype),
+         pattern.indices, pattern.indptr), shape=pattern.shape)
+    at = np.asarray(places[rows, cols]).ravel()
+    if not at.all():
+        raise ValueError("an entry is not in the pattern")
+    at -= 1
+    return at
 
 
 @dataclass
@@ -341,18 +365,36 @@ class GridSolver:
         self._k_inv = 1.0 / k_eig
         self._p_inv = 1.0 / (k_eig + 1j * self.s * m_eig)
         self._M = M
-        self._A = (K + 1j * self.s * M).tocsr()
-        self._a_inf = float(abs(self._A).sum(axis=1).max())
-        mass = sp.dia_matrix(M_full)
-        if sorted(mass.offsets) != [-m - 3, -m - 2, -1, 0, 1, m + 2, m + 3]:
+        # K + i s M, written on M's pattern, which holds K's, and sharing
+        # M's index arrays: the entries of scipy's sum, with real part 0
+        # where K stores none
+        a = np.zeros(M.nnz, dtype=complex)
+        np.multiply(M.data, self.s, out=a.imag)
+        k_rows = np.repeat(np.arange(self.n, dtype=K.indptr.dtype),
+                           np.diff(K.indptr))
+        a.real[pattern_positions(M, k_rows, K.indices)] = K.data
+        del k_rows
+        self._A = sp.csr_matrix((a, M.indices, M.indptr), shape=M.shape)
+        # |A|_inf as scipy's row sums of abs(A); every row of M holds its
+        # diagonal, so none is empty
+        self._a_inf = float(np.add.reduceat(np.abs(a), M.indptr[:-1]).max())
+        # M_full in DIA storage, read off its seven diagonals: the data of
+        # sp.dia_matrix(M_full), without that conversion's COO copy and sort
+        offsets = [-m - 3, -m - 2, -1, 0, 1, m + 2, m + 3]
+        diagonals = np.zeros((len(offsets), self.n_full))
+        for row, k in zip(diagonals, offsets):
+            row[max(k, 0):self.n_full + min(k, 0)] = M_full.diagonal(k)
+        if np.count_nonzero(diagonals) != M_full.count_nonzero():
             raise ValueError(f"M_full is not on the seven diagonals of the "
                              f"level-{level} grid")
+        mass = sp.dia_matrix((diagonals, offsets), shape=M_full.shape)
         self._w_max = W_full.max()
         if np.abs(mass @ np.ones(self.n_full) - W_full).max() \
                 > 1e-12 * self._w_max:
             raise ValueError("W is not the row sums of M_full")
         self._w_inv = 1.0 / W_full
-        self._neg_mass_full = -mass
+        np.negative(mass.data, out=mass.data)
+        self._neg_mass_full = mass
 
     def _diagonal_solve(self, eig_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``S diag(eig_inv) S v`` with ``S`` the 2-D DST-I."""

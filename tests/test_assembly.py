@@ -8,6 +8,7 @@ routes share no code.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,84 @@ def test_dump_operators(tmp_path, ops3):
     # one repr per line, so the weights round-trip exactly
     W = [float(line) for line in (tmp_path / "W.txt").read_text().splitlines()]
     assert np.array_equal(W, ops3.restrict(ops3.W_full))
+
+
+def _coo_operators(mesh):
+    """The operators summed by scipy from the 9-per-triangle COO triplets
+    of the element matrices, and their interior blocks cut by ``np.ix_``."""
+    area = triangle_areas(mesh)
+    p = mesh.nodes[mesh.triangles]
+    grads = np.empty((p.shape[0], 3, 2))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        grads[:, i, 0] = (p[:, j, 1] - p[:, k, 1]) / (2.0 * area)
+        grads[:, i, 1] = (p[:, k, 0] - p[:, j, 0]) / (2.0 * area)
+    ke = area[:, None, None] * (grads @ grads.transpose(0, 2, 1))
+    me = area[:, None, None] * (np.array([[2.0, 1.0, 1.0],
+                                          [1.0, 2.0, 1.0],
+                                          [1.0, 1.0, 2.0]]) / 12.0)[None]
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    n = mesh.n_nodes
+
+    def canonical(A):
+        out = sp.csr_matrix(A, copy=True)
+        out.sum_duplicates()
+        out.eliminate_zeros()
+        out.sort_indices()
+        return out
+
+    K_full, M_full = (canonical(sp.coo_matrix((e.ravel(), (rows, cols)),
+                                              shape=(n, n))) for e in (ke, me))
+    W_full = np.zeros(n)
+    np.add.at(W_full, mesh.triangles.ravel(), np.repeat(area / 3.0, 3))
+    inner = np.ix_(mesh.interior, mesh.interior)
+    K, M = canonical(K_full[inner]), canonical(M_full[inner])
+    return {"K_full": K_full, "M_full": M_full, "W_full": W_full,
+            "K": K, "M": M}
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_assembly_matches_the_coo_sum_bytewise(level):
+    """The pattern assembly stores the numbers, indices and index dtypes of
+    scipy's COO sum, and builds ``K_full`` only when it is read."""
+    mesh = build_unit_square_mesh(level)
+    ops = assemble(mesh)
+    assert "K_full" not in vars(ops)
+    for name, ref in _coo_operators(mesh).items():
+        got = getattr(ops, name)
+        if sp.issparse(ref):
+            assert got.format == "csr" and got.shape == ref.shape, name
+            assert got.has_sorted_indices, name
+            for part in ("data", "indices", "indptr"):
+                assert _same_bytes(getattr(got, part), getattr(ref, part)), \
+                    (name, part)
+        else:
+            assert _same_bytes(got, ref), name
+    assert "K_full" in vars(ops)
+    assert ops.K_full is ops.K_full
+
+
+def test_assembly_transient_stays_below_its_output():
+    """At level 7 the traced peak of ``assemble`` is at most twice the bytes
+    of the operators it returns (``K_full`` unread): no triplet list, no
+    per-element matrices and no sparse slicing copies are formed."""
+    mesh = build_unit_square_mesh(7)
+    tracemalloc.start()
+    try:
+        ops = assemble(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = ops.W_full.nbytes + ops.interior.nbytes + sum(
+        A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+        for A in (ops.M_full, ops.K, ops.M))
+    assert peak <= 2 * kept, (peak, kept)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,30 @@ def test_canonicalize_formats():
     assert (canonicalize(C) != C).nnz == 0
 
 
+@pytest.mark.parametrize("fmt", ["csr", "coo", "lil"])
+def test_canonicalize_leaves_its_input_unchanged(fmt):
+    """A row with unsorted columns and a stored zero is sorted and pruned in
+    the copy only; a CSR input used to share, and lose, its arrays."""
+    csr = sp.csr_matrix((np.array([2.0, 0.0]), np.array([1, 0]),
+                         np.array([0, 2, 2])), shape=(2, 2))
+    A = csr.asformat(fmt)
+    parts = {"csr": ("data", "indices", "indptr"), "coo": ("data", "row", "col"),
+             "lil": ("data", "rows")}[fmt]
+    before = {p: [list(v) for v in getattr(A, p)] if fmt == "lil"
+              else getattr(A, p).copy() for p in parts}
+    C = canonicalize(A)
+    for p in parts:
+        after = getattr(A, p)
+        if fmt == "lil":
+            assert [list(v) for v in after] == before[p], p
+        else:
+            assert np.array_equal(after, before[p]), p
+            assert not np.shares_memory(after, C.data), p
+    assert A.toarray().tolist() == [[0.0, 2.0], [0.0, 0.0]]
+    assert C.indptr.tolist() == [0, 1, 1]
+    assert C.indices.tolist() == [1] and C.data.tolist() == [2.0]
+
+
 def test_factorize_spd_matches_dense(rng):
     # real SPD, and complex symmetric with SPD real part (the p-solve matrix)
     ops = assemble(build_unit_square_mesh(3))
@@ -372,6 +396,56 @@ def test_grid_solver_refuses_other_operators():
         GridSolver(replace(ops, M_full=wide.tocsr()), 1e-2)
     with pytest.raises(ValueError, match="expected"):
         GridSolver(replace(ops, M_full=Mf[:-1, :-1]), 1e-2)
+    # an entry of K off M's pattern, too small for the stencil check
+    stray = K.tolil()
+    stray[0, 2] = 1e-20
+    with pytest.raises(ValueError, match="pattern"):
+        GridSolver(replace(ops, K=stray.tocsr()), 1e-2)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+@pytest.mark.parametrize("preset", ["sine", "shifted"])
+def test_grid_solver_operators_are_scipys_bitwise(level, preset):
+    """``_A`` is written on ``M``'s pattern and shares its index arrays,
+    ``|A|_inf`` is summed from its data, and the DIA mass is read off the
+    diagonals and negated in place; each is bit for bit what scipy's sum,
+    row sums and conversion give."""
+    inst = make_instance(preset, level)
+    ops = inst.ops
+    grid = GridSolver(ops, inst.alpha)
+    A = (ops.K + 1j * grid.s * ops.M).tocsr()
+    for part in ("data", "indices", "indptr"):
+        assert _same_bytes(getattr(grid._A, part), getattr(A, part)), part
+    assert np.shares_memory(grid._A.indices, ops.M.indices)
+    assert np.shares_memory(grid._A.indptr, ops.M.indptr)
+    assert grid._a_inf == float(abs(A).sum(axis=1).max())
+    neg = -sp.dia_matrix(ops.M_full)
+    assert _same_bytes(grid._neg_mass_full.data, neg.data)
+    assert _same_bytes(grid._neg_mass_full.offsets, neg.offsets)
+    assert grid._neg_mass_full.shape == neg.shape
+
+
+def test_grid_solver_construction_transient_stays_below_what_it_keeps():
+    """At level 7 the traced peak of the constructor is at most twice the
+    bytes of the arrays it keeps: no complex copy of ``K``, no ``1j s M``,
+    no ``abs(A)`` and no COO copy for the DIA mass."""
+    import scipy.fft  # noqa: F401  the constructor's import is not its work
+
+    ops = assemble(build_unit_square_mesh(7))
+    tracemalloc.start()
+    try:
+        grid = GridSolver(ops, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (grid._A.data, grid._neg_mass_full.data,
+                                  grid._k_inv, grid._p_inv, grid._w_inv))
+    assert peak <= 2 * kept, (peak, kept)
 
 
 def test_grid_solver_raises_at_its_step_cap(rng, monkeypatch):
