@@ -300,8 +300,10 @@ def dual_objective(prob: ProblemInstance, lam, p, mu, w=None) -> float:
     kp = ops.K @ p
     if w is None:
         w = ops.mass_factor.solve(kp)
-    coupling = lam + mu - ops.pad(p)
-    val = 0.5 * dot(kp - prob.m_yd, w - prob.y_d)
+    coupling = lam + mu
+    coupling -= ops.pad(p)
+    kp -= prob.m_yd
+    val = 0.5 * dot(kp, w - prob.y_d)
     val += 0.5 / prob.alpha * dot(coupling, ops.M_full @ coupling)
     val += dot(prob.m_yr, p)
     val += support_box(ops.M_full @ mu, *prob.box)
@@ -320,11 +322,12 @@ def primal_value(prob: ProblemInstance, u: np.ndarray) -> float:
     """
     u = np.asarray(u, dtype=float)
     ops = prob.ops
-    diff = prob.state(u) - prob.y_d
+    diff = prob.state(u)
+    diff -= prob.y_d
     val = 0.5 * dot(diff, ops.M @ diff)
     m_u = ops.M_full @ u
     val += 0.5 * prob.alpha * dot(u, m_u)
-    val += prob.beta * float(np.abs(m_u).sum())
+    val += prob.beta * float(np.abs(m_u, out=m_u).sum())
     return val
 
 
@@ -443,6 +446,16 @@ def sweep(prob: ProblemInstance, lam_t: np.ndarray, mu_t: np.ndarray,
     return lam, p, w, xi, step_mu(prob, xi, mu_t)
 
 
+def _extrapolate(x: np.ndarray, x_prev: np.ndarray, beta_k: float,
+                 out: np.ndarray) -> np.ndarray:
+    """``x + beta_k (x - x_prev)``, formed in ``out``: the same bits as
+    the expression, since IEEE sums and products commute."""
+    out = np.subtract(x, x_prev, out=out)
+    out *= beta_k
+    out += x
+    return out
+
+
 def momentum(t: float) -> tuple[float, float]:
     """Accelerated step-size recurrence: returns (t_next, beta_k)."""
     t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
@@ -457,8 +470,10 @@ def recover_primal(prob: ProblemInstance, lam, p, mu) -> tuple[np.ndarray, np.nd
     state residual vanishes by construction.
     """
     ops = prob.ops
-    u = (ops.pad(p) - np.asarray(lam, float)
-         - np.asarray(mu, float)) / prob.alpha
+    u = ops.pad(p)
+    u -= np.asarray(lam, float)
+    u -= np.asarray(mu, float)
+    u /= prob.alpha
     return u, prob.state(u)
 
 
@@ -467,14 +482,18 @@ def kkt_residual(prob: ProblemInstance, lam, p, mu, u, y) -> float:
     residuals, each normalized by 1 + the scale of its anchor vector."""
     ops = prob.ops
 
-    r_adj = norm(ops.K @ p - ops.M @ (prob.y_d - y))
-    r_adj /= 1.0 + norm(prob.m_yd)
+    adj = ops.K @ p
+    adj -= ops.M @ (prob.y_d - y)
+    r_adj = norm(adj) / (1.0 + norm(prob.m_yd))
 
     lam_prox = lambda_kernel(lam, ops.M_full @ u, ops.W_full, prob.beta)
-    r_lam = norm(lam - lam_prox) / (1.0 + norm(lam))
+    r_lam = norm(np.subtract(lam, lam_prox, out=lam_prox)) / (1.0 + norm(lam))
 
-    u_prox = np.clip(u + (ops.M_full @ mu) / ops.W_full, *prob.box)
-    r_mu = norm(u - u_prox) / (1.0 + norm(u))
+    u_prox = ops.M_full @ mu
+    u_prox /= ops.W_full
+    u_prox += u
+    np.clip(u_prox, *prob.box, out=u_prox)
+    r_mu = norm(np.subtract(u, u_prox, out=u_prox)) / (1.0 + norm(u))
 
     return max(r_adj, r_lam, r_mu)
 
@@ -557,7 +576,10 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     is dropped when the job ends the run, and taken again from ``t = 1``
     when the restart test fires.  Both paths return the same record, bit
     for bit.  Every solve goes through ``prob.solver``, which this call
-    builds before the worker exists.
+    builds before the worker exists.  Spent arrays are reused: the next
+    ``lam_t``, ``xi_t`` and ``mu_t`` are formed in the last ones, so the
+    arrays that a step is handed are rewritten by later sweeps.  The run
+    keeps no zero start and, while a job runs, no earlier job's ``(u, y)``.
     """
     config = config or SolverConfig()
     if z0 is None:
@@ -572,6 +594,7 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     if viol > 1e-9 * (1.0 + prob.beta):
         raise ValueError(f"initial lam violates the box by {viol:.3e}")
     np.clip(lam_prev, -prob.beta, prob.beta, out=lam_prev)
+    del z0  # the sweeps read the copies; a zero start is not kept
 
     lam_t, mu_t = lam_prev, mu_prev
     xi_t = xi_prev = prob.ops.M_full @ mu_prev
@@ -597,8 +620,16 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
             # the next extrapolation of lam and xi, taken before the job
             # says whether this sweep is the last or restarts the momentum
             t_next, beta_k = momentum(t)
-            lam_next = lam + beta_k * (lam - lam_prev)
-            xi_next = xi + beta_k * (xi - xi_prev)
+            if config.restart:
+                # the restart test's lam term, before lam_t is spent
+                lam_turn = dot(lam_t - lam, lam - lam_prev)
+            # lam_t and xi_t are spent and hold the extrapolation; at k = 1
+            # they are lam_prev and xi_prev, which only a restart reads
+            # again, and the restart test is minus a sum of squares there
+            lam_next = _extrapolate(lam, lam_prev, beta_k, lam_t)
+            xi_next = _extrapolate(xi, xi_prev, beta_k, xi_t)
+            if not config.restart:
+                lam_prev = xi_prev = None
             block = None
             if pool is None:
                 mu, stop_reason, row, u, y = _finish(*args)
@@ -612,17 +643,19 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
                 log.append(row)
             if stop_reason is not None:
                 break
+            # the record takes the last sweep's; none is held meanwhile
+            u = y = None
 
-            if config.restart and dot(lam_t - lam, lam - lam_prev) \
-                    + dot(mu_t - mu, mu - mu_prev) > 0.0:
+            if config.restart \
+                    and lam_turn + dot(mu_t - mu, mu - mu_prev) > 0.0:
                 # the next block is taken again, from t = 1
                 restarts += 1
                 t_next, beta_k = momentum(1.0)
-                lam_next = lam + beta_k * (lam - lam_prev)
-                xi_next = xi + beta_k * (xi - xi_prev)
+                lam_next = _extrapolate(lam, lam_prev, beta_k, lam_next)
+                xi_next = _extrapolate(xi, xi_prev, beta_k, xi_next)
                 block = None
             lam_t, xi_t = lam_next, xi_next
-            mu_t = mu + beta_k * (mu - mu_prev)
+            mu_t = _extrapolate(mu, mu_prev, beta_k, mu_t)  # mu_t is spent
             lam_prev, mu_prev, xi_prev = lam, mu, xi
             t = t_next
 

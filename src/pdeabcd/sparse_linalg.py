@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse._sparsetools import dia_matvec
+from scipy.sparse._sparsetools import csr_matvec, dia_matvec
 from scipy.sparse.linalg._dsolve import _superlu
 
 from .mesh import check_alpha
@@ -150,11 +150,13 @@ def factorize_indefinite(matrix) -> Factorization:
     return Factorization("indefinite", lu.nnz, lu)
 
 
-def _rhs(b, n: int) -> np.ndarray:
+def _rhs(b, n: int, copy: bool = False) -> np.ndarray:
     """``b`` as a float array of shape ``(n,)``, the one input rule of every
     solve method of both solvers: an int, bool or float32 ``b`` is cast, a
-    complex one refused with ``TypeError``, never cut to its real part."""
-    b = np.asarray(b).astype(float, casting="safe", copy=False)
+    complex one refused with ``TypeError``, never cut to its real part.
+    Without ``copy`` a float ``b`` comes back itself, so a solve writes
+    only into an array that ``copy=True`` made."""
+    b = np.asarray(b).astype(float, casting="safe", copy=copy)
     if b.shape != (n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")
     return b
@@ -192,7 +194,7 @@ class AugmentedSolver:
         """``(p, w)`` for the right side ``b``; ``start`` and ``stop`` are
         ignored."""
         x = self._fact.solve(_rhs(b, self.n))
-        return -x.imag / self.s, x.real
+        return -x.imag / self.s, x.real.copy()
 
     def solve_stiffness(self, f: np.ndarray) -> np.ndarray:
         """``K^-1 f`` by the ``K`` factor of the operators."""
@@ -320,11 +322,18 @@ class GridSolver:
     feeds the lam update and starts the second, returns ``-Im(x)/s`` as
     iterated.
 
-    :class:`AugmentedSolver` has the same constructor and solve methods.
-    The object is not changed by a solve, so two threads may solve with it
-    at once.  ``scipy.fft`` is imported by the constructor: at module level
-    it would lengthen every import of the package, and only instances from
-    ``dual_solver.GRID_MIN_N`` interior unknowns on use it.
+    A solve keeps its scratch in arrays of its own call, never on the
+    object: its iterate, one residual buffer in which each step is formed
+    (:meth:`_richardson`, and the mass solve's), and the right side's copy
+    that the transforms overwrite (:meth:`_diagonal_solve`).  It writes to
+    none of its inputs and returns arrays of its own, so ``b``, a start
+    and ``x0`` come back as they went in, and a ``w`` is not a view of the
+    complex iterate.  :class:`AugmentedSolver` has the same constructor and
+    solve methods.  The object is not changed by a solve, so two threads
+    may solve with it at once.  ``scipy.fft`` is imported by the
+    constructor: at module level it would lengthen every import of the
+    package, and only instances from ``dual_solver.GRID_MIN_N`` interior
+    unknowns on use it.
     """
 
     def __init__(self, ops, alpha: float):
@@ -397,13 +406,34 @@ class GridSolver:
         self._neg_mass_full = mass
 
     def _diagonal_solve(self, eig_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``S diag(eig_inv) S v`` with ``S`` the 2-D DST-I."""
-        m = self._m
-        return self._dst(self._dst(v.reshape(m, m)) * eig_inv).ravel()
+        """``S diag(eig_inv) S v`` with ``S`` the 2-D DST-I.  ``v`` is an
+        array of ``eig_inv``'s dtype, float64 or complex128, that the caller
+        gives up: the transforms may overwrite it, and run in it where the
+        scipy.fft backend can."""
+        x = self._dst(v.reshape(self._m, self._m), overwrite_x=True)
+        x *= eig_inv
+        return self._dst(x, overwrite_x=True).ravel()
 
     def solve_stiffness(self, f: np.ndarray) -> np.ndarray:
         """``K^-1 f``, exact up to roundoff."""
-        return self._diagonal_solve(self._k_inv, _rhs(f, self.n))
+        return self._diagonal_solve(self._k_inv, _rhs(f, self.n, copy=True))
+
+    def _richardson(self, b: np.ndarray, x: np.ndarray, stop) -> None:
+        """Richardson steps on ``x``, in place, to the backward error
+        ``stop`` (:func:`_corrections`): each residual, and the step formed
+        from it, in one buffer of this call."""
+        n, A = self.n, self._A
+        r = np.empty(n, dtype=complex)
+
+        def residual(x):
+            # b - A x in r: A @ x is scipy's CSR kernel adding A x into
+            # zeros, which this calls on r itself
+            r.fill(0.0)
+            csr_matvec(n, n, A.indptr, A.indices, A.data, x, r)
+            return np.subtract(b, r, out=r)
+
+        for r_k in _corrections("p-solve", b, x, self._a_inf, residual, stop):
+            x += self._diagonal_solve(self._p_inv, r_k)
 
     def solve_with_multiplier(self, b: np.ndarray, start=None, stop=None
                               ) -> tuple[np.ndarray, np.ndarray]:
@@ -419,13 +449,11 @@ class GridSolver:
             # iterated from a nonzero one the backward error never falls
             return np.zeros(self.n), np.zeros(self.n)
         if start is None:
-            x = self._diagonal_solve(self._p_inv, b)
+            x = self._diagonal_solve(self._p_inv, b.astype(complex))
         else:
             x = w0 - 1j * self.s * p0
-        for r in _corrections("p-solve", b, x, self._a_inf,
-                              lambda x: b - self._A @ x, stop):
-            x += self._diagonal_solve(self._p_inv, r)
-        w = x.real
+        self._richardson(b, x, stop)
+        w = x.real.copy()
         if start is not None and stop is not None and stop > GRID_BERR_STOP:
             # K p = M w to roundoff, so w is M^-1 K p of the p returned
             return self._diagonal_solve(self._k_inv, self._M @ w), w
@@ -437,7 +465,7 @@ class GridSolver:
         the backward error ``stop`` (:func:`_corrections`)."""
         n = self.n_full
         b = _rhs(b, n)
-        x = np.array(_rhs(x0, n))
+        x = _rhs(x0, n, copy=True)
         if not b.any():
             # zero in, zero out, as a factor's solve gives, from any x0
             return np.zeros(n)
@@ -454,11 +482,12 @@ class GridSolver:
 
         # W^-1 M_full has its spectrum in [theta - delta, theta + delta]
         theta, delta = 0.625, 0.375
-        z, d = np.empty(n), np.zeros(n)
+        d = np.zeros(n)
         rho = delta / theta
         for steps, r in enumerate(_corrections("mass solve", b, x,
                                                self._w_max, residual, stop)):
-            np.multiply(r, self._w_inv, out=z)
+            # the step's W^-1 r, in r, which the next residual rewrites
+            z = np.multiply(r, self._w_inv, out=r)
             if steps:
                 rho_next = 1.0 / (2.0 * theta / delta - rho)
                 d *= rho_next * rho

@@ -614,7 +614,8 @@ def _recorded_sweeps(inst, monkeypatch):
         return out
 
     def recorded_xi_step(prob, lam, p, mu_t, xi_t):
-        sweeps["mu_step"].append((lam, p, mu_t, xi_t))
+        # copies: solve forms the next extrapolations in mu_t and xi_t
+        sweeps["mu_step"].append((lam, p, mu_t.copy(), xi_t.copy()))
         return xi_step(prob, lam, p, mu_t, xi_t)
 
     monkeypatch.setattr(grid, "solve_with_multiplier", recorded_p_solve)

@@ -10,6 +10,7 @@ inline ones, bit for bit.
 
 import dataclasses
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,6 +385,26 @@ def test_loose_grid_sweeps_keep_the_level_7_sweep_counts(preset, sweeps):
     run = solve(inst)
     assert isinstance(inst.solver, GridSolver)
     assert (run.iterations, run.stop_reason) == (sweeps, "kkt")
+
+
+def test_grid_solve_working_set_is_bounded():
+    """At level 7 the traced peak of a ``sine`` solve to tol 1e-6, over
+    what is live when it starts (the instance with its grid solver built),
+    is at most 31 full-length vectors: each p-solve forms its residual and
+    transforms in one buffer of its own, and the run keeps no zero start,
+    no earlier job's ``(u, y)`` and no spent extrapolation."""
+    inst = make_instance("sine", 7)
+    assert isinstance(inst.solver, GridSolver)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run = solve(inst, SolverConfig(tol=1e-6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.iterations == 61
+    vectors = (peak - start) / (8 * inst.n_full)
+    assert vectors <= 31, vectors
 
 
 def test_recover_primal_identities(sine2, rng):

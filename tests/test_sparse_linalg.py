@@ -502,28 +502,39 @@ def test_grid_solver_zero_and_nan_rhs():
 
 def test_grid_solver_shared_by_threads_gives_the_serial_answers(rng):
     """``solve`` shares one grid solver between its sweeps (p-solves) and
-    its worker (mass solves and state solves)."""
+    its worker (state and mass solves): p-solves, cold and warm, exact and
+    loose, on four threads while state and mass solves run on four others
+    give the serial answers bit for bit, so no solve keeps scratch on the
+    solver."""
     ops = assemble(build_unit_square_mesh(5))
     grid = GridSolver(ops, 1e-3)
     rhs = rng.standard_normal((8, ops.n_interior))
     rhs_full = rng.standard_normal((8, ops.mesh.n_nodes))
     x0 = np.zeros(ops.mesh.n_nodes)
 
-    def solves(i):
-        b = rhs[i % len(rhs)]
-        return (grid.solve_with_multiplier(b), grid.solve_stiffness(b),
-                grid.solve_mass_full(rhs_full[i % len(rhs)], x0))
+    def p_solves(i):
+        first = grid.solve_with_multiplier(rhs[i], stop=1e-8)
+        return [*first,
+                *grid.solve_with_multiplier(rhs[i] + 1e-2, first, 1e-8),
+                *grid.solve_with_multiplier(rhs[i])]
 
-    serial = [solves(i) for i in range(len(rhs))]
+    def state_and_mass_solves(i):
+        f = rhs_full[i]
+        return [grid.solve_stiffness(rhs[i]), grid.solve_mass_full(f, x0),
+                grid.solve_mass_full(f, f, 1e-8)]
+
+    roles = [p_solves] * 4 + [state_and_mass_solves] * 4
+    serial = [role(i) for i, role in enumerate(roles)]
     results = {}
 
     def work(i):
-        results[i] = [solves(i) for _ in range(5)]
+        results[i] = [roles[i](i) for _ in range(5)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(roles))]
         for t in threads:
             t.start()
         for t in threads:
@@ -531,12 +542,72 @@ def test_grid_solver_shared_by_threads_gives_the_serial_answers(rng):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    assert len(results) == len(roles)
     for i, runs in results.items():
-        (p0, w0), y0, m0 = serial[i % len(rhs)]
-        for (p, w), y, m in runs:
-            assert np.array_equal(p, p0) and np.array_equal(w, w0)
-            assert np.array_equal(y, y0) and np.array_equal(m, m0)
-    assert len(results) == 8
+        for answers in runs:
+            assert all(_same_bytes(u, v) for u, v in zip(answers, serial[i]))
+
+
+@pytest.mark.parametrize("level", [3, 4])
+@pytest.mark.parametrize("on_grid", [False, True], ids=["factors", "grid"])
+def test_solves_leave_their_inputs_and_own_their_answers(rng, level, on_grid,
+                                                         monkeypatch):
+    """No solve method of either solver, the grid one forced below level 7
+    by ``GRID_MIN_N``, writes to its right side, its start or its ``x0``,
+    cold or warm, exact or loose; and every array a solve returns owns its
+    memory, or is a view of a float array of its own size, so a ``w``
+    never pins the complex iterate as its real part."""
+    if on_grid:
+        monkeypatch.setattr(dual_solver, "GRID_MIN_N", 0)
+    solver = make_instance("sine", level).solver
+    assert isinstance(solver, GridSolver if on_grid else AugmentedSolver)
+    b = rng.standard_normal(solver.n)
+    b2 = b + 1e-2 * rng.standard_normal(solver.n)
+    b_full = rng.standard_normal(solver.n_full)
+    start = solver.solve_with_multiplier(b)
+    x0 = solver.solve_mass_full(b_full, np.zeros(solver.n_full))
+    b_full2 = b_full + 1e-2 * rng.standard_normal(solver.n_full)
+    inputs = (b, b2, b_full2, *start, x0)
+    before = [v.copy() for v in inputs]
+    answers = [*start, x0, solver.solve_stiffness(b)]
+    for stop in (None, 1e-8):
+        answers += solver.solve_with_multiplier(b2, stop=stop)
+        answers += solver.solve_with_multiplier(b2, start, stop)
+        answers.append(solver.solve_mass_full(b_full2, x0, stop))
+    for v, old in zip(inputs, before):
+        assert _same_bytes(v, old)
+    for v in answers:
+        assert v.dtype == float
+        assert v.base is None or (v.base.dtype == float
+                                  and v.base.nbytes == v.nbytes)
+
+
+def test_grid_solves_read_what_the_transforms_return(rng):
+    """``overwrite_x`` lets a scipy.fft backend destroy its input; it does
+    not promise that the result lands there.  With transforms that return
+    a new array and leave NaN in their input, every grid solve gives its
+    answers bit for bit."""
+    ops = assemble(build_unit_square_mesh(5))
+    grid = GridSolver(ops, 1e-3)
+    b = rng.standard_normal(ops.n_interior)
+
+    def answers():
+        first = grid.solve_with_multiplier(b, stop=1e-8)
+        return [*first,
+                *grid.solve_with_multiplier(b + 1e-2, first, 1e-8),
+                *grid.solve_with_multiplier(b), grid.solve_stiffness(b)]
+
+    expected = answers()
+    dst = grid._dst
+
+    def out_of_place(x, overwrite_x=False):
+        y = dst(x)
+        if overwrite_x:
+            x.fill(np.nan)
+        return y
+
+    grid._dst = out_of_place
+    assert all(_same_bytes(u, v) for u, v in zip(answers(), expected))
 
 
 def _p_berr(ops, s, b, p, w):
@@ -669,8 +740,8 @@ def test_loose_grid_solves_raise_above_their_stop(rng, monkeypatch):
 def _exact_p_solve(grid, b, start=None):
     """The grid p-solve without a stop, written out: Richardson steps from
     ``P^-1 b``, or from a start's ``w - i s p``, to ``GRID_BERR_STOP``."""
-    x = grid._diagonal_solve(grid._p_inv, b) if start is None \
-        else start[1] - 1j * grid.s * start[0]
+    x = grid._diagonal_solve(grid._p_inv, b.astype(complex)) \
+        if start is None else start[1] - 1j * grid.s * start[0]
     b_inf = np.abs(b).max()
     while True:
         r = b - grid._A @ x
