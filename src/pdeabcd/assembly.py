@@ -194,9 +194,9 @@ def assemble(mesh: Mesh) -> FemOperators:
 
     Resident peaks of a ``sine`` solve to tol 1e-6 in one process (2
     shared cores, Python 3.11, numpy 2.4, scipy 1.17), after the instance,
-    after its grid solver and at the end: level 8, 87, 105 and 118 MB;
-    level 9 (three sweeps), 167, 224 and 263 MB; level 10 (82 sweeps),
-    480, 695 and 868 MB.  So each run peaks in its solve's working
+    after its grid solver and at the end: level 8, 77, 95 and 106 MB;
+    level 9 (three sweeps), 153, 205 and 247 MB; level 10 (82 sweeps),
+    430, 647 and 820-828 MB.  So each run peaks in its solve's working
     vectors.  Summed from COO triplets, the operators peaked at 143 MB at
     level 8, 385 MB at level 9 and 1352 MB at level 10, above any later
     stage.

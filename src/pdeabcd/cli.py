@@ -30,7 +30,6 @@ import os
 import sys
 
 import numpy as np
-import scipy.io
 
 from . import analysis, dual_solver
 from .dual_solver import DivergenceError, SolverConfig
@@ -295,6 +294,8 @@ def run_solve(args) -> int:
             _write(args.out, "mesh.json",
                    _json(mesh_to_dict(ops.mesh), indent=None))
         if args.dump_matrices:
+            import scipy.io
+
             for name, mat in (("K.mtx", ops.K), ("M.mtx", ops.M)):
                 path = os.path.join(args.out, name)
                 scipy.io.mmwrite(path, mat.tocoo())

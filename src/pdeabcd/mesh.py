@@ -50,8 +50,11 @@ class Mesh:
         Refinement level; the square is split into ``2**level`` cells per side.
     nodes : ndarray, shape (n_nodes, 2)
         Vertex coordinates.
-    triangles : ndarray, shape (n_triangles, 3)
-        Vertex indices of each triangle, counterclockwise.
+    triangles : ndarray of int32, shape (n_triangles, 3)
+        Vertex indices of each triangle, counterclockwise.  ``MAX_LEVEL``
+        keeps every index in int32: level 12 has ``4097**2``, about 16.8M
+        nodes, against int32's 2.1e9, and int64 would double the array's
+        size for nothing.
     boundary_mask : ndarray of bool, shape (n_nodes,)
         True at nodes lying on the boundary of the square.
     h : float
@@ -113,17 +116,17 @@ def build_unit_square_mesh(level: int) -> Mesh:
     xs, ys = np.meshgrid(side, side, indexing="xy")
     nodes = np.column_stack([xs.ravel(), ys.ravel()])
 
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+    cells = np.arange(n, dtype=np.int32)
+    ii, jj = np.meshgrid(cells, cells, indexing="xy")
     a = (jj * (n + 1) + ii).ravel()
-    b = a + 1
-    c = a + n + 2
-    d = a + n + 1
-    # two triangles per cell, split along the a-c diagonal, both CCW
-    lower = np.column_stack([a, b, c])
-    upper = np.column_stack([a, c, d])
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
+    # two triangles per cell, (a, b, c) and (a, c, d) with b = a + 1,
+    # c = a + n + 2 and d = a + n + 1: split along the a-c diagonal, both CCW
+    triangles = np.empty((2 * n * n, 3), dtype=np.int32)
+    lower, upper = triangles[0::2], triangles[1::2]
+    lower[:, 0] = upper[:, 0] = a
+    lower[:, 1] = a + 1
+    lower[:, 2] = upper[:, 1] = a + n + 2
+    upper[:, 2] = a + n + 1
 
     ig, jg = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="xy")
     boundary = (ig == 0) | (ig == n) | (jg == 0) | (jg == n)

@@ -21,6 +21,17 @@ triangles, supernodal padding included.  The ``L`` and ``U`` attributes of
 scipy's ``SuperLU`` are never read: the first read builds CSC copies of
 both triangles and the object keeps them as long as it lives, which would
 store every factor twice.
+
+Each heavy scipy submodule is imported by its one user, when that runs:
+``scipy.sparse.linalg`` by :func:`factorize_indefinite`, SuperLU's
+private ``_superlu`` by :func:`_splu_with_pivots` and ``scipy.fft`` by
+:class:`GridSolver`'s constructor.  So ``import pdeabcd`` adds none of
+them to what ``import scipy.sparse`` loads by itself, nor does a solve on
+the grid path, from ``dual_solver.GRID_MIN_N`` interior unknowns on.  With
+scipy releases whose ``scipy.sparse`` loads ``csgraph`` and ``linalg``
+lazily, as 1.17 does, such a solve never loads the factor stack; a
+release that imports ``csgraph`` with ``scipy.sparse`` loads
+``scipy.sparse.linalg`` with it.
 """
 
 from __future__ import annotations
@@ -30,9 +41,7 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec, dia_matvec
-from scipy.sparse.linalg._dsolve import _superlu
 
 from .mesh import check_alpha
 
@@ -106,6 +115,8 @@ def _splu_with_pivots(csc, options: dict):
     keeps only each triangle's diagonal: the copies exist while the
     diagonal is read, and the object caches two vectors of length n.
     """
+    from scipy.sparse.linalg._dsolve import _superlu
+
     csc.sum_duplicates()
     csc = csc.astype(np.promote_types(csc.dtype, np.float32), copy=False)
     n = csc.shape[0]
@@ -146,7 +157,9 @@ def factorize_spd(matrix) -> Factorization:
 
 def factorize_indefinite(matrix) -> Factorization:
     """Factor a general sparse matrix with partial pivoting."""
-    lu = spla.splu(sp.csc_matrix(matrix))
+    from scipy.sparse.linalg import splu
+
+    lu = splu(sp.csc_matrix(matrix))
     return Factorization("indefinite", lu.nnz, lu)
 
 
@@ -331,7 +344,8 @@ class GridSolver:
     complex iterate.  :class:`AugmentedSolver` has the same constructor and
     solve methods.  The object is not changed by a solve, so two threads
     may solve with it at once.  ``scipy.fft`` is imported by the
-    constructor: at module level it would lengthen every import of the
+    constructor, its one user, by the module's rule for heavy scipy
+    submodules: at module level it would lengthen every import of the
     package, and only instances from ``dual_solver.GRID_MIN_N`` interior
     unknowns on use it.
     """

@@ -30,6 +30,7 @@ def test_counts(level):
     n = 2**level
     assert mesh.n_nodes == (n + 1) ** 2
     assert mesh.triangles.shape[0] == 2 * n * n
+    assert mesh.triangles.dtype == np.int32
     assert mesh.h == pytest.approx(np.sqrt(2.0) / n)
 
 

@@ -1,6 +1,8 @@
 """Factorization wrappers, the complex-symmetric p-solve and the grid
 solver."""
 
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -834,6 +836,56 @@ def test_grid_solve_builds_no_factorization(monkeypatch):
     assert record.converged
     assert factored == []
     assert isinstance(inst.solver, GridSolver)
+
+
+_IMPORTS_ON_USE = """
+import sys
+
+import scipy.fft
+import scipy.sparse
+
+WATCHED = ("scipy.sparse.linalg", "scipy.io")
+# what scipy loads by itself with the two submodules the package imports:
+# releases whose scipy.sparse imports csgraph eagerly load
+# scipy.sparse.linalg with it
+baseline = [name for name in WATCHED if name in sys.modules]
+
+import pdeabcd
+from pdeabcd import cli, dual_solver
+from pdeabcd.assembly import assemble
+from pdeabcd.mesh import build_unit_square_mesh
+from pdeabcd.presets import make_instance
+
+
+def added():
+    return [name for name in WATCHED
+            if name in sys.modules and name not in baseline]
+
+
+assert added() == [], added()
+dual_solver.solve(make_instance("sine", 7),
+                  dual_solver.SolverConfig(max_iters=2))
+assert added() == [], added()
+assert cli.main(["solve", "--preset", "sine", "--level", "7",
+                 "--max-iters", "2"]) == 0
+assert added() == [], added()
+pdeabcd.factorize_spd(assemble(build_unit_square_mesh(2)).K)
+assert "scipy.sparse.linalg" in sys.modules
+assert set(added()) <= {"scipy.sparse.linalg"}, added()
+"""
+
+
+def test_grid_path_never_loads_the_factor_stack():
+    """In a fresh interpreter, ``import pdeabcd``, a level-7 solve and the
+    same solve through the command line add neither ``scipy.sparse.linalg``
+    nor ``scipy.io`` to what ``import scipy.sparse, scipy.fft`` loads by
+    itself; the first factorization loads the former."""
+    src = os.path.dirname(os.path.dirname(sparse_linalg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS_ON_USE],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_power_iteration_diagonal():
