@@ -109,19 +109,18 @@ def lam_max_majorizer(prob: ProblemInstance) -> tuple[float, bool]:
 
 
 def prolongated_start(coarse_inst: ProblemInstance) -> DualIterate:
-    """One :func:`dual_solver.sweep` from rest on the coarse level: the start.
+    """The start: the iterate of a one-sweep :func:`dual_solver.solve` from
+    rest on the coarse level, exact (``tol = 0``) and unlogged.
 
-    The sweep output is a P1 triple on the coarse mesh: data adapted (zero
-    data keeps the start at the origin, so those runs finish in one
-    iteration everywhere), dual feasible by construction, and with
-    level-independent norms.  :func:`prolongate_iterate` carries lam and
-    mu to any finer nested mesh as nodal interpolation of the same
-    functions, so they are one fixed function pair across the hierarchy.
+    It is a P1 triple on the coarse mesh: data adapted (zero data keeps
+    the start at the origin, so those runs finish in one iteration
+    everywhere), dual feasible by construction, and with level-independent
+    norms.  :func:`prolongate_iterate` carries lam and mu to any finer
+    nested mesh as nodal interpolation of the same functions, so they are
+    one fixed function pair across the hierarchy.
     """
-    origin = np.zeros(coarse_inst.n_full)
-    lam, p, _, _, mu = dual_solver.sweep(coarse_inst, origin, origin,
-                                         origin)
-    return DualIterate(lam, p, mu, 1)
+    config = SolverConfig(max_iters=1, tol=0.0, log_every=0)
+    return dual_solver.solve(coarse_inst, config).final
 
 
 def prolongate_iterate(src_mesh: Mesh, z: DualIterate,

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh, triangle_areas
-from .sparse_linalg import (Factorization, canonicalize, dot, factorize_spd,
+from .sparse_linalg import (Factorization, dot, factorize_spd,
                             pattern_positions)
 
 # lumped-mass comparison constant of the mesh family: z'Wz <= 4 z'Mz for
@@ -57,14 +57,16 @@ def _node_pattern(mesh: Mesh) -> sp.csr_matrix:
     ``(i, j)`` for every two nodes of one triangle, ``i = j`` included.
 
     It is the pattern of ``E' E`` for the boolean triangle-node incidence
-    ``E``, so no per-entry triplet list is formed.
+    ``E``, so no per-entry triplet list is formed.  The product stores no
+    duplicate and no zero, and scipy's conversion of it to CSR sorts the
+    indices.
     """
     tri = mesh.triangles
     incidence = sp.csr_matrix(
         (np.ones(tri.size, dtype=bool), tri.ravel(),
          np.arange(0, tri.size + 1, 3)),
         shape=(tri.shape[0], mesh.n_nodes))
-    return canonicalize(incidence.T @ incidence)
+    return (incidence.T @ incidence).tocsr()
 
 
 def _pattern_data(pattern: sp.csr_matrix, triangles: np.ndarray,
@@ -197,9 +199,7 @@ def assemble(mesh: Mesh) -> FemOperators:
     after its grid solver and at the end: level 8, 77, 95 and 106 MB;
     level 9 (three sweeps), 153, 205 and 247 MB; level 10 (82 sweeps),
     430, 647 and 820-828 MB.  So each run peaks in its solve's working
-    vectors.  Summed from COO triplets, the operators peaked at 143 MB at
-    level 8, 385 MB at level 9 and 1352 MB at level 10, above any later
-    stage.
+    vectors.
     """
     pattern = _node_pattern(mesh)
     area, grads = _element_geometry(mesh)

@@ -288,7 +288,8 @@ def dual_objective(prob: ProblemInstance, lam, p, mu, w=None) -> float:
     """Dual objective value; +inf when lam violates the [-beta, beta] box.
 
     The first term is ``(K p - M y_d).(w - y_d)/2`` with ``w = M^{-1} K p``:
-    the sweep passes the ``w`` of :func:`step_p`, else one mass solve.
+    :func:`solve` passes the ``w`` of its sweep's second p-solve, else one
+    mass solve.
     """
     lam = np.asarray(lam, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -435,17 +436,6 @@ def step_mu(prob: ProblemInstance, xi: np.ndarray, mu_t: np.ndarray,
     return prob.solver.solve_mass_full(xi, mu_t, stop)
 
 
-def sweep(prob: ProblemInstance, lam_t: np.ndarray, mu_t: np.ndarray,
-          xi_t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The four steps from the extrapolated ``(lam_t, mu_t)``, with
-    ``xi_t = M_full mu_t`` as :func:`solve` carries it: returns
-    ``(lam, p, w, xi, mu)``, with the ``w`` of :func:`step_p` and the ``xi``
-    of the new mu."""
-    lam, p, w = _lam_p_block(prob, lam_t, xi_t)
-    xi = _xi_step(prob, lam, p, mu_t, xi_t)
-    return lam, p, w, xi, step_mu(prob, xi, mu_t)
-
-
 def _extrapolate(x: np.ndarray, x_prev: np.ndarray, beta_k: float,
                  out: np.ndarray) -> np.ndarray:
     """``x + beta_k (x - x_prev)``, formed in ``out``: the same bits as
@@ -565,7 +555,10 @@ def solve(prob: ProblemInstance, config: SolverConfig | None = None,
     move, counted in ``RunRecord.restarts``.  Non-finite iterates raise
     :class:`DivergenceError`.
 
-    The run takes the steps of :func:`sweep` and carries
+    A sweep is the (lam, p) block (:func:`_lam_p_block`), the mu update
+    in ``xi = M_full mu`` (:func:`_xi_step`) and its mass solve
+    (:func:`step_mu`); this loop is the package's only sequence of them
+    (``analysis.prolongated_start`` is a one-sweep run).  The run carries
     ``xi_t = xi + beta (xi - xi_prev)`` beside ``lam_t``, so a sweep's
     (lam, p) block reads ``xi_t`` and not ``mu_t``.  A sweep's mass solve
     and its diagnostics are one job, :func:`_finish`, called directly below

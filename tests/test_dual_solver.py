@@ -36,7 +36,6 @@ from pdeabcd.dual_solver import (
     step_p,
     step_phat,
     support_box,
-    sweep,
 )
 from pdeabcd.mesh import InputError, build_unit_square_mesh
 from pdeabcd.presets import make_instance
@@ -218,7 +217,9 @@ def test_restarted_runs_match_a_loop_of_sweeps():
     xi_prev = xi_t = inst.ops.M_full @ mu_t
     t, fired, iterates = 1.0, [], {}
     for k in range(1, 80):
-        lam, p, _, xi, mu = sweep(inst, lam_t, mu_t, xi_t)
+        lam, p, _ = dual_solver._lam_p_block(inst, lam_t, xi_t)
+        xi = dual_solver._xi_step(inst, lam, p, mu_t, xi_t)
+        mu = step_mu(inst, xi, mu_t)
         iterates[k] = (lam, p, mu)
         if np.einsum("i,i->", lam_t - lam, lam - lam_prev) \
                 + np.einsum("i,i->", mu_t - mu, mu - mu_prev) > 0.0:
@@ -304,28 +305,58 @@ def test_sweep_steps_shapes(sine2):
     assert mu.shape == (sine2.n_full,)
 
 
+def _gate_sweep(prob, z):
+    """One sweep from ``z`` by the gate's steps: ``(lam, p, w, xi, mu)``."""
+    p_hat = step_phat(prob, z.lam, z.mu)
+    lam = step_lambda(prob, z.lam, z.mu, p_hat)
+    p, w = step_p(prob, lam, z.mu)
+    xi = _xi_reference(prob, lam, p, z.mu)
+    return lam, p, w, xi, step_mu(prob, xi, z.mu)
+
+
+def _sweep_start(prob, sweeps):
+    """The origin, or the iterate after ``sweeps`` sweeps: ``solve`` refuses
+    a lam outside the box, so not an extrapolated point."""
+    if not sweeps:
+        return DualIterate.for_instance(prob)
+    return solve(prob, SolverConfig(max_iters=sweeps, tol=0.0,
+                                    log_every=0)).final
+
+
 @pytest.mark.parametrize("sweeps", [0, 4])
 def test_sweep_is_the_four_steps(sine2, sweeps):
-    # from the origin and from the extrapolated point after a few sweeps;
-    # at xi_t = M_full mu_t the sweep is the gate's steps, bit for bit
-    lam_t = mu_t = np.zeros(sine2.n_full)
-    if sweeps:
-        run = solve(sine2, SolverConfig(max_iters=sweeps, tol=0.0,
-                                        log_every=0))
-        lam_t, mu_t = 1.5 * run.final.lam, 0.5 * run.final.mu
-    xi_t = sine2.ops.M_full @ mu_t
-    lam, p, w, xi, mu = sweep(sine2, lam_t, mu_t, xi_t)
-    p_hat = step_phat(sine2, lam_t, mu_t)
-    lam_ref = step_lambda(sine2, lam_t, mu_t, p_hat)
-    p_ref, w_ref = step_p(sine2, lam_ref, mu_t)
-    xi_ref = _xi_reference(sine2, lam_ref, p_ref, mu_t)
-    mu_ref = step_mu(sine2, xi_ref, mu_t)
-    for got, ref in ((lam, lam_ref), (p, p_ref), (w, w_ref), (xi, xi_ref),
-                     (mu, mu_ref)):
+    # one sweep of solve is the gate's steps, bit for bit, on the factors
+    z = _sweep_start(sine2, sweeps)
+    run = solve(sine2, SolverConfig(max_iters=1, tol=0.0), z0=z)
+    lam, p, w, xi, mu = _gate_sweep(sine2, z)
+    for got, ref in zip(run.final.blocks(), (lam, p, mu)):
         assert np.array_equal(got, ref)
+    # the logged value reads the w of the second p-solve
+    assert run.phi[-1] == dual_objective(sine2, lam, p, mu, w)
     # step_mu solves M_full mu = xi
     r = np.abs(sine2.ops.M_full @ mu - xi).max()
     assert r <= 1e-14 * (np.abs(xi).max() + 1.0)
+
+
+@pytest.mark.parametrize("sweeps", [0, 4])
+def test_grid_sweep_is_the_four_steps_to_roundoff(sweeps, monkeypatch):
+    """On the grid path, forced at level 3 by ``GRID_MIN_N``, a sweep of
+    ``solve`` starts its second p-solve from its first, where the gate's
+    ``step_p`` starts cold; both stop at ``GRID_BERR_STOP``, so the two
+    sweeps agree to roundoff (up to 2e-15 relative in ``p``, ``mu`` and the
+    logged value, from the origin and after 4 or 20 sweeps)."""
+    monkeypatch.setattr(dual_solver, "GRID_MIN_N", 0)
+    inst = make_instance("sine", 3)
+    z = _sweep_start(inst, sweeps)
+    run = solve(inst, SolverConfig(max_iters=1, tol=0.0), z0=z)
+    assert isinstance(inst.solver, GridSolver)
+    lam, p, w, _, mu = _gate_sweep(inst, z)
+    # the first p-solve and the lam update are the same solves
+    assert np.array_equal(run.final.lam, lam)
+    for got, ref in ((run.final.p, p), (run.final.mu, mu)):
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    phi = dual_objective(inst, lam, p, mu, w)
+    assert abs(run.phi[-1] - phi) <= 1e-14 * abs(phi)
 
 
 def test_sweeps_warm_start_their_second_grid_p_solve(monkeypatch):

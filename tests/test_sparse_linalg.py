@@ -23,7 +23,6 @@ from pdeabcd.sparse_linalg import (
     AugmentedSolver,
     DefinitenessError,
     GridSolver,
-    canonicalize,
     factorize_indefinite,
     factorize_spd,
     power_iteration_extremes,
@@ -34,41 +33,6 @@ def _random_spd(rng, n=30, density=0.2):
     B = sp.random(n, n, density=density, random_state=np.random.RandomState(7))
     A = (B.T @ B + sp.identity(n)).tocsc()
     return A
-
-
-def test_canonicalize_formats():
-    A = sp.random(10, 10, density=0.3, random_state=np.random.RandomState(1))
-    C = canonicalize(A.tolil())
-    assert sp.issparse(C)
-    assert C.format == "csr"
-    assert C.dtype == np.float64
-    assert C.has_sorted_indices
-    # idempotent up to storage
-    assert (canonicalize(C) != C).nnz == 0
-
-
-@pytest.mark.parametrize("fmt", ["csr", "coo", "lil"])
-def test_canonicalize_leaves_its_input_unchanged(fmt):
-    """A row with unsorted columns and a stored zero is sorted and pruned in
-    the copy only; a CSR input used to share, and lose, its arrays."""
-    csr = sp.csr_matrix((np.array([2.0, 0.0]), np.array([1, 0]),
-                         np.array([0, 2, 2])), shape=(2, 2))
-    A = csr.asformat(fmt)
-    parts = {"csr": ("data", "indices", "indptr"), "coo": ("data", "row", "col"),
-             "lil": ("data", "rows")}[fmt]
-    before = {p: [list(v) for v in getattr(A, p)] if fmt == "lil"
-              else getattr(A, p).copy() for p in parts}
-    C = canonicalize(A)
-    for p in parts:
-        after = getattr(A, p)
-        if fmt == "lil":
-            assert [list(v) for v in after] == before[p], p
-        else:
-            assert np.array_equal(after, before[p]), p
-            assert not np.shares_memory(after, C.data), p
-    assert A.toarray().tolist() == [[0.0, 2.0], [0.0, 0.0]]
-    assert C.indptr.tolist() == [0, 1, 1]
-    assert C.indices.tolist() == [1] and C.data.tolist() == [2.0]
 
 
 def test_factorize_spd_matches_dense(rng):
@@ -329,6 +293,27 @@ def test_operators_own_their_factorizations(monkeypatch):
     assert a.solver is not b.solver
     assert a.solver.s != b.solver.s
     assert len(built) == 2
+
+
+def test_the_p_solve_factor_is_built_by_the_first_p_solve(monkeypatch):
+    """A state solve reads only the ``K`` factor: the primal value of a
+    fresh instance factors once, in real arithmetic, and the instance's
+    ``K + i s M`` is factored by its first p-solve."""
+    factored = []
+
+    def recording(matrix):
+        factored.append(matrix.dtype)
+        return factorize_spd(matrix)
+
+    from pdeabcd import assembly
+
+    monkeypatch.setattr(sparse_linalg, "factorize_spd", recording)
+    monkeypatch.setattr(assembly, "factorize_spd", recording)
+    inst = make_instance("sine", 3)
+    dual_solver.primal_value(inst, np.zeros(inst.n_full))
+    assert factored == [np.float64]
+    inst.solver.solve_with_multiplier(np.ones(inst.n))
+    assert factored == [np.float64, np.complex128]
 
 
 @pytest.fixture(scope="module")
