@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Pin certified optimal values into the package golden file.
 
-For every preset this runs a long dual solve, then the splitting oracle
-started where that solve ended, and records J* only when the two routes
-agree (oracle.certified_optimum); a disagreement aborts the script instead
-of writing a stale value.  The result lands in src/pdeabcd/data/golden.json
-and is asserted by the test suite, so optima are pinned by computation,
-never typed in by hand.  The ``iterations`` field counts the seeded
-oracle's iterations, so it is far below the count of a start from zero.
+For every preset this runs a long dual solve, then the primal oracle
+seeded where that solve ended -- the active-set certificate, or the
+splitting iterations when its duality gap refuses the seed's sets -- and
+records J* only when the two routes agree (oracle.certified_optimum); a
+disagreement aborts the script instead of writing a stale value.  The
+result lands in src/pdeabcd/data/golden.json and is asserted by the test
+suite, so optima are pinned by computation, never typed in by hand.  The
+``iterations`` field counts the seeded oracle's iterations: 1 on the
+active-set route.  The committed file predates that route and counts
+splitting iterations from zero; its values agree with a fresh run to the
+suite's 1e-9 tolerance, so it is left as it is.
 """
 
 import argparse

@@ -113,23 +113,27 @@ def build_unit_square_mesh(level: int) -> Mesh:
     n = 2**level
     cell = 1.0 / n
     side = np.arange(n + 1) * cell
-    xs, ys = np.meshgrid(side, side, indexing="xy")
-    nodes = np.column_stack([xs.ravel(), ys.ravel()])
+    # every array is written in place through a grid-shaped view, so the
+    # build holds nothing but its outputs and a few vectors of length n
+    nodes = np.empty(((n + 1) ** 2, 2))
+    grid = nodes.reshape(n + 1, n + 1, 2)
+    grid[:, :, 0] = side
+    grid[:, :, 1] = side[:, None]
 
-    cells = np.arange(n, dtype=np.int32)
-    ii, jj = np.meshgrid(cells, cells, indexing="xy")
-    a = (jj * (n + 1) + ii).ravel()
     # two triangles per cell, (a, b, c) and (a, c, d) with b = a + 1,
-    # c = a + n + 2 and d = a + n + 1: split along the a-c diagonal, both CCW
+    # c = a + n + 2 and d = a + n + 1: split along the a-c diagonal, both CCW;
+    # cell (i, j), in row j, has a = j (n + 1) + i
     triangles = np.empty((2 * n * n, 3), dtype=np.int32)
-    lower, upper = triangles[0::2], triangles[1::2]
-    lower[:, 0] = upper[:, 0] = a
-    lower[:, 1] = a + 1
-    lower[:, 2] = upper[:, 1] = a + n + 2
-    upper[:, 2] = a + n + 1
+    cells = triangles.reshape(n, n, 2, 3)
+    corner = np.arange(n, dtype=np.int32)
+    for t, offsets in enumerate(((0, 1, n + 2), (0, n + 2, n + 1))):
+        for k, offset in enumerate(offsets):
+            np.add((n + 1) * corner[:, None], corner + offset,
+                   out=cells[:, :, t, k])
 
-    ig, jg = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="xy")
-    boundary = (ig == 0) | (ig == n) | (jg == 0) | (jg == n)
+    boundary = np.zeros((n + 1, n + 1), dtype=bool)
+    boundary[[0, -1], :] = True
+    boundary[:, [0, -1]] = True
 
     return Mesh(
         level=int(level),

@@ -1,26 +1,35 @@
 """Independent reference solver for the discretized primal problem.
 
-:func:`admm_reference` validates the dual scheme without sharing any of its
+The oracle validates the dual scheme without sharing any of its
 algorithmic structure (no majorized sweep, no momentum, no dual blocks).
 It minimizes the same functional the dual targets,
 
     min_{a<=u<=b}  1/2 ||S u + s0 - y_d||_M^2 + alpha/2 ||u||_M^2
                    + beta sum_i |(M_full u)_i|,
 
-by consensus operator splitting: copies s = M_full u and w = u decouple the
-L1 term from the box, so every subproblem is exact -- one sparse symmetric
-indefinite solve, a componentwise soft threshold, a clip.  The
+and reports ``dual_solver.primal_value`` at a feasible control.  The
 consistent-mass L1 term keeps this primal an exact conjugate of the dual
 function, which is what makes machine-accuracy cross-checks of the optimal
-values possible.  It has one start, a dual iterate's splitting point, and
-reports ``dual_solver.primal_value``.
+values possible.
 
-:func:`certified_optimum` runs a long dual solve, then this oracle started
-at the splitting point of the dual run's final iterate, and accepts only
-when the two optimal values agree to 1e-7 relative.  The start saves the
-oracle most of its iterations but not its judgement: it still stops only
-on its own fixed-point residual, which bounds the distance from the primal
-optimum whatever the start, and its value must still match the dual one.
+:func:`admm_reference` takes a dual iterate as its seed and has two
+routes.  The first is one primal-dual active-set step (Hintermueller, Ito
+and Kunisch, 2002; Stadler, 2009, for L1 control): the seed guesses which
+nodes sit at a bound of the box and which have ``(M_full u)_i = 0``, and on
+those sets the KKT conditions are one sparse linear system.  Its answer is
+accepted only when the duality gap it gives is at most ``TOL (1 + |J|)``,
+which bounds ``J - J*`` by weak duality whatever the guess.  When the gap
+refuses it, the second route runs: consensus operator splitting, where
+copies s = M_full u and w = u decouple the L1 term from the box, so every
+subproblem is exact -- one sparse indefinite solve, a componentwise soft
+threshold, a clip -- until its own fixed-point residual falls to ``TOL``.
+
+:func:`certified_optimum` runs a long dual solve, then this oracle seeded
+at the dual run's final iterate, and accepts only when the two optimal
+values agree to 1e-7 relative.  The seed saves the oracle its work but not
+its judgement: the certificate's gap and the splitting residual each bound
+the distance from the primal optimum whatever the seed, and the value must
+still match the dual one.
 """
 
 from __future__ import annotations
@@ -38,7 +47,8 @@ from .sparse_linalg import factorize_indefinite
 RELAXATION = 1.7
 # iteration cap of one splitting solve
 MAX_ITERS = 200_000
-# residual at which a splitting solve stops; golden.json records it
+# relative duality gap at which the active-set certificate is accepted,
+# and residual at which a splitting solve stops; golden.json records it
 TOL = 1e-10
 
 
@@ -52,7 +62,11 @@ class OracleInconsistencyError(RuntimeError):
 
 @dataclass
 class PrimalSolution:
-    """Output of a reference primal solve."""
+    """Output of a reference primal solve.
+
+    ``iterations`` counts the splitting iterations, or 1 when the
+    active-set certificate accepted the seed's sets.
+    """
 
     u: np.ndarray
     J: float
@@ -94,21 +108,112 @@ def _splitting_factorization(prob: ProblemInstance, rho1: float,
     return factorize_indefinite(A)
 
 
+def _active_set_certificate(prob: ProblemInstance,
+                            z0: DualIterate) -> PrimalSolution | None:
+    """The optimum on the active sets that ``z0`` identifies, or ``None``
+    when the solve fails or its duality gap exceeds ``TOL (1 + |J|)``.
+
+    From ``z0`` = (lam, p, mu) with u = (E p - lam - mu)/alpha, s =
+    M_full u and xi = M_full mu: P, N and Z are the nodes with ``lam +
+    s/W`` at least beta, at most -beta and between; U, L and F those with
+    ``u + xi/W`` at least b, at most a and between.  With u = b on U, a
+    on L and lam = +-beta on P and N, the unknowns ``u_F``, ``lam_Z``,
+    ``y`` and ``p`` solve one sparse system (COLAMD LU): stationarity
+    ``alpha M_full u - M_full E p + M_full lam = 0`` on F,
+    ``(M_full u)_Z = 0``, the state and the adjoint equation.  A Z node
+    whose mass star holds no F node has neither an equation nor a
+    coefficient there; it keeps its lam from ``z0``, clipped to the box.
+
+    Acceptance needs no trust in the guess.  With u and lam clipped to
+    their boxes, nu = -M_full (alpha u - E p + lam) and mu = M_full^{-1}
+    nu, ``primal_value(u) + dual_objective(lam, p, mu)`` bounds
+    ``J(u) - J*`` by weak duality, whatever the sets were.
+    """
+    ops = prob.ops
+    Mf = ops.M_full
+    W = ops.W_full
+    alpha, beta = prob.alpha, prob.beta
+    a, b = prob.box
+    n_full, n = prob.n_full, prob.n
+
+    lam0, p0, mu0 = z0.blocks()
+    u0 = (ops.pad(p0) - lam0 - mu0) / alpha
+    lam_test = lam0 + (Mf @ u0) / W
+    u_test = u0 + (Mf @ mu0) / W
+    at_b = u_test >= b
+    at_a = ~at_b & (u_test <= a)
+    free = ~(at_b | at_a)
+    pos = lam_test >= beta
+    neg = ~pos & (lam_test <= -beta)
+    # Z nodes whose star holds an F node; mass entries are positive, so
+    # those are where M_full @ free is positive
+    zero = ~(pos | neg) & (Mf @ free.astype(float) > 0.0)
+
+    # unknowns and equations (u, lam, y, p), each block row the equation
+    # whose unknown its block column is: stationarity for u, the Z row
+    # for lam, the state equation for y, the adjoint equation for p
+    Mi = Mf[ops.interior]
+    G = sp.bmat([[alpha * Mf, Mf, None, -Mi.T],
+                 [Mf, None, None, None],
+                 [-Mi, None, ops.K, None],
+                 [None, None, ops.M, ops.K]], format="csr")
+    x = np.zeros(2 * n_full + 2 * n)
+    u, lam = x[:n_full], x[n_full:2 * n_full]
+    u[at_b] = b
+    u[at_a] = a
+    np.clip(lam0, -beta, beta, out=lam)
+    lam[pos] = beta
+    lam[neg] = -beta
+    lam[zero] = 0.0
+    keep = np.concatenate((np.flatnonzero(free), n_full + np.flatnonzero(zero),
+                           np.arange(2 * n_full, 2 * n_full + 2 * n)))
+    rhs = np.concatenate((np.zeros(2 * n_full), prob.m_yr, prob.m_yd))
+    rhs -= G @ x
+    G = G[keep][:, keep]
+    try:
+        x[keep] = factorize_indefinite(G).solve(rhs[keep])
+    except RuntimeError:
+        return None
+    if not np.isfinite(x).all():
+        return None
+
+    u = np.clip(x[:n_full], a, b)
+    lam = np.clip(x[n_full:2 * n_full], -beta, beta)
+    p = x[2 * n_full + n:]
+    nu = -(Mf @ (alpha * u - ops.pad(p) + lam))
+    mu = ops.mass_full_factor.solve(nu)
+    J = dual_solver.primal_value(prob, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a wrong guess may leave a huge p; its gap is inf or nan
+        gap = J + dual_solver.dual_objective(prob, lam, p, mu)
+    if not gap <= TOL * (1.0 + abs(J)):
+        return None
+    return PrimalSolution(u=u, J=J, iterations=1)
+
+
 def admm_reference(prob: ProblemInstance,
                    z0: DualIterate) -> PrimalSolution:
-    """Solve the consistent-mass primal by consensus operator splitting.
+    """Solve the consistent-mass primal: by one active-set solve on the
+    sets that ``z0`` identifies when its duality gap certifies it
+    (:func:`_active_set_certificate`, ``iterations`` 1), else by consensus
+    operator splitting from ``z0``.
 
-    Copies s = M_full u and w = u carry the L1 term and the box indicator;
-    the u-subproblem is a sparse factorized solve, s and w have closed-form
-    proximal updates, over-relaxed by ``RELAXATION``.  The two penalty
-    weights are fixed multiples of alpha and the mean mass diagonal, so the
-    3-block system is factorized once per call.  Runs until the worst
-    relative primal or dual residual falls below ``TOL``; raises
-    :class:`OracleError` when ``MAX_ITERS`` iterations pass first.  The
-    returned control is the box copy ``w``, feasible to the letter, and
-    ``J`` is ``dual_solver.primal_value`` there.
+    The name stays while the benchmark's tracer wraps this entry point:
+    its ``oracle.admm_*`` and ``oracle.refactor_*`` metrics read the spans
+    of this function and of the factorizations under it, whichever route
+    runs.
 
-    Starts at the splitting point the dual triple ``z0`` = (lam, p, mu)
+    Splitting: copies s = M_full u and w = u carry the L1 term and the box
+    indicator; the u-subproblem is a sparse factorized solve, s and w have
+    closed-form proximal updates, over-relaxed by ``RELAXATION``.  The two
+    penalty weights are fixed multiples of alpha and the mean mass
+    diagonal, so the 3-block system is factorized once per call.  Runs
+    until the worst relative primal or dual residual falls below ``TOL``;
+    raises :class:`OracleError` when ``MAX_ITERS`` iterations pass first.
+    The returned control is the box copy ``w``, feasible to the letter,
+    and ``J`` is ``dual_solver.primal_value`` there.
+
+    The splitting starts at the point the dual triple ``z0`` = (lam, p, mu)
     maps to: u = clip((E p - lam - mu)/alpha, a, b), s = M_full u, w = u,
     z1 = lam/rho1 and z2 = M_full mu/rho2.  At a
     fixed point rho1 z1 = lam and rho2 z2 = M_full mu, so a dual optimum
@@ -116,6 +221,9 @@ def admm_reference(prob: ProblemInstance,
     the distance from optimality whatever the start, so ``z0`` changes
     how many iterations are needed, not what is accepted.
     """
+    certified = _active_set_certificate(prob, z0)
+    if certified is not None:
+        return certified
     ops = prob.ops
     Mf = ops.M_full
     alpha, beta = prob.alpha, prob.beta
@@ -188,15 +296,16 @@ def certified_optimum(prob: ProblemInstance,
     """Optimal value certified by two independent routes.
 
     First a dual run of at most 100k sweeps to KKT residual 1e-9, warm
-    started from ``z0`` if given, then the splitting oracle to ``TOL``,
-    started at the splitting point of that run's final iterate (see
-    :func:`admm_reference`).  Accepts only when ``|Phi(z_final) + J*| <=
-    1e-7 (1 + |J*|)``; disagreement raises
-    :class:`OracleInconsistencyError`.  The seed only shortens the oracle's
-    run: it stops on its own fixed-point residual, whose test is the same
-    whatever the start, so a wrong seed is walked back to the primal
-    optimum and then fails the value comparison.  The cross run only produces a
-    reference point, and its verdict depends only on the residual reached,
+    started from ``z0`` if given, then the oracle (:func:`admm_reference`)
+    seeded at that run's final iterate: the active-set certificate on the
+    sets it identifies, or the splitting iterations when the certificate's
+    gap refuses them.  Accepts only when ``|Phi(z_final) + J*| <= 1e-7 (1 +
+    |J*|)``; disagreement raises :class:`OracleInconsistencyError`.  The
+    seed only saves the oracle work: the certificate's gap and the
+    splitting's residual test are the same whatever the seed, so a wrong
+    seed gives the primal optimum all the same, which then fails the value
+    comparison.  The cross run only produces a reference point, and its
+    verdict depends only on the residual reached,
     not the path, so it runs with momentum restarts
     (``SolverConfig.restart``): no value bound is checked along it.
     ``cross_phi`` is the dual value at ``z_star`` with its own mass solve,

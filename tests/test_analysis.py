@@ -212,13 +212,30 @@ def test_prolongated_start_zero_data_stays_at_origin():
 
 
 @pytest.mark.parametrize("preset", ["sine", "shifted"])
-def test_prolongated_start_is_the_one_sweep_solve(preset):
+def test_prolongated_start_is_the_one_sweep_solve(preset, monkeypatch):
+    """The start is one sweep of the gate's steps from the origin.  On the
+    grid path, forced at level 3, the first p-solve and the lam update
+    are the same solves, so lam is the same bits; the second p-solve
+    starts warm where ``step_p`` starts cold, and both stop at
+    ``GRID_BERR_STOP``, so mu agrees to 1e-14 relative (about 1e-15 when
+    written)."""
+    monkeypatch.setattr(dual_solver, "GRID_MIN_N", 0)
     inst = make_instance(preset, 3)
     start = prolongated_start(inst)
-    run = solve(inst, SolverConfig(max_iters=1, tol=0.0, log_every=0))
-    assert start.k == run.final.k == 1
-    for got, ref in zip(start.blocks(), run.final.blocks()):
-        assert np.array_equal(got, ref)
+    assert isinstance(inst.solver, GridSolver)
+    assert start.k == 1
+    ops = inst.ops
+    origin = DualIterate.for_instance(inst)
+    p_hat = dual_solver.step_phat(inst, origin.lam, origin.mu)
+    lam = dual_solver.step_lambda(inst, origin.lam, origin.mu, p_hat)
+    p, _ = dual_solver.step_p(inst, lam, origin.mu)
+    v = ops.W_full * (ops.pad(p) - lam) / inst.gamma
+    xi = dual_solver.mu_xi_kernel(v, ops.W_full, *inst.box, inst.alpha,
+                                  inst.gamma)
+    mu = dual_solver.step_mu(inst, xi, origin.mu)
+    assert np.array_equal(start.lam, lam)
+    assert np.abs(start.mu - mu).max() <= 1e-14 * np.abs(mu).max()
+    assert np.abs(mu).max() > 0.0
 
 
 def test_prolongated_start_feasible_and_deterministic():

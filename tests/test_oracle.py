@@ -1,5 +1,5 @@
-"""Primal oracle tests: objective values, the splitting reference, and the
-cross-certification logic."""
+"""Primal oracle tests: objective values, the active-set certificate, the
+splitting iterations it falls back to, and the cross-certification logic."""
 
 import dataclasses
 import json
@@ -63,6 +63,18 @@ def test_primal_objective_matches_dense(sine2, rng):
         assert got == pytest.approx(expected, rel=1e-11)
 
 
+def _refuse_certificates(monkeypatch):
+    """Refuse every active-set certificate, so that ``admm_reference``
+    runs its splitting iterations."""
+    monkeypatch.setattr(oracle, "_active_set_certificate",
+                        lambda prob, z0: None)
+
+
+@pytest.fixture()
+def splitting(monkeypatch):
+    _refuse_certificates(monkeypatch)
+
+
 def test_admm_matches_golden(golden):
     for name, entry in golden.items():
         # every optimum is pinned at the oracle's one stopping residual
@@ -88,7 +100,9 @@ def test_admm_start_independence(sine2, rng):
     assert np.abs(s1.u - s2.u).max() < 1e-6
 
 
-def test_admm_solves_the_state_equation_once(sine2, monkeypatch):
+def test_admm_solves_the_state_equation_once(certified_sine2, monkeypatch):
+    # once on the active-set route, and once on the splitting iterations
+    sine2, cert = certified_sine2
     real = ProblemInstance.state
     calls = []
 
@@ -97,11 +111,16 @@ def test_admm_solves_the_state_equation_once(sine2, monkeypatch):
         return real(self, u)
 
     monkeypatch.setattr(ProblemInstance, "state", counting)
-    admm_reference(sine2, DualIterate.for_instance(sine2))
+    assert admm_reference(sine2, cert.z_star).iterations == 1
+    assert len(calls) == 1
+    calls.clear()
+    _refuse_certificates(monkeypatch)
+    origin = DualIterate.for_instance(sine2)
+    assert admm_reference(sine2, origin).iterations > 1
     assert len(calls) == 1
 
 
-def test_admm_iteration_cap_raises(sine2, monkeypatch):
+def test_admm_iteration_cap_raises(sine2, monkeypatch, splitting):
     monkeypatch.setattr(oracle, "MAX_ITERS", 3)
     with pytest.raises(OracleError):
         admm_reference(sine2, DualIterate.for_instance(sine2))
@@ -186,8 +205,9 @@ def test_certified_inconsistency_raises(sine2, monkeypatch):
 
 def test_certified_rejects_a_wrong_seed(sine2, monkeypatch):
     # a cross run that ends at a wrong point seeds the oracle there; the
-    # oracle walks back to the primal optimum, and the dual value at the
-    # wrong point then fails the value comparison
+    # oracle still reaches the primal optimum (its certificate's gap and
+    # its splitting residual do not trust the seed), and the dual value at
+    # the wrong point then fails the value comparison
     real = dual_solver.solve
     seeds = []
 
@@ -206,13 +226,16 @@ def test_certified_rejects_a_wrong_seed(sine2, monkeypatch):
                                      abs=1e-9 * (1.0 + abs(cold.J)))
 
 
-def test_certified_oracle_is_seeded():
-    # started where the cross run ended, the oracle needs a small fraction
-    # of the iterations of a start from zero (5 vs 398 when written)
+def test_certified_oracle_is_seeded(monkeypatch):
+    # started where the cross run ended, the splitting iterations need a
+    # small fraction of the iterations of a start from zero (5 vs 398 when
+    # written)
     inst = make_instance("shifted", 4)
     cert = certified_optimum(inst)
+    _refuse_certificates(monkeypatch)
+    seeded = admm_reference(inst, cert.z_star)
     cold = admm_reference(inst, DualIterate.for_instance(inst))
-    assert cert.oracle.iterations <= cold.iterations / 10
+    assert seeded.iterations <= cold.iterations / 10
 
 
 def test_certified_cross_run_restarts():
@@ -232,7 +255,7 @@ def test_certified_zero_preset(zero2):
 
 
 @pytest.mark.parametrize("fixture", ["sine2", "shifted2"])
-def test_admm_factorizes_once(fixture, request, monkeypatch):
+def test_admm_factorizes_once(fixture, request, monkeypatch, splitting):
     prob = request.getfixturevalue(fixture)
     real = oracle._splitting_factorization
     built = []
@@ -246,8 +269,71 @@ def test_admm_factorizes_once(fixture, request, monkeypatch):
     assert len(built) == 1
 
 
-def test_admm_converges_at_small_alpha(monkeypatch):
+def test_admm_converges_at_small_alpha(monkeypatch, splitting):
     monkeypatch.setattr(oracle, "MAX_ITERS", 2000)
     prob = make_instance("sine", 4, alpha=1e-4)
     sol = admm_reference(prob, DualIterate.for_instance(prob))
     assert np.isfinite(sol.J)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["sine", "shifted", "zero"])
+def test_certificate_matches_the_splitting_iterations(name, level,
+                                                      monkeypatch):
+    inst = make_instance(name, level)
+    cert = certified_optimum(inst)
+    assert cert.oracle.iterations == 1
+    a, b = inst.box
+    assert a <= cert.u_star.min() and cert.u_star.max() <= b
+    _refuse_certificates(monkeypatch)
+    split = admm_reference(inst, cert.z_star)
+    assert cert.j_star == pytest.approx(
+        split.J, abs=1e-12 * (1.0 + abs(split.J)))
+
+
+def test_certificate_refused_from_the_origin(sine2, golden):
+    # the dual origin identifies the wrong sets on sine L2, so the oracle
+    # falls back to the splitting iterations
+    sol = admm_reference(sine2, DualIterate.for_instance(sine2))
+    assert sol.iterations > 1
+    ref = golden["sine"]["J_star"]
+    assert sol.J == pytest.approx(ref, abs=1e-9 * (1.0 + abs(ref)))
+
+
+def test_certificate_refuses_a_wrong_solution(certified_sine2, golden,
+                                              monkeypatch):
+    # a perturbed answer of the certificate's solve fails the gap test;
+    # the splitting iterations, whose factorization is left alone, run
+    sine2, cert = certified_sine2
+    real = oracle.factorize_indefinite
+    factored = []
+
+    class Perturbed:
+        def __init__(self, fact):
+            self.fact = fact
+
+        def solve(self, rhs):
+            x = self.fact.solve(rhs)
+            x[: x.size // 4] += 1e-6
+            return x
+
+    def first_perturbed(matrix):
+        factored.append(real(matrix))
+        return Perturbed(factored[0]) if len(factored) == 1 else factored[-1]
+
+    monkeypatch.setattr(oracle, "factorize_indefinite", first_perturbed)
+    sol = admm_reference(sine2, cert.z_star)
+    # the certificate's system, then the splitting system
+    assert len(factored) == 2
+    ref = golden["sine"]["J_star"]
+    assert sol.J == pytest.approx(ref, abs=1e-9 * (1.0 + abs(ref)))
+
+
+def test_certified_optimum_at_small_alpha():
+    # the splitting iterations stall here (residual 6.2e-10 after 20k
+    # iterations); the active-set certificate does not iterate
+    inst = make_instance("shifted", 6, alpha=1e-4)
+    cert = certified_optimum(inst)
+    assert cert.oracle.iterations == 1
+    a, b = inst.box
+    assert a <= cert.u_star.min() and cert.u_star.max() <= b
