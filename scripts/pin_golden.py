@@ -2,15 +2,15 @@
 """Pin certified optimal values into the package golden file.
 
 For every preset this runs a long dual solve, then the primal oracle
-seeded where that solve ended -- the active-set certificate, or the
-splitting iterations when its duality gap refuses the seed's sets -- and
-records J* only when the two routes agree (oracle.certified_optimum); a
-disagreement aborts the script instead of writing a stale value.  The
-result lands in src/pdeabcd/data/golden.json and is asserted by the test
-suite, so optima are pinned by computation, never typed in by hand.  The
-``iterations`` field counts the seeded oracle's iterations: 1 on the
-active-set route.  The committed file predates that route and counts
-splitting iterations from zero; its values agree with a fresh run to the
+seeded where that solve ended -- the active-set certificate, accepted
+only on its duality gap -- and records J* only when the two routes agree
+(oracle.certified_optimum); a refused certificate or a disagreement aborts
+the script instead of writing a stale value.  The result lands in
+src/pdeabcd/data/golden.json and is asserted by the test suite, so optima
+are pinned by computation, never typed in by hand.  The ``iterations``
+field counts the oracle's iterations, always 1 now.  The committed file
+was pinned by the consensus-splitting oracle this package had before and
+counts its iterations from zero; its values agree with a fresh run to the
 suite's 1e-9 tolerance, so it is left as it is.
 """
 

@@ -9,9 +9,10 @@ The package discretizes the control problem
 by P1 finite elements on dyadic triangulations of the unit square and
 solves the dual problem in the multipliers (lam, p, mu) with an
 accelerated majorized block-coordinate method whose value gap decays at
-the rate 4 tau_h / (k+1)^2.  An operator-splitting oracle on the primal
-side certifies optima independently, and the analysis module measures
-the bound constant and its behavior under mesh refinement.
+the rate 4 tau_h / (k+1)^2.  A primal oracle, one active-set KKT solve
+accepted only on its duality gap, certifies optima independently, and the
+analysis module measures the bound constant and its behavior under mesh
+refinement.
 """
 
 from .assembly import (

@@ -15,11 +15,13 @@ Exit codes: 0 all good, 2 bad input (a value that a rule of the library
 or of this module rejects with ``InputError``, an ``--out`` that cannot be
 created, or ``--dump-mesh``/``--dump-matrices`` without ``--out``; an
 ``--out`` that the refused run created is removed again), 3
-solver divergence, 4 a checked criterion failed; any other exception
-propagates.  Output files are byte-identical across repeated runs with the
-same flags; wall-clock columns are only filled under --timing.  The
-PDEABCD_SEED environment variable fixes the seed of the randomized check
-suites.
+solver divergence, 4 a checked criterion failed (also a reference
+optimum that the oracle does not certify, ``OracleError`` or
+``OracleInconsistencyError``, reported as one ``error:`` line); any other
+exception propagates.  Output files are byte-identical across repeated
+runs with the same flags; wall-clock columns are only filled under
+--timing.  The PDEABCD_SEED environment variable fixes the seed of the
+randomized check suites.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 from . import analysis, dual_solver
 from .dual_solver import DivergenceError, SolverConfig
 from .mesh import InputError, check_alpha, mesh_to_dict
+from .oracle import OracleError, OracleInconsistencyError
 from .presets import make_instance, preset_names
 
 
@@ -425,6 +428,9 @@ def main(argv=None) -> int:
         print(f"divergence at iteration {err.k}: {err}", file=sys.stderr)
         print(f"wrote {path}", file=sys.stderr)
         return 3
+    except (OracleError, OracleInconsistencyError) as err:
+        print(f"error: no certified optimum: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

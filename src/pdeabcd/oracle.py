@@ -12,24 +12,20 @@ consistent-mass L1 term keeps this primal an exact conjugate of the dual
 function, which is what makes machine-accuracy cross-checks of the optimal
 values possible.
 
-:func:`admm_reference` takes a dual iterate as its seed and has two
-routes.  The first is one primal-dual active-set step (Hintermueller, Ito
-and Kunisch, 2002; Stadler, 2009, for L1 control): the seed guesses which
-nodes sit at a bound of the box and which have ``(M_full u)_i = 0``, and on
-those sets the KKT conditions are one sparse linear system.  Its answer is
-accepted only when the duality gap it gives is at most ``TOL (1 + |J|)``,
-which bounds ``J - J*`` by weak duality whatever the guess.  When the gap
-refuses it, the second route runs: consensus operator splitting, where
-copies s = M_full u and w = u decouple the L1 term from the box, so every
-subproblem is exact -- one sparse indefinite solve, a componentwise soft
-threshold, a clip -- until its own fixed-point residual falls to ``TOL``.
+:func:`admm_reference` takes a dual iterate as its seed and runs one
+primal-dual active-set step (Hintermueller, Ito and Kunisch, 2002;
+Stadler, 2009, for L1 control): the seed guesses which nodes sit at a
+bound of the box and which have ``(M_full u)_i = 0``, and on those sets
+the KKT conditions are one sparse linear system.  Its answer is accepted
+only when the duality gap it gives is at most ``TOL (1 + |J|)``, which
+bounds ``J - J*`` by weak duality whatever the guess; otherwise
+:class:`OracleError` is raised.
 
 :func:`certified_optimum` runs a long dual solve, then this oracle seeded
 at the dual run's final iterate, and accepts only when the two optimal
-values agree to 1e-7 relative.  The seed saves the oracle its work but not
-its judgement: the certificate's gap and the splitting residual each bound
-the distance from the primal optimum whatever the seed, and the value must
-still match the dual one.
+values agree to 1e-7 relative.  The seed picks the sets but not the
+verdict: the gap bounds the distance from the primal optimum whatever the
+seed, and the value must still match the dual one.
 """
 
 from __future__ import annotations
@@ -43,17 +39,13 @@ from . import dual_solver
 from .dual_solver import DualIterate, ProblemInstance, SolverConfig
 from .sparse_linalg import factorize_indefinite
 
-# over-relaxation of the splitting updates
-RELAXATION = 1.7
-# iteration cap of one splitting solve
-MAX_ITERS = 200_000
-# relative duality gap at which the active-set certificate is accepted,
-# and residual at which a splitting solve stops; golden.json records it
+# relative duality gap at which the active-set certificate is accepted;
+# golden.json records it
 TOL = 1e-10
 
 
 class OracleError(RuntimeError):
-    """Reference solve failed to converge within its iteration cap."""
+    """The active-set certificate refused the sets that its seed identifies."""
 
 
 class OracleInconsistencyError(RuntimeError):
@@ -64,8 +56,8 @@ class OracleInconsistencyError(RuntimeError):
 class PrimalSolution:
     """Output of a reference primal solve.
 
-    ``iterations`` counts the splitting iterations, or 1 when the
-    active-set certificate accepted the seed's sets.
+    ``iterations`` is always 1, the one active-set step; it stays while
+    the benchmark's tracer reads it.
     """
 
     u: np.ndarray
@@ -85,33 +77,11 @@ class CertifiedOptimum:
     oracle: PrimalSolution
 
 
-def _splitting_factorization(prob: ProblemInstance, rho1: float,
-                             rho2: float):
-    """Factorize the coupled stationarity system of the u-subproblem.
-
-    Solving (S'MS + alpha M_f + rho1 M_f^2 + rho2 I) u = r without ever
-    forming the dense S'MS: with auxiliary y = S u and q = K^{-1} M y the
-    same u solves the sparse symmetric block system
-
-        [ C       0    B' ] [u]   [r]
-        [ 0       M   -K  ] [y] = [0],   C = alpha M_f + rho1 M_f^2
-        [ B      -K    0  ] [q]   [0]        + rho2 I,  B = E' M_f.
-    """
-    ops = prob.ops
-    Mf = ops.M_full.tocsr()
-    n = Mf.shape[0]
-    C = prob.alpha * Mf + rho1 * (Mf @ Mf) + rho2 * sp.identity(n)
-    B = Mf[ops.interior]
-    A = sp.bmat([[C, None, B.T],
-                 [None, ops.M, -ops.K],
-                 [B, -ops.K, None]], format="csc")
-    return factorize_indefinite(A)
-
-
-def _active_set_certificate(prob: ProblemInstance,
-                            z0: DualIterate) -> PrimalSolution | None:
-    """The optimum on the active sets that ``z0`` identifies, or ``None``
-    when the solve fails or its duality gap exceeds ``TOL (1 + |J|)``.
+def admm_reference(prob: ProblemInstance,
+                   z0: DualIterate) -> PrimalSolution:
+    """The primal optimum on the active sets that ``z0`` identifies;
+    raises :class:`OracleError` when the solve fails or its duality gap
+    exceeds ``TOL (1 + |J|)``.
 
     From ``z0`` = (lam, p, mu) with u = (E p - lam - mu)/alpha, s =
     M_full u and xi = M_full mu: P, N and Z are the nodes with ``lam +
@@ -128,6 +98,10 @@ def _active_set_certificate(prob: ProblemInstance,
     their boxes, nu = -M_full (alpha u - E p + lam) and mu = M_full^{-1}
     nu, ``primal_value(u) + dual_objective(lam, p, mu)`` bounds
     ``J(u) - J*`` by weak duality, whatever the sets were.
+
+    The name stays while the benchmark's tracer wraps this entry point:
+    its ``oracle.admm_*`` and ``oracle.refactor_*`` metrics read the spans
+    of this function and of the factorization under it.
     """
     ops = prob.ops
     Mf = ops.M_full
@@ -170,12 +144,13 @@ def _active_set_certificate(prob: ProblemInstance,
     rhs = np.concatenate((np.zeros(2 * n_full), prob.m_yr, prob.m_yd))
     rhs -= G @ x
     G = G[keep][:, keep]
+    refused = "the active sets of the seed were refused"
     try:
         x[keep] = factorize_indefinite(G).solve(rhs[keep])
-    except RuntimeError:
-        return None
+    except RuntimeError as err:
+        raise OracleError(f"{refused}: KKT system: {err}") from None
     if not np.isfinite(x).all():
-        return None
+        raise OracleError(f"{refused}: KKT solve not finite")
 
     u = np.clip(x[:n_full], a, b)
     lam = np.clip(x[n_full:2 * n_full], -beta, beta)
@@ -187,108 +162,9 @@ def _active_set_certificate(prob: ProblemInstance,
         # a wrong guess may leave a huge p; its gap is inf or nan
         gap = J + dual_solver.dual_objective(prob, lam, p, mu)
     if not gap <= TOL * (1.0 + abs(J)):
-        return None
+        raise OracleError(f"{refused}: duality gap {gap:.3e} above "
+                          f"{TOL:.0e} (1 + |J|), J = {J:.12e}")
     return PrimalSolution(u=u, J=J, iterations=1)
-
-
-def admm_reference(prob: ProblemInstance,
-                   z0: DualIterate) -> PrimalSolution:
-    """Solve the consistent-mass primal: by one active-set solve on the
-    sets that ``z0`` identifies when its duality gap certifies it
-    (:func:`_active_set_certificate`, ``iterations`` 1), else by consensus
-    operator splitting from ``z0``.
-
-    The name stays while the benchmark's tracer wraps this entry point:
-    its ``oracle.admm_*`` and ``oracle.refactor_*`` metrics read the spans
-    of this function and of the factorizations under it, whichever route
-    runs.
-
-    Splitting: copies s = M_full u and w = u carry the L1 term and the box
-    indicator; the u-subproblem is a sparse factorized solve, s and w have
-    closed-form proximal updates, over-relaxed by ``RELAXATION``.  The two
-    penalty weights are fixed multiples of alpha and the mean mass
-    diagonal, so the 3-block system is factorized once per call.  Runs
-    until the worst relative primal or dual residual falls below ``TOL``;
-    raises :class:`OracleError` when ``MAX_ITERS`` iterations pass first.
-    The returned control is the box copy ``w``, feasible to the letter,
-    and ``J`` is ``dual_solver.primal_value`` there.
-
-    The splitting starts at the point the dual triple ``z0`` = (lam, p, mu)
-    maps to: u = clip((E p - lam - mu)/alpha, a, b), s = M_full u, w = u,
-    z1 = lam/rho1 and z2 = M_full mu/rho2.  At a
-    fixed point rho1 z1 = lam and rho2 z2 = M_full mu, so a dual optimum
-    maps to a point where the splitting stops.  The stopping test bounds
-    the distance from optimality whatever the start, so ``z0`` changes
-    how many iterations are needed, not what is accepted.
-    """
-    certified = _active_set_certificate(prob, z0)
-    if certified is not None:
-        return certified
-    ops = prob.ops
-    Mf = ops.M_full
-    alpha, beta = prob.alpha, prob.beta
-    a, b = prob.box
-    n = prob.n_full
-    n_int = prob.n
-
-    K_fact = ops.stiffness_factor
-    s0 = K_fact.solve(prob.m_yr)
-    # q = S' M (y_d - s0), the constant gradient shift of the smooth part
-    p0 = K_fact.solve(ops.M @ (prob.y_d - s0))
-    q = (Mf @ ops.pad(p0))
-
-    mbar = float(Mf.diagonal().mean())
-    # factor 4: at small alpha, 1 stalls, 2 is 3-8x slower and 16 up to 2x
-    rho1 = 4 * alpha / mbar
-    rho2 = 4 * alpha * mbar
-    fact = _splitting_factorization(prob, rho1, rho2)
-    thresh = beta / rho1
-
-    lam, p, mu = z0.blocks()
-    u = np.clip((ops.pad(p) - lam - mu) / alpha, a, b)
-    z1 = lam / rho1
-    z2 = (Mf @ mu) / rho2
-    s = Mf @ u
-    w = u.copy()
-    rhs = np.zeros(n + 2 * n_int)
-    g_scale = 1.0 + float(np.abs(q).max(initial=0.0))
-
-    residual = float("inf")
-    iterations = 0
-    for it in range(1, MAX_ITERS + 1):
-        rhs[:n] = q + rho1 * (Mf @ (s - z1)) + rho2 * (w - z2)
-        u = fact.solve(rhs)[:n]
-        mu_u = Mf @ u
-
-        h1 = RELAXATION * mu_u + (1.0 - RELAXATION) * s
-        h2 = RELAXATION * u + (1.0 - RELAXATION) * w
-        s_old = s
-        w_old = w
-        g1 = h1 + z1
-        s = np.sign(g1) * np.maximum(np.abs(g1) - thresh, 0.0)
-        w = np.clip(h2 + z2, a, b)
-        z1 = z1 + h1 - s
-        z2 = z2 + h2 - w
-
-        pri1 = float(np.abs(mu_u - s).max(initial=0.0)) \
-            / (1.0 + float(np.abs(mu_u).max(initial=0.0)))
-        pri2 = float(np.abs(u - w).max(initial=0.0)) \
-            / (1.0 + float(np.abs(u).max(initial=0.0)))
-        dua1 = rho1 * float(np.abs(Mf @ (s - s_old)).max(initial=0.0)) \
-            / g_scale
-        dua2 = rho2 * float(np.abs(w - w_old).max(initial=0.0)) / g_scale
-        residual = max(pri1, pri2, dua1, dua2)
-        iterations = it
-        if residual <= TOL:
-            break
-
-    if residual > TOL:
-        raise OracleError(
-            f"splitting solve stalled at residual {residual:.3e} "
-            f"after {iterations} iterations (tol {TOL:.1e})"
-        )
-    return PrimalSolution(u=w, J=dual_solver.primal_value(prob, w),
-                          iterations=iterations)
 
 
 def certified_optimum(prob: ProblemInstance,
@@ -298,13 +174,13 @@ def certified_optimum(prob: ProblemInstance,
     First a dual run of at most 100k sweeps to KKT residual 1e-9, warm
     started from ``z0`` if given, then the oracle (:func:`admm_reference`)
     seeded at that run's final iterate: the active-set certificate on the
-    sets it identifies, or the splitting iterations when the certificate's
-    gap refuses them.  Accepts only when ``|Phi(z_final) + J*| <= 1e-7 (1 +
+    sets it identifies, which raises :class:`OracleError` when its gap
+    refuses them.  Accepts only when ``|Phi(z_final) + J*| <= 1e-7 (1 +
     |J*|)``; disagreement raises :class:`OracleInconsistencyError`.  The
-    seed only saves the oracle work: the certificate's gap and the
-    splitting's residual test are the same whatever the seed, so a wrong
-    seed gives the primal optimum all the same, which then fails the value
-    comparison.  The cross run only produces a reference point, and its
+    seed picks the sets, not the verdict: the certificate's gap test is
+    the same whatever the seed, so a wrong seed either gives the primal
+    optimum, which then fails the value comparison, or is refused.  The
+    cross run only produces a reference point, and its
     verdict depends only on the residual reached,
     not the path, so it runs with momentum restarts
     (``SolverConfig.restart``): no value bound is checked along it.

@@ -2,6 +2,7 @@
 determinism of written artifacts."""
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from pdeabcd import analysis, cli, dual_solver, presets
+from pdeabcd import analysis, cli, dual_solver, oracle, presets
 from pdeabcd.cli import main
 
 # in-process invocations keep the suite fast; two subprocess tests
@@ -90,6 +91,37 @@ def test_solve_divergence_exit_code(tmp_path, capsys, monkeypatch):
     assert dump["lam"].shape == (25,)
     assert dump["p"].shape == (9,)
     assert dump["mu"].shape == (25,)
+
+
+def _check_bound_exits_4(capsys):
+    rc = main(["solve", "--preset", "sine", "--level", "2",
+               "--check-bound"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: no certified optimum: ")
+    assert err.count("\n") == 1
+
+
+def test_solve_with_a_refused_certificate_exits_4(capsys, monkeypatch):
+    # seeded at the dual origin, the certificate's gap refuses the sets
+    real = oracle.admm_reference
+
+    def from_the_origin(prob, z0):
+        return real(prob, dual_solver.DualIterate.for_instance(prob))
+
+    monkeypatch.setattr(oracle, "admm_reference", from_the_origin)
+    _check_bound_exits_4(capsys)
+
+
+def test_solve_with_an_inconsistent_optimum_exits_4(capsys, monkeypatch):
+    real = oracle.admm_reference
+
+    def off(prob, z0):
+        sol = real(prob, z0)
+        return dataclasses.replace(sol, J=sol.J + 1e-3)
+
+    monkeypatch.setattr(oracle, "admm_reference", off)
+    _check_bound_exits_4(capsys)
 
 
 def test_solve_record_deterministic(tmp_path):

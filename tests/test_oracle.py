@@ -1,5 +1,5 @@
-"""Primal oracle tests: objective values, the active-set certificate, the
-splitting iterations it falls back to, and the cross-certification logic."""
+"""Primal oracle tests: objective values, the active-set certificate, a
+dense textbook reference solve, and the cross-certification logic."""
 
 import dataclasses
 import json
@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from pdeabcd import dual_solver, oracle
 from pdeabcd.dual_solver import (
@@ -63,45 +64,86 @@ def test_primal_objective_matches_dense(sine2, rng):
         assert got == pytest.approx(expected, rel=1e-11)
 
 
-def _refuse_certificates(monkeypatch):
-    """Refuse every active-set certificate, so that ``admm_reference``
-    runs its splitting iterations."""
-    monkeypatch.setattr(oracle, "_active_set_certificate",
-                        lambda prob, z0: None)
+def _dense_reference(prob):
+    """The optimal value by SLSQP on the split-L1 form, dense throughout.
+
+    ``min 1/2 u'Hu + g'u + c + beta sum(s+ + s-)`` subject to ``M_full u
+    = s+ - s-``, ``a <= u <= b`` and ``s+- >= 0``, with ``H = S'MS +
+    alpha M_full`` and ``S = K^-1 M_i``; no solver code of the package is
+    used.  ``u`` is scaled by ``diag(H)^-1/2`` so that SLSQP's first
+    quasi-Newton metric, the identity, fits ``H``; ``s+-`` and the
+    constraint rows share one scale of the mass matrix.  SLSQP minimizes
+    without ``c``; the value returned is the dense functional at the
+    minimizer, clipped to the box.
+    """
+    ops = prob.ops
+    K = ops.K.toarray()
+    M = ops.M.toarray()
+    Mf = ops.M_full.toarray()
+    S = np.linalg.solve(K, Mf[ops.interior])
+    r = S @ prob.y_r - prob.y_d
+    H = S.T @ M @ S + prob.alpha * Mf
+    g = S.T @ (M @ r)
+    n = Mf.shape[0]
+    a, b = prob.box
+    du = 1.0 / np.sqrt(np.diag(H))
+    ds = float(np.diag(Mf).mean() * du.mean())
+    Hs = du[:, None] * H * du
+    gs = du * g
+    weight = np.full(2 * n, prob.beta * ds)
+    A = np.hstack((Mf * du / ds, -np.eye(n), np.eye(n)))
+
+    res = minimize(
+        lambda x: 0.5 * x[:n] @ Hs @ x[:n] + gs @ x[:n] + weight @ x[n:],
+        np.zeros(3 * n),
+        jac=lambda x: np.concatenate((Hs @ x[:n] + gs, weight)),
+        bounds=list(zip(a / du, b / du)) + [(0.0, None)] * (2 * n),
+        constraints=[{"type": "eq", "fun": lambda x: A @ x,
+                      "jac": lambda x: A}],
+        method="SLSQP", options={"ftol": 1e-14, "maxiter": 1000})
+    assert res.success, res.message
+    return _dense_objective(prob, np.clip(du * res.x[:n], a, b))
 
 
-@pytest.fixture()
-def splitting(monkeypatch):
-    _refuse_certificates(monkeypatch)
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("name", ["sine", "shifted", "zero"])
+def test_certified_optimum_matches_a_dense_reference(name, level):
+    inst = make_instance(name, level)
+    cert = certified_optimum(inst)
+    a, b = inst.box
+    assert a <= cert.u_star.min() and cert.u_star.max() <= b
+    assert _dense_reference(inst) == pytest.approx(
+        cert.j_star, abs=1e-10 * (1.0 + abs(cert.j_star)))
 
 
 def test_admm_matches_golden(golden):
     for name, entry in golden.items():
-        # every optimum is pinned at the oracle's one stopping residual
+        # every optimum is pinned at the oracle's one gap tolerance
         assert entry["tol"] == oracle.TOL
         inst = make_instance(name, entry["level"])
-        sol = admm_reference(inst, DualIterate.for_instance(inst))
-        assert sol.J == pytest.approx(entry["J_star"],
-                                      abs=1e-9 * (1.0 + abs(entry["J_star"])))
-        assert sol.iterations >= 1
+        cert = certified_optimum(inst)
+        assert cert.j_star == pytest.approx(
+            entry["J_star"], abs=1e-9 * (1.0 + abs(entry["J_star"])))
+        assert cert.oracle.iterations == 1
         a, b = inst.box
-        assert sol.u.min() >= a
-        assert sol.u.max() <= b
+        assert cert.u_star.min() >= a
+        assert cert.u_star.max() <= b
 
 
-def test_admm_start_independence(sine2, rng):
+def test_admm_start_independence(certified_sine2, rng):
+    # a random warm start of the cross run ends at the same optimum
+    sine2, cert = certified_sine2
     beta = sine2.beta
     start = DualIterate(rng.uniform(-beta, beta, sine2.n_full),
                         rng.standard_normal(sine2.n),
                         rng.standard_normal(sine2.n_full))
-    s1 = admm_reference(sine2, DualIterate.for_instance(sine2))
-    s2 = admm_reference(sine2, z0=start)
-    assert s1.J == pytest.approx(s2.J, abs=1e-9 * (1.0 + abs(s1.J)))
-    assert np.abs(s1.u - s2.u).max() < 1e-6
+    other = certified_optimum(sine2, z0=start)
+    assert other.j_star == pytest.approx(
+        cert.j_star, abs=1e-9 * (1.0 + abs(cert.j_star)))
+    assert np.abs(other.u_star - cert.u_star).max() < 1e-6
 
 
 def test_admm_solves_the_state_equation_once(certified_sine2, monkeypatch):
-    # once on the active-set route, and once on the splitting iterations
     sine2, cert = certified_sine2
     real = ProblemInstance.state
     calls = []
@@ -113,22 +155,12 @@ def test_admm_solves_the_state_equation_once(certified_sine2, monkeypatch):
     monkeypatch.setattr(ProblemInstance, "state", counting)
     assert admm_reference(sine2, cert.z_star).iterations == 1
     assert len(calls) == 1
-    calls.clear()
-    _refuse_certificates(monkeypatch)
-    origin = DualIterate.for_instance(sine2)
-    assert admm_reference(sine2, origin).iterations > 1
-    assert len(calls) == 1
 
 
-def test_admm_iteration_cap_raises(sine2, monkeypatch, splitting):
-    monkeypatch.setattr(oracle, "MAX_ITERS", 3)
-    with pytest.raises(OracleError):
-        admm_reference(sine2, DualIterate.for_instance(sine2))
-
-
-def test_admm_optimum_not_improved_by_perturbation(shifted2, rng):
+def test_admm_optimum_not_improved_by_perturbation(certified_shifted2, rng):
     # no feasible control near the oracle's minimizer has a lower value
-    sol = admm_reference(shifted2, DualIterate.for_instance(shifted2))
+    shifted2, cert = certified_shifted2
+    sol = admm_reference(shifted2, cert.z_star)
     floor = sol.J - 1e-9 * (1.0 + abs(sol.J))
     for _ in range(20):
         d = rng.standard_normal(shifted2.n_full)
@@ -144,9 +176,10 @@ def test_control_shrinks_with_alpha():
     norms = []
     for alpha in (1e-3, 1e-2, 1e-1):
         inst = make_instance("sine", 2, alpha=alpha, box=(-100.0, 100.0))
-        sol = admm_reference(inst, DualIterate.for_instance(inst))
-        norms.append(float(np.sqrt(sol.u @ (inst.ops.M_full @ sol.u))))
-        js.append(sol.J)
+        cert = certified_optimum(inst)
+        norms.append(float(np.sqrt(cert.u_star @ (inst.ops.M_full
+                                                  @ cert.u_star))))
+        js.append(cert.j_star)
     assert norms[0] > norms[1] > norms[2]
     # heavier regularization cannot lower the optimum
     assert js[0] <= js[1] <= js[2]
@@ -160,7 +193,7 @@ def test_certified_optimum_fields(certified_sine2):
     assert dual_objective(inst, *cert.z_star.blocks()) == cert.cross_phi
     gap = abs(cert.cross_phi + cert.j_star)
     assert gap <= 1e-7 * (1.0 + abs(cert.j_star))
-    assert cert.oracle.iterations >= 1
+    assert cert.oracle.iterations == 1
 
 
 def test_certified_optimum_golden(golden, certified_sine2):
@@ -205,37 +238,19 @@ def test_certified_inconsistency_raises(sine2, monkeypatch):
 
 def test_certified_rejects_a_wrong_seed(sine2, monkeypatch):
     # a cross run that ends at a wrong point seeds the oracle there; the
-    # oracle still reaches the primal optimum (its certificate's gap and
-    # its splitting residual do not trust the seed), and the dual value at
-    # the wrong point then fails the value comparison
+    # sets it identifies are wrong, and the certificate's gap, which does
+    # not trust the seed, refuses them
     real = dual_solver.solve
-    seeds = []
 
     def halved(*args, **kwargs):
         run = real(*args, **kwargs)
         lam, p, mu = run.final.blocks()
-        seeds.append(DualIterate(0.5 * lam, p, mu, run.final.k))
-        return dataclasses.replace(run, final=seeds[-1])
+        return dataclasses.replace(
+            run, final=DualIterate(0.5 * lam, p, mu, run.final.k))
 
     monkeypatch.setattr(dual_solver, "solve", halved)
-    with pytest.raises(OracleInconsistencyError):
+    with pytest.raises(OracleError, match="refused: duality gap"):
         certified_optimum(sine2)
-    cold = admm_reference(sine2, DualIterate.for_instance(sine2))
-    seeded = admm_reference(sine2, z0=seeds[0])
-    assert seeded.J == pytest.approx(cold.J,
-                                     abs=1e-9 * (1.0 + abs(cold.J)))
-
-
-def test_certified_oracle_is_seeded(monkeypatch):
-    # started where the cross run ended, the splitting iterations need a
-    # small fraction of the iterations of a start from zero (5 vs 398 when
-    # written)
-    inst = make_instance("shifted", 4)
-    cert = certified_optimum(inst)
-    _refuse_certificates(monkeypatch)
-    seeded = admm_reference(inst, cert.z_star)
-    cold = admm_reference(inst, DualIterate.for_instance(inst))
-    assert seeded.iterations <= cold.iterations / 10
 
 
 def test_certified_cross_run_restarts():
@@ -254,56 +269,14 @@ def test_certified_zero_preset(zero2):
     assert cert.phi_star == 0.0
 
 
-@pytest.mark.parametrize("fixture", ["sine2", "shifted2"])
-def test_admm_factorizes_once(fixture, request, monkeypatch, splitting):
-    prob = request.getfixturevalue(fixture)
-    real = oracle._splitting_factorization
-    built = []
-
-    def tracked(*args):
-        built.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(oracle, "_splitting_factorization", tracked)
-    admm_reference(prob, DualIterate.for_instance(prob))
-    assert len(built) == 1
+def test_certificate_refused_from_the_origin(sine2):
+    # the dual origin identifies the wrong sets on sine L2
+    with pytest.raises(OracleError, match="refused: duality gap"):
+        admm_reference(sine2, DualIterate.for_instance(sine2))
 
 
-def test_admm_converges_at_small_alpha(monkeypatch, splitting):
-    monkeypatch.setattr(oracle, "MAX_ITERS", 2000)
-    prob = make_instance("sine", 4, alpha=1e-4)
-    sol = admm_reference(prob, DualIterate.for_instance(prob))
-    assert np.isfinite(sol.J)
-
-
-@pytest.mark.parametrize("level", [2, 3, 4, 5])
-@pytest.mark.parametrize("name", ["sine", "shifted", "zero"])
-def test_certificate_matches_the_splitting_iterations(name, level,
-                                                      monkeypatch):
-    inst = make_instance(name, level)
-    cert = certified_optimum(inst)
-    assert cert.oracle.iterations == 1
-    a, b = inst.box
-    assert a <= cert.u_star.min() and cert.u_star.max() <= b
-    _refuse_certificates(monkeypatch)
-    split = admm_reference(inst, cert.z_star)
-    assert cert.j_star == pytest.approx(
-        split.J, abs=1e-12 * (1.0 + abs(split.J)))
-
-
-def test_certificate_refused_from_the_origin(sine2, golden):
-    # the dual origin identifies the wrong sets on sine L2, so the oracle
-    # falls back to the splitting iterations
-    sol = admm_reference(sine2, DualIterate.for_instance(sine2))
-    assert sol.iterations > 1
-    ref = golden["sine"]["J_star"]
-    assert sol.J == pytest.approx(ref, abs=1e-9 * (1.0 + abs(ref)))
-
-
-def test_certificate_refuses_a_wrong_solution(certified_sine2, golden,
-                                              monkeypatch):
-    # a perturbed answer of the certificate's solve fails the gap test;
-    # the splitting iterations, whose factorization is left alone, run
+def test_certificate_refuses_a_wrong_solution(certified_sine2, monkeypatch):
+    # a perturbed answer of the certificate's solve fails the gap test
     sine2, cert = certified_sine2
     real = oracle.factorize_indefinite
     factored = []
@@ -317,21 +290,17 @@ def test_certificate_refuses_a_wrong_solution(certified_sine2, golden,
             x[: x.size // 4] += 1e-6
             return x
 
-    def first_perturbed(matrix):
+    def perturbed(matrix):
         factored.append(real(matrix))
-        return Perturbed(factored[0]) if len(factored) == 1 else factored[-1]
+        return Perturbed(factored[-1])
 
-    monkeypatch.setattr(oracle, "factorize_indefinite", first_perturbed)
-    sol = admm_reference(sine2, cert.z_star)
-    # the certificate's system, then the splitting system
-    assert len(factored) == 2
-    ref = golden["sine"]["J_star"]
-    assert sol.J == pytest.approx(ref, abs=1e-9 * (1.0 + abs(ref)))
+    monkeypatch.setattr(oracle, "factorize_indefinite", perturbed)
+    with pytest.raises(OracleError, match="refused: duality gap"):
+        admm_reference(sine2, cert.z_star)
+    assert len(factored) == 1
 
 
 def test_certified_optimum_at_small_alpha():
-    # the splitting iterations stall here (residual 6.2e-10 after 20k
-    # iterations); the active-set certificate does not iterate
     inst = make_instance("shifted", 6, alpha=1e-4)
     cert = certified_optimum(inst)
     assert cert.oracle.iterations == 1

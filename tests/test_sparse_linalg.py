@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import dia_matvec
@@ -99,18 +100,25 @@ def test_factors_keep_no_copy_of_their_triangles():
 
     numpy reports its buffers to tracemalloc and SuperLU's own storage is
     not traced, so what a live factor keeps is what it copied.  CSC copies
-    of both triangles would keep about 18-20 bytes per stored entry.
+    of both triangles would keep about 18-20 bytes per stored entry.  Only
+    allocations with a scipy or package frame on their stack are counted,
+    so one made elsewhere in the process meanwhile is not.
     """
     ops = assemble(build_unit_square_mesh(5))
+    frames = [tracemalloc.Filter(True, os.path.join(os.path.dirname(
+        module.__file__), "*"), all_frames=True)
+        for module in (scipy, sparse_linalg)]
     for factorize, A in ((factorize_spd, ops.K + 10j * ops.M),
                          (factorize_indefinite, _saddle(ops))):
-        tracemalloc.start()
+        tracemalloc.start(50)
         try:
-            before = tracemalloc.get_traced_memory()[0]
+            before = tracemalloc.take_snapshot().filter_traces(frames)
             fact = factorize(A)
-            kept = tracemalloc.get_traced_memory()[0] - before
+            after = tracemalloc.take_snapshot().filter_traces(frames)
         finally:
             tracemalloc.stop()
+        kept = sum(stat.size_diff
+                   for stat in after.compare_to(before, "filename"))
         assert kept < 2 * fact.fill_nnz, (fact.kind, kept, fact.fill_nnz)
 
 
