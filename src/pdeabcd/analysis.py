@@ -26,6 +26,7 @@ from .assembly import (LUMPED_MASS_GAMMA, assemble, l1h_norm,
 from .dual_solver import DualIterate, ProblemInstance, RunRecord, SolverConfig
 from .mesh import (InputError, Mesh, build_unit_square_mesh, check_level,
                    check_levels, prolongate_nodal)
+from .oracle import reference_solution
 from .presets import make_instance
 from .sparse_linalg import dot, power_iteration_extremes
 
@@ -58,7 +59,11 @@ def compute_tau_h(prob: ProblemInstance, z0: DualIterate,
                   z_star: DualIterate) -> float:
     """tau_h, half the squared S_h distance of a start from an optimum.
 
-    The p blocks do not enter; roundoff below zero is clipped.
+    The p blocks do not enter; roundoff below zero is clipped.  The
+    distance is to the point ``z_star``, not to the optimal set: where
+    the dual optimum is not unique, tau_h depends on which optimal point
+    the reference run reaches (on ``shifted`` level 2, 0.83824183 from an
+    unrestarted run to KKT 1e-8 and 0.83828454 from the restarted one).
     """
     s_lam, s_mu = majorizer_blocks(prob)
     d = z0.lam - z_star.lam
@@ -139,28 +144,15 @@ def prolongate_iterate(src_mesh: Mesh, z: DualIterate,
     return DualIterate(lam, np.zeros(dst.n), mu)
 
 
-def reference_solution(prob: ProblemInstance, z0: DualIterate | None = None
-                       ) -> tuple[DualIterate, float]:
-    """Dual solve to KKT residual 1e-8; returns (z_star, phi_star).
-
-    The run only produces a reference optimum, so it restarts its momentum
-    (``SolverConfig.restart``); the runs whose sweeps are counted stay on
-    the unrestarted scheme that the value bound covers.
-    """
-    config = SolverConfig(max_iters=200_000, tol=1e-8, log_every=0,
-                          check_every=5, restart=True)
-    run = dual_solver.solve(prob, config, z0=z0)
-    return run.final, float(run.phi[-1])
-
-
 def reference_optimum(prob: ProblemInstance, z0: DualIterate | None = None
                       ) -> tuple[DualIterate, float]:
     """Optimal dual iterate and value ``(z_star, phi_star)`` of one instance.
 
-    Up to ``ORACLE_CAP`` interior unknowns the optimum is certified by the
-    primal oracle; above it, it is a :func:`reference_solution`.  Each
-    route owns its sweep cap, so no caller's run budget can truncate it.
-    ``z0`` warm starts the dual run of either route.
+    Both routes take the one reference run,
+    :func:`oracle.reference_solution`, warm started from ``z0``: up to
+    ``ORACLE_CAP`` interior unknowns the primal oracle then certifies its
+    optimum; above it, the run's own ``(z_star, phi)`` is returned.  The
+    run owns its sweep cap, so no caller's run budget can truncate it.
     """
     if prob.n <= ORACLE_CAP:
         cert = oracle.certified_optimum(prob, z0=z0)
@@ -361,12 +353,11 @@ def spectral_scaling_report(levels,
         inst = make_instance("sine", level, alpha=alpha)
         ops = inst.ops
         n = inst.n
-        m_fact = ops.mass_factor
-        k_fact = ops.stiffness_factor
         lam_max_m, _ = power_iteration_extremes(lambda v: ops.M @ v, n)
-        inv_max, _ = power_iteration_extremes(m_fact.solve, n)
+        inv_max, _ = power_iteration_extremes(ops.mass_factor.solve, n)
         lam_max_k, _ = power_iteration_extremes(lambda v: ops.K @ v, n)
-        kinv_max, _ = power_iteration_extremes(k_fact.solve, n)
+        kinv_max, _ = power_iteration_extremes(
+            inst.solver.solve_stiffness, n)
         lam_max_sh, lam_max_ok = lam_max_majorizer(inst)
         rows.append(SpectralRow(
             level=level,

@@ -123,14 +123,12 @@ class FemOperators:
     :func:`norms`, so it is assembled on first read and a solve never
     holds it: at level 10 the operators hold about 270 MB, and from level
     8 on a solve's resident peak sits in the solve, not in their setup
-    (peaks in :func:`assemble`).  The operators own the SPD
-    factorizations of ``M``, ``M_full`` and ``K`` as the cached properties
-    ``mass_factor``, ``mass_full_factor`` and ``stiffness_factor``: each
-    is built on first read and kept for the life of the operators.  A
-    problem instance's one solver (``ProblemInstance.solver``) solves with
-    the last two below ``dual_solver.GRID_MIN_N`` interior unknowns and
-    with none of them from there on; the oracle and the checks read them
-    directly.
+    (peaks in :func:`assemble`).  The operators own one factorization,
+    the SPD factor of ``M`` as the cached property ``mass_factor``, built
+    on first read and kept for the life of the operators; the checks and
+    ``dual_solver.dual_objective`` without a multiplier read it.  The
+    factors of ``K`` and ``M_full`` belong to the one solver that solves
+    with them, ``sparse_linalg.AugmentedSolver``.
     """
 
     mesh: Mesh
@@ -157,14 +155,6 @@ class FemOperators:
     @cached_property
     def mass_factor(self) -> Factorization:
         return factorize_spd(self.M)
-
-    @cached_property
-    def mass_full_factor(self) -> Factorization:
-        return factorize_spd(self.M_full)
-
-    @cached_property
-    def stiffness_factor(self) -> Factorization:
-        return factorize_spd(self.K)
 
     def pad(self, u_int: np.ndarray) -> np.ndarray:
         """Embed an interior vector into the full node set with zero boundary."""

@@ -77,8 +77,9 @@ def _env_seed() -> int:
 def load_config_tokens(path: str, bool_keys: set[str]) -> list[str]:
     """Read a plain key=value config file into flag tokens.
 
-    Keys mirror the long flags one to one (dashes or underscores); lines
-    starting with '#' and blank lines are skipped.  The ``bool_keys``, the
+    Keys mirror the long flags one to one (dashes or underscores).  A '#'
+    starts a comment anywhere on a line, so a value cannot contain '#';
+    lines left blank are skipped.  The ``bool_keys``, the
     names of the ``store_true`` flags, accept true/false style values.
     Each value is emitted as one ``--key=value`` token, so a value that
     starts with '-' is not read as a flag.  Command-line flags override

@@ -219,8 +219,9 @@ class SolverConfig:
     gradient test of O'Donoghue and Candes (2015).  The 4 tau_h / (k+1)^2
     value bound is proven only for the unrestarted scheme, so every run
     whose sweeps are counted or checked against it keeps the default off;
-    the long reference runs that only produce an optimum turn it on, since
-    it reaches the same residual in far fewer sweeps.
+    the one reference run, which only produces an optimum
+    (``oracle.reference_solution``), turns it on, since it reaches the
+    same residual in far fewer sweeps.
     """
 
     max_iters: int = 10000

@@ -177,9 +177,9 @@ class AugmentedSolver:
     without pivoting is stable (Higham, 1998).  The dual sweep takes
     ``(p, w)`` from both of its p-solves (:meth:`solve_with_multiplier`):
     ``w`` of the second gives the dual value with no factor of ``M``.
-    :meth:`solve_stiffness` and :meth:`solve_mass_full` solve with the
-    factors of ``K`` and ``M_full`` that ``ops`` owns and builds on first
-    use, so the oracle and the checks share them.  The starts that the
+    :meth:`solve_stiffness` and :meth:`solve_mass_full` solve with SPD
+    factors of ``K`` and ``M_full``, each likewise built on its first
+    solve and kept with the solver.  The starts that the
     sweep hands its second p-solve and its mass solve, and the stops it
     hands all three, are ignored; they keep the contract of
     :class:`GridSolver`, which iterates from the starts to the stops.
@@ -196,6 +196,14 @@ class AugmentedSolver:
     def _fact(self) -> Factorization:
         return factorize_spd(self._ops.K + 1j * self.s * self._ops.M)
 
+    @cached_property
+    def _stiffness_fact(self) -> Factorization:
+        return factorize_spd(self._ops.K)
+
+    @cached_property
+    def _mass_full_fact(self) -> Factorization:
+        return factorize_spd(self._ops.M_full)
+
     def solve_with_multiplier(self, b: np.ndarray, start=None, stop=None
                               ) -> tuple[np.ndarray, np.ndarray]:
         """``(p, w)`` for the right side ``b``; ``start`` and ``stop`` are
@@ -204,14 +212,14 @@ class AugmentedSolver:
         return -x.imag / self.s, x.real.copy()
 
     def solve_stiffness(self, f: np.ndarray) -> np.ndarray:
-        """``K^-1 f`` by the ``K`` factor of the operators."""
-        return self._ops.stiffness_factor.solve(_rhs(f, self.n))
+        """``K^-1 f`` by the ``K`` factor."""
+        return self._stiffness_fact.solve(_rhs(f, self.n))
 
     def solve_mass_full(self, b: np.ndarray, x0: np.ndarray, stop=None
                         ) -> np.ndarray:
-        """``M_full^-1 b`` by the ``M_full`` factor of the operators;
-        ``x0`` and ``stop`` are ignored."""
-        return self._ops.mass_full_factor.solve(_rhs(b, self.n_full))
+        """``M_full^-1 b`` by the ``M_full`` factor; ``x0`` and ``stop``
+        are ignored."""
+        return self._mass_full_fact.solve(_rhs(b, self.n_full))
 
 
 # the stop rule of both grid iterations, read only by _corrections

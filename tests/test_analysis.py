@@ -669,7 +669,7 @@ def _measured_eps_bar(inst, tol, sweeps, ks, phis):
     eps_bar, total, t = [], 0.0, 1.0
     for j, (lam, p, mu_t, xi_t) in enumerate(sweeps["mu_step"], start=1):
         stop = tol / j**3
-        e_t = mu_t - ops.mass_full_factor.solve(xi_t)
+        e_t = mu_t - exact.solve_mass_full(xi_t, None)
         mass = np.sqrt(max(e_t @ (ops.W_full * e_t), 0.0) / (alpha * gamma))
         total += np.sqrt(2.0) * t * (
             h_dual_norm(*sweeps["first"][stop])
@@ -677,7 +677,7 @@ def _measured_eps_bar(inst, tol, sweeps, ks, phis):
         if j in logged:
             xi = sweeps["mass"][stop][0]
             covered = dual_solver.dual_objective(
-                inst, lam, p, ops.mass_full_factor.solve(xi))
+                inst, lam, p, exact.solve_mass_full(xi, None))
             excess = max(logged[j] - covered, 0.0)
             eps_bar.append(total + (j + 1) * np.sqrt(excess) / 2.0)
         t = dual_solver.momentum(t)[0]

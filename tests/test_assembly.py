@@ -27,6 +27,7 @@ from pdeabcd.assembly import (
 )
 from pdeabcd.cli import main
 from pdeabcd.mesh import build_unit_square_mesh, triangle_areas
+from pdeabcd.sparse_linalg import AugmentedSolver
 
 # ---------------------------------------------------------------------------
 # independent L1 oracle
@@ -170,10 +171,11 @@ def test_factors_solve(ops3, rng):
     b = rng.standard_normal(ops3.n_interior)
     x = ops3.mass_factor.solve(b)
     assert np.allclose(ops3.M @ x, b, atol=1e-11)
-    y = ops3.stiffness_factor.solve(b)
+    aug = AugmentedSolver(ops3, 1e-2)
+    y = aug.solve_stiffness(b)
     assert np.allclose(ops3.K @ y, b, atol=1e-10)
     bf = rng.standard_normal(ops3.mesh.n_nodes)
-    xf = ops3.mass_full_factor.solve(bf)
+    xf = aug.solve_mass_full(bf, None)
     assert np.allclose(ops3.M_full @ xf, bf, atol=1e-11)
 
 

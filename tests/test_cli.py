@@ -47,6 +47,23 @@ def test_solve_check_bound(tmp_path, capsys):
     assert summary["tau_h"] > 0.0
 
 
+def test_solve_check_bound_above_the_oracle_cap(tmp_path, capsys,
+                                               monkeypatch):
+    """Above ``ORACLE_CAP`` the bound is checked against the reference
+    run's optimum, with no certificate."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran above ORACLE_CAP")
+
+    monkeypatch.setattr(oracle, "certified_optimum", refuse)
+    rc = main(["solve", "--preset", "sine", "--level", "7", "--check-bound",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert "bound check: PASS" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["n_interior"] > analysis.ORACLE_CAP
+    assert summary["bound_ok"] is True
+
+
 def test_solve_check_bound_assembles_once(monkeypatch, capsys):
     calls = []
     real = presets.assemble

@@ -26,6 +26,7 @@ from pdeabcd.oracle import (
     OracleInconsistencyError,
     admm_reference,
     certified_optimum,
+    reference_solution,
 )
 from pdeabcd.presets import make_instance
 
@@ -256,10 +257,43 @@ def test_certified_rejects_a_wrong_seed(sine2, monkeypatch):
 def test_certified_cross_run_restarts():
     inst = make_instance("shifted", 4)
     cert = certified_optimum(inst)
-    plain = solve(inst, SolverConfig(max_iters=100_000, tol=1e-9,
+    plain = solve(inst, SolverConfig(max_iters=100_000, tol=1e-8,
                                      log_every=0, check_every=5))
     assert plain.converged
     assert cert.z_star.k < plain.iterations
+
+
+@pytest.mark.parametrize("preset", ["sine", "shifted"])
+@pytest.mark.parametrize("level", [2, 3])
+def test_both_optimum_routes_take_the_one_reference_run(preset, level,
+                                                        monkeypatch):
+    """The certified route and the route above ``ORACLE_CAP`` return the
+    final iterate of the one reference run, bit for bit, and the
+    certificate factors no matrix of the full node set."""
+    from pdeabcd import analysis, assembly, sparse_linalg
+
+    inst = make_instance(preset, level)
+    z_ref, _ = reference_solution(inst)
+    cert = certified_optimum(inst)
+    for block, ref in zip(cert.z_star.blocks(), z_ref.blocks()):
+        assert np.array_equal(block, ref)
+    monkeypatch.setattr(analysis, "ORACLE_CAP", 0)
+    z_dual, _ = analysis.reference_optimum(inst)
+    for block, ref in zip(z_dual.blocks(), z_ref.blocks()):
+        assert np.array_equal(block, ref)
+
+    shapes = []
+    factorize_spd = sparse_linalg.factorize_spd
+
+    def recording(matrix):
+        shapes.append(matrix.shape)
+        return factorize_spd(matrix)
+
+    monkeypatch.setattr(sparse_linalg, "factorize_spd", recording)
+    monkeypatch.setattr(assembly, "factorize_spd", recording)
+    fresh = make_instance(preset, level)
+    assert admm_reference(fresh, cert.z_star).J == cert.j_star
+    assert shapes and (fresh.n_full, fresh.n_full) not in shapes
 
 
 def test_certified_zero_preset(zero2):

@@ -133,8 +133,8 @@ def test_fill_nnz_counts_superlu_storage(level):
     ops = inst.ops
     # the instance's own p-solve is a grid solver from level 7 on
     aug = AugmentedSolver(ops, inst.alpha)
-    factors = ((ops.M, ops.mass_factor), (ops.M_full, ops.mass_full_factor),
-               (ops.K, ops.stiffness_factor),
+    factors = ((ops.M, ops.mass_factor), (ops.M_full, aug._mass_full_fact),
+               (ops.K, aug._stiffness_fact),
                (ops.K + 1j * aug.s * ops.M, aug._fact))
     for A, fact in factors:
         lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
@@ -175,13 +175,13 @@ def test_augmented_solver_with_multiplier(rng):
     for start in ((x + 1.0, y), (np.full(3, np.nan), y)):
         x_s, y_s = aug.solve_with_multiplier(b, start)
         assert np.array_equal(x_s, x) and np.array_equal(y_s, y)
-    # the state and mass solves are the operators' factors, bit for bit,
-    # and the mass solve ignores its start as the p-solve does
+    # the state and mass solves are SPD factors' solves, bit for bit, and
+    # the mass solve ignores its start as the p-solve does
     f = rng.standard_normal(ops.n_interior)
     assert np.array_equal(aug.solve_stiffness(f),
-                          ops.stiffness_factor.solve(f))
+                          factorize_spd(ops.K).solve(f))
     bf = rng.standard_normal(ops.mesh.n_nodes)
-    x_lu = ops.mass_full_factor.solve(bf)
+    x_lu = factorize_spd(ops.M_full).solve(bf)
     for x0 in (x_lu + 1.0, np.full(bf.size, np.nan)):
         assert np.array_equal(aug.solve_mass_full(bf, x0), x_lu)
 
@@ -283,8 +283,12 @@ def test_dual_solver_never_factors_an_indefinite_matrix(monkeypatch):
 def test_operators_own_their_factorizations(monkeypatch):
     ops = assemble(build_unit_square_mesh(2))
     assert ops.mass_factor is ops.mass_factor
-    assert ops.mass_full_factor is ops.mass_full_factor
-    assert ops.stiffness_factor is ops.stiffness_factor
+    # the solver owns the factors it solves with, each built once
+    aug = AugmentedSolver(ops, 1e-2)
+    assert aug._fact is aug._fact
+    assert aug._mass_full_fact is aug._mass_full_fact
+    assert aug._stiffness_fact is aug._stiffness_fact
+    assert not {"mass_full_factor", "stiffness_factor"} & set(dir(ops))
     # the p-solve depends on alpha, so each instance owns its own, built once
     built = []
 
@@ -353,7 +357,7 @@ def test_grid_solver_stiffness_solve(rng, ops7):
     f = rng.standard_normal(ops7.n_interior)
     y = grid.solve_stiffness(f)
     assert np.abs(ops7.K @ y - f).max() < 1e-9 * (1.0 + np.abs(f).max())
-    assert np.allclose(y, ops7.stiffness_factor.solve(f), rtol=0.0,
+    assert np.allclose(y, factorize_spd(ops7.K).solve(f), rtol=0.0,
                        atol=1e-12 * np.abs(y).max())
 
 
@@ -628,7 +632,7 @@ def test_grid_mass_solve_matches_the_factor(rng, ops7, level, monkeypatch):
     ops = ops7 if level == 7 else assemble(build_unit_square_mesh(level))
     grid = GridSolver(ops, 1e-2)
     b = rng.standard_normal(ops.mesh.n_nodes)
-    x_lu = ops.mass_full_factor.solve(b)
+    x_lu = factorize_spd(ops.M_full).solve(b)
     for x0 in (np.zeros_like(b), x_lu + 1e-3 * rng.standard_normal(b.size)):
         x = grid.solve_mass_full(b, x0)
         assert _mass_berr(ops, b, x) <= sparse_linalg.GRID_BERR_STOP
@@ -807,8 +811,8 @@ def test_grid_solves_without_a_stop_are_the_exact_solves():
 
 def test_grid_solve_builds_no_factorization(monkeypatch):
     """From level 7 a dual solve takes its p-solves, state solves and mass
-    solves without a factor: it never calls ``factorize_spd`` and never
-    reads ``mass_full_factor``."""
+    solves without a factor: it never calls ``factorize_spd``, which
+    builds every factor of ``AugmentedSolver`` and the operators."""
     factored = []
 
     def recording(matrix):
@@ -817,13 +821,8 @@ def test_grid_solve_builds_no_factorization(monkeypatch):
 
     from pdeabcd import assembly
 
-    def refuse(ops):
-        raise AssertionError("mass_full_factor read")
-
     monkeypatch.setattr(sparse_linalg, "factorize_spd", recording)
     monkeypatch.setattr(assembly, "factorize_spd", recording)
-    monkeypatch.setattr(assembly.FemOperators, "mass_full_factor",
-                        property(refuse))
     inst = make_instance("sine", 7)
     record = dual_solver.solve(inst, dual_solver.SolverConfig(tol=1e-6))
     assert record.converged
