@@ -22,8 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh, triangle_areas
-from .sparse_linalg import (Factorization, dot, factorize_spd,
-                            pattern_positions)
+from .sparse_linalg import Factorization, dot, factorize_spd
 
 # lumped-mass comparison constant of the mesh family: z'Wz <= 4 z'Mz for
 # P1 triangles in the plane
@@ -83,9 +82,17 @@ def _pattern_data(pattern: sp.csr_matrix, triangles: np.ndarray,
     entry sums equal values, so the two agree bit for bit.
     """
     data = [np.zeros(pattern.nnz) for _ in range(1 + with_mass)]
+    # one plus each entry's place in the data, on the pattern's index
+    # arrays: scipy's CSR entry lookup reads 0 for an entry not stored
+    places = sp.csr_matrix(
+        (np.arange(1, pattern.nnz + 1, dtype=pattern.indices.dtype),
+         pattern.indices, pattern.indptr), shape=pattern.shape)
     for a in range(3):
         for b in range(3):
-            at = pattern_positions(pattern, triangles[:, a], triangles[:, b])
+            at = np.asarray(places[triangles[:, a], triangles[:, b]]).ravel()
+            if not at.all():
+                raise ValueError("an entry is not in the pattern")
+            at -= 1
             np.add.at(data[0], at,
                       area * np.einsum("ij,ij->i", grads[:, a], grads[:, b]))
             if with_mass:

@@ -7,9 +7,10 @@ preset instance and writes a per-iteration CSV plus a JSON summary;
 
 This module is the package's one output stage: the library computes and
 returns, and every file is written here, under ``--out``, which is created
-before any work starts.  CSV cells are the ``repr`` of the Python scalar,
-so floats round-trip; JSON is sorted and strict (a NaN or an infinity
-raises instead of being written).
+before any work starts; only a diverging run without ``--out`` writes its
+``divergence.npz`` to the working directory.  CSV cells are the ``repr``
+of the Python scalar, so floats round-trip; JSON is sorted and strict (a
+NaN or an infinity raises instead of being written).
 
 Exit codes: 0 all good, 2 bad input (a value that a rule of the library
 or of this module rejects with ``InputError``, an ``--out`` that cannot be

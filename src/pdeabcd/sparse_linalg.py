@@ -41,32 +41,13 @@ from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec, dia_matvec
+from scipy.sparse._sparsetools import dia_matvec
 
 from .mesh import check_alpha
 
 
 class DefinitenessError(ValueError):
     """Matrix handed to an SPD factorization is not positive definite."""
-
-
-def pattern_positions(pattern: sp.csr_matrix, rows: np.ndarray,
-                      cols: np.ndarray) -> np.ndarray:
-    """Where the entry ``(rows[e], cols[e])`` is stored in ``pattern``'s
-    data, for every ``e``; ``ValueError`` if one is not stored.
-
-    scipy's CSR entry lookup samples them from a matrix on ``pattern``'s
-    index arrays whose data is one plus each entry's place, so an entry
-    not stored reads 0.
-    """
-    places = sp.csr_matrix(
-        (np.arange(1, pattern.nnz + 1, dtype=pattern.indices.dtype),
-         pattern.indices, pattern.indptr), shape=pattern.shape)
-    at = np.asarray(places[rows, cols]).ravel()
-    if not at.all():
-        raise ValueError("an entry is not in the pattern")
-    at -= 1
-    return at
 
 
 @dataclass
@@ -262,19 +243,6 @@ def _corrections(what: str, b: np.ndarray, x: np.ndarray, a_inf: float,
                            f"{limit:g} is accepted")
 
 
-def _grid_stencils(v: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 5-point Laplacian and the 7-point stencil (6 at the centre; 1 at
-    E, W, N, S, NE and SW) applied to ``v`` on the ``m x m`` grid, in (y, x)
-    order with zero boundary values."""
-    g = np.zeros((m + 2, m + 2))
-    g[1:-1, 1:-1] = v.reshape(m, m)
-    centre = g[1:-1, 1:-1]
-    cross = g[1:-1, 2:] + g[1:-1, :-2] + g[2:, 1:-1] + g[:-2, 1:-1]
-    five = 4.0 * centre - cross
-    seven = 6.0 * centre + cross + g[2:, 2:] + g[:-2, :-2]
-    return five.ravel(), seven.ravel()
-
-
 class GridSolver:
     """Solves with ``K`` and ``K + i s M`` by fast sine transforms, and with
     ``M_full`` by Chebyshev semi-iteration.
@@ -283,9 +251,11 @@ class GridSolver:
     ``mesh.build_unit_square_mesh``.  With ``m = 2^level - 1`` interior
     nodes per side and cell width ``c = 2^-level``, ``K`` is the 5-point
     Laplacian and ``M`` is ``c^2/12`` times the 7-point stencil with 6 at
-    the centre and 1 at E, W, N, S, NE and SW.  Both are checked on
-    construction: ``K @ v`` and ``M @ v`` must match the stencils for one
-    fixed ``v``, and any other operator is refused with ``ValueError``.
+    the centre and 1 at E, W, N, S, NE and SW.  The solver holds no copy
+    of either: it applies ``A = K + i s M`` by these stencils
+    (:meth:`_apply`), and its constructor refuses with ``ValueError`` a
+    ``K`` or ``M`` that is not the real part, or the imaginary part over
+    ``s``, of that same apply on one fixed real ``v``.
 
     The orthonormal 2-D DST-I diagonalizes ``K``, with eigenvalues
     ``4 - 2 cos t_i - 2 cos t_j``, ``t_k = k pi / (m + 1)``, so
@@ -321,8 +291,9 @@ class GridSolver:
     Both iterations keep one stop rule, :func:`_corrections`.  A solve
     with ``A``, ``K + i s M`` or ``M_full``, stops once the backward error
     ``|b - A x|_inf / (|A|_inf |x|_inf + |b|_inf)`` is at most
-    ``GRID_BERR_STOP``; ``|M_full|_inf = max(W)``, since ``M_full`` has
-    nonnegative entries and row sums ``W``.  After ``GRID_STEP_CAP`` steps
+    ``GRID_BERR_STOP``; ``|K + i s M|_inf`` is a full stencil row's sum,
+    and ``|M_full|_inf = max(W)``, since ``M_full`` has nonnegative
+    entries and row sums ``W``.  After ``GRID_STEP_CAP`` steps
     it returns only an answer within ``GRID_BERR_MAX`` and raises
     ``RuntimeError`` otherwise, and a NaN backward error gives all NaN, as
     a factor's solve does for a NaN in.  The rule is the same from any
@@ -339,8 +310,9 @@ class GridSolver:
 
     A solve keeps its scratch in arrays of its own call, never on the
     object: its iterate, one residual buffer in which each step is formed
-    (:meth:`_richardson`, and the mass solve's), and the right side's copy
-    that the transforms overwrite (:meth:`_diagonal_solve`).  It writes to
+    (:meth:`_richardson`, and the mass solve's), copies of one column in
+    the stencil (:meth:`_apply`), and the right side's copy that the
+    transforms overwrite (:meth:`_diagonal_solve`).  It writes to
     none of its inputs and returns arrays of its own, so ``b``, a start
     and ``x0`` come back as they went in, and a ``w`` is not a view of the
     complex iterate.  :class:`AugmentedSolver` has the same constructor and
@@ -371,17 +343,23 @@ class GridSolver:
                              f"{(self.n_full, self.n_full)} and "
                              f"({self.n_full},) at level {level}")
         c2 = 4.0 ** -level
-        v = np.random.default_rng(0).standard_normal(self.n)
-        five, seven = _grid_stencils(v, m)
-        v_inf = np.abs(v).max()
-        if np.abs(K @ v - five).max() > 1e-12 * v_inf:
-            raise ValueError(f"K is not the 5-point Laplacian of the level-"
-                             f"{level} grid")
-        if np.abs(M @ v - c2 / 12.0 * seven).max() > 1e-12 * c2 * v_inf:
-            raise ValueError(f"M is not the P1 mass matrix of the level-"
-                             f"{level} grid")
         self._m = m
         self.s = 1.0 / np.sqrt(alpha)
+        # A = K + i s M has 4 + 6it at the centre, -1 + it at E, W, N and S
+        # and it at NE and SW, t = s c^2/12; |A|_inf is a full row's sum
+        t = self.s * c2 / 12.0
+        self._it_4 = 0.25j * t
+        self._a_inf = abs(4.0 + 6j * t) + (4.0 * abs(-1.0 + 1j * t) + 2.0 * t
+                                           if m > 1 else 0.0)
+        v = np.random.default_rng(0).standard_normal(self.n)
+        av = self._apply(v.astype(complex), np.empty(self.n, dtype=complex))
+        v_inf = np.abs(v).max()
+        if np.abs(K @ v - av.real).max() > 1e-12 * v_inf:
+            raise ValueError(f"K is not the 5-point Laplacian of the level-"
+                             f"{level} grid")
+        if np.abs(M @ v - av.imag / self.s).max() > 1e-12 * c2 * v_inf:
+            raise ValueError(f"M is not the P1 mass matrix of the level-"
+                             f"{level} grid")
         self._dst = partial(dstn, type=1, norm="ortho")
         cos = np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
         ci, cj = cos[:, None], cos[None, :]
@@ -390,19 +368,6 @@ class GridSolver:
         self._k_inv = 1.0 / k_eig
         self._p_inv = 1.0 / (k_eig + 1j * self.s * m_eig)
         self._M = M
-        # K + i s M, written on M's pattern, which holds K's, and sharing
-        # M's index arrays: the entries of scipy's sum, with real part 0
-        # where K stores none
-        a = np.zeros(M.nnz, dtype=complex)
-        np.multiply(M.data, self.s, out=a.imag)
-        k_rows = np.repeat(np.arange(self.n, dtype=K.indptr.dtype),
-                           np.diff(K.indptr))
-        a.real[pattern_positions(M, k_rows, K.indices)] = K.data
-        del k_rows
-        self._A = sp.csr_matrix((a, M.indices, M.indptr), shape=M.shape)
-        # |A|_inf as scipy's row sums of abs(A); every row of M holds its
-        # diagonal, so none is empty
-        self._a_inf = float(np.add.reduceat(np.abs(a), M.indptr[:-1]).max())
         # M_full in DIA storage, read off its seven diagonals: the data of
         # sp.dia_matrix(M_full), without that conversion's COO copy and sort
         offsets = [-m - 3, -m - 2, -1, 0, 1, m + 2, m + 3]
@@ -434,19 +399,45 @@ class GridSolver:
         """``K^-1 f``, exact up to roundoff."""
         return self._diagonal_solve(self._k_inv, _rhs(f, self.n, copy=True))
 
+    def _apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``A x`` into ``out``, a complex array other than ``x``, returned.
+
+        ``A x = 4 (x + i t/4 S x) - T x``, where ``S x`` sums ``6 x`` and the
+        E, W, N, S, NE and SW neighbours (``M = c^2/12 S``) and ``T x`` the
+        E, W, N and S ones.  Scaling by 4 is exact, so ``K``'s 4 and -1 stay
+        exact; a rounded ratio of the two would move answers by about
+        ``cond(K) eps``.  Each neighbour is a contiguous shift of the flat
+        order, which keeps the first or last column when it wraps into it."""
+        m, n = self._m, self.n
+        grid = out.reshape(m, m)
+
+        def shifted(op, by):
+            # out[k] op= x[k + by] wherever that is a neighbour of node k
+            edge = {1: grid[:, -1], m - 1: grid[:, 0]}.get(by % m, grid[:, :0])
+            kept = edge.copy()
+            to = out[max(-by, 0):n - max(by, 0)]
+            op(to, x[max(by, 0):n - max(-by, 0)], out=to)
+            edge[...] = kept
+
+        np.multiply(x, 6.0, out=out)
+        for by in (1, -1, m, -m, m + 1, -m - 1):
+            shifted(np.add, by)
+        out *= self._it_4
+        out += x
+        out *= 4.0
+        for by in (1, -1, m, -m):
+            shifted(np.subtract, by)
+        return out
+
     def _richardson(self, b: np.ndarray, x: np.ndarray, stop) -> None:
         """Richardson steps on ``x``, in place, to the backward error
-        ``stop`` (:func:`_corrections`): each residual, and the step formed
-        from it, in one buffer of this call."""
-        n, A = self.n, self._A
-        r = np.empty(n, dtype=complex)
+        ``stop`` (:func:`_corrections`): each residual ``b - A x``, by the
+        stencil (:meth:`_apply`), and the step formed from it, in one
+        buffer of this call."""
+        r = np.empty(self.n, dtype=complex)
 
         def residual(x):
-            # b - A x in r: A @ x is scipy's CSR kernel adding A x into
-            # zeros, which this calls on r itself
-            r.fill(0.0)
-            csr_matvec(n, n, A.indptr, A.indices, A.data, x, r)
-            return np.subtract(b, r, out=r)
+            return np.subtract(b, self._apply(x, r), out=r)
 
         for r_k in _corrections("p-solve", b, x, self._a_inf, residual, stop):
             x += self._diagonal_solve(self._p_inv, r_k)

@@ -86,16 +86,21 @@ def test_solve_dump_artifacts(tmp_path):
         assert (tmp_path / name).exists(), name
 
 
-def test_solve_divergence_exit_code(tmp_path, capsys, monkeypatch):
-    # a NaN in the source shift makes the first sweep non-finite
+@pytest.fixture
+def nan_source(monkeypatch):
+    """Every instance the CLI makes has a NaN in its source shift, which
+    makes the first sweep non-finite."""
     real = cli.make_instance
 
-    def nan_source(*args, **kw):
+    def made(*args, **kw):
         inst = real(*args, **kw)
         inst.y_r[0] = np.nan
         return inst
 
-    monkeypatch.setattr(cli, "make_instance", nan_source)
+    monkeypatch.setattr(cli, "make_instance", made)
+
+
+def test_solve_divergence_exit_code(tmp_path, capsys, nan_source):
     with np.errstate(all="ignore"):
         rc = main(["solve", "--preset", "sine", "--level", "2",
                    "--out", str(tmp_path)])
@@ -108,6 +113,19 @@ def test_solve_divergence_exit_code(tmp_path, capsys, monkeypatch):
     assert dump["lam"].shape == (25,)
     assert dump["p"].shape == (9,)
     assert dump["mu"].shape == (25,)
+
+
+def test_divergence_without_out_writes_to_the_working_directory(
+        tmp_path, capsys, monkeypatch, nan_source):
+    """Without ``--out`` the diverging run still exits 3, and its
+    ``divergence.npz`` goes to the working directory."""
+    monkeypatch.chdir(tmp_path)
+    with np.errstate(all="ignore"):
+        rc = main(["solve", "--preset", "sine", "--level", "2"])
+    assert rc == 3
+    assert "wrote ./divergence.npz" in capsys.readouterr().err
+    assert int(np.load(tmp_path / "divergence.npz")["k"][0]) >= 1
+    assert os.listdir(tmp_path) == ["divergence.npz"]
 
 
 def _check_bound_exits_4(capsys):
